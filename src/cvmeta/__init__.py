@@ -30,7 +30,6 @@ from .core import (
     weight_sums,
 )
 from .errors import (
-    BracketError,
     ConfigError,
     CvMetaError,
     DataFormatError,
@@ -96,9 +95,8 @@ __all__ = [
     "cochran_q", "diamond_ratio", "dl_tau2", "fit_fem", "fit_rem",
     "i_squared", "pooled_estimate", "r_b", "var_q", "var_tau2", "weight_sums",
     # errors
-    "BracketError", "ConfigError", "CvMetaError", "DataFormatError",
-    "DegenerateWeightsError", "DomainError", "NumericFailureError",
-    "UndefinedMomentsError",
+    "ConfigError", "CvMetaError", "DataFormatError", "DegenerateWeightsError",
+    "DomainError", "NumericFailureError", "UndefinedMomentsError",
     # intervals
     "IntervalEstimate", "PropImpTrace", "abs_beta_ci",
     "alpha_adjusted_interval", "alpha_adjusted_intervals",

@@ -30,7 +30,6 @@ from .datasets import (
     read_effects_csv,
 )
 from .errors import (
-    BracketError,
     ConfigError,
     CvMetaError,
     DataFormatError,
@@ -393,7 +392,7 @@ def main(argv=None) -> int:
     except (DataFormatError, ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailureError, BracketError, CvMetaError) as exc:
+    except (NumericFailureError, CvMetaError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

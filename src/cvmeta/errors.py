@@ -9,10 +9,6 @@ class DomainError(CvMetaError, ValueError):
     """An argument lies outside the mathematical domain of a function."""
 
 
-class BracketError(CvMetaError, ValueError):
-    """A root-finding bracket does not contain a sign change."""
-
-
 class DegenerateWeightsError(CvMetaError, ValueError):
     """Study weights collapse so that the moment estimator is undefined."""
 

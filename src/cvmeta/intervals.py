@@ -39,7 +39,7 @@ import numpy as np
 from .core import MetaDataset, PooledFit, fit_rem
 from .errors import DomainError, NumericFailureError, UndefinedMomentsError
 from .measures import inv_logit, logit, logit_m1_moments
-from .numerics import chisq_quantile, find_root, norm_cdf, norm_quantile, optimize_1d
+from .numerics import chisq_quantile, norm_cdf, norm_quantile, optimize_1d
 
 __all__ = [
     "MEASURE_TAGS",
@@ -156,55 +156,36 @@ class PropImpTrace:
 # ---------------------------------------------------------------------------
 # generalized dispersion profile
 
-def _qgen_and_slope(y: np.ndarray, v: np.ndarray, t: float) -> tuple[float, float]:
-    """Generalized dispersion statistic at candidate variance t, and its slope.
+def _qprofile_roots(y: np.ndarray, v: np.ndarray, targets) -> np.ndarray:
+    """Solve Q_gen(t) = target for t >= 0, elementwise over ``targets``.
 
     Q_gen(t) = sum_i (y_i - b(t))^2 / (v_i + t) with b(t) the weighted
     mean at weights 1/(v_i + t).  Because b(t) is the weight-stationary
-    point, the derivative reduces to -sum_i w_i^2 (y_i - b)^2, which is
-    what makes the profile strictly decreasing wherever effects differ.
+    point, the slope reduces to -sum_i w_i^2 (y_i - b)^2, and as a
+    partial minimum over b of a jointly convex function the profile is
+    convex.  With S = sum_i (y_i - mean y)^2 it lies between
+    S / (max v + t) and S / (min v + t), so every root is at least
+    S / target - max v.  Newton's method started there (or at 0) climbs
+    a convex decreasing profile monotonically without overshooting, and
+    each root is taken at the first step no longer than 1e-13 t.  The
+    rule is relative, so roots scale exactly with the data; a profile
+    that starts at or below its target never leaves 0.
     """
-    w = 1.0 / (v + t)
-    b = (w * y).sum() / w.sum()
-    r2 = (y - b) ** 2
-    return float((w * r2).sum()), float(-(w * w * r2).sum())
-
-
-def _qgen(y: np.ndarray, v: np.ndarray, t: float) -> float:
-    q, _ = _qgen_and_slope(y, v, t)
-    return q
-
-
-def _qgen_root(y: np.ndarray, v: np.ndarray, target: float, warm: float | None = None) -> float:
-    """Solve Q_gen(t) = target for t >= 0 (0 when the profile starts below).
-
-    Newton iteration with a maintained bracket; the optional warm start
-    seeds the iteration, which matters in the optimizer's inner loop
-    where consecutive targets are close.
-    """
-    q0, _ = _qgen_and_slope(y, v, 0.0)
-    if q0 <= target:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    q_hi, _ = _qgen_and_slope(y, v, hi)
-    while q_hi > target:
-        lo, hi = hi, 4.0 * hi
-        if hi > 1e30:
-            raise NumericFailureError("dispersion profile failed to drop below target")
-        q_hi, _ = _qgen_and_slope(y, v, hi)
-    t = warm if (warm is not None and lo < warm < hi) else 0.5 * (lo + hi)
-    for _ in range(120):
-        q, dq = _qgen_and_slope(y, v, t)
-        if q > target:
-            lo = t
-        else:
-            hi = t
-        t_next = t - (q - target) / dq if dq != 0.0 else 0.5 * (lo + hi)
-        if not lo < t_next < hi:
-            t_next = 0.5 * (lo + hi)
-        if abs(t_next - t) <= 1e-13 * max(1.0, t):
-            return t_next
-        t = t_next
+    targets = np.asarray(targets, dtype=float)
+    tg = targets.reshape(-1)
+    s = float(((y - y.mean()) ** 2).sum())
+    if s == 0.0:
+        return np.zeros(targets.shape)
+    t = np.maximum(s / tg - v.max(), 0.0)
+    for _ in range(100):
+        w = 1.0 / (v + t[:, None])
+        b = (w * y).sum(axis=1) / w.sum(axis=1)
+        wr2 = w * (y - b[:, None]) ** 2
+        step = (wr2.sum(axis=1) - tg) / (w * wr2).sum(axis=1)
+        done = step <= 1e-13 * t
+        if done.all():
+            return t.reshape(targets.shape)
+        t = np.where(done, t, t + step)
     raise NumericFailureError("profile root iteration did not converge")
 
 
@@ -230,22 +211,9 @@ def tau2_ci_qprofile(data: MetaDataset, alpha: float = 0.05) -> IntervalEstimate
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
-    y, v, k = data.effects, data.within_vars, data.k
-    lower = _qprofile_bound(y, v, chisq_quantile(1.0 - alpha / 2.0, k - 1))
-    upper = _qprofile_bound(y, v, chisq_quantile(alpha / 2.0, k - 1))
+    pivots = chisq_quantile(np.array([1.0 - alpha / 2.0, alpha / 2.0]), data.k - 1)
+    lower, upper = _qprofile_roots(data.effects, data.within_vars, pivots).tolist()
     return IntervalEstimate(lower, upper, "TAU2", "QPROFILE", alpha, 0.0)
-
-
-def _qprofile_bound(y: np.ndarray, v: np.ndarray, target: float) -> float:
-    """One profile bound through the bracketed root finder."""
-    if _qgen(y, v, 0.0) <= target:
-        return 0.0
-    hi = 1.0
-    while _qgen(y, v, hi) > target:
-        hi *= 4.0
-        if hi > 1e30:
-            raise NumericFailureError("dispersion profile failed to drop below target")
-    return find_root(lambda t: _qgen(y, v, t) - target, (0.0, hi), tol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +229,13 @@ def beta_ci(fit: PooledFit, alpha: float = 0.05) -> IntervalEstimate:
     )
 
 
+def _fold_abs(lo, hi):
+    """Elementwise |beta| bounds from signed bounds, by the rule of :func:`abs_beta_ci`."""
+    a = np.where(lo >= 0.0, lo, np.where(hi <= 0.0, -hi, 0.0))
+    b = np.where(lo >= 0.0, hi, np.where(hi <= 0.0, -lo, np.maximum(-lo, hi)))
+    return a, b
+
+
 def abs_beta_ci(beta_interval: IntervalEstimate) -> IntervalEstimate:
     """Fold a signed-effect interval onto the magnitude scale.
 
@@ -269,16 +244,8 @@ def abs_beta_ci(beta_interval: IntervalEstimate) -> IntervalEstimate:
     [0, max of the folded endpoints], the conservative choice.  A zero
     endpoint is grouped with the sign of the other endpoint.
     """
-    lo, hi = beta_interval.lower, beta_interval.upper
-    if lo >= 0.0 and hi > 0.0:
-        a, b = lo, hi
-    elif hi <= 0.0 and lo < 0.0:
-        a, b = -hi, -lo
-    elif lo == 0.0 and hi == 0.0:
-        a, b = 0.0, 0.0
-    else:
-        a, b = 0.0, max(-lo, hi)
-    return replace(beta_interval, lower=a, upper=b, measure="ABS_BETA")
+    a, b = _fold_abs(beta_interval.lower, beta_interval.upper)
+    return replace(beta_interval, lower=float(a), upper=float(b), measure="ABS_BETA")
 
 
 def beta_sq_ci(beta_interval: IntervalEstimate) -> IntervalEstimate:
@@ -292,13 +259,12 @@ def beta_sq_ci(beta_interval: IntervalEstimate) -> IntervalEstimate:
 # ---------------------------------------------------------------------------
 # measure-scale helpers
 
-def _m1_corner(t: float, b: float) -> float:
-    """m1 evaluated at a (tau, |beta|) corner with boundary conventions."""
-    if t == 0.0:
-        return 0.0
-    if b == 0.0:
-        return 1.0
-    return t / (t + b)
+def _m1_corner(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """m1 at (tau, |beta|) corners: 0 where tau is 0, else t / (t + b).
+
+    A zero |beta| with positive tau gives t / t, exactly 1.
+    """
+    return np.divide(t, t + b, out=np.zeros(np.shape(t)), where=t > 0.0)
 
 
 def _cv_from_m1(u: float) -> float:
@@ -443,12 +409,12 @@ def combine_fixed(
     tau_hi = math.sqrt(tau_interval.upper)
     b_lo, b_hi = abs_beta_interval.lower, abs_beta_interval.upper
 
-    if mode == "FIX_TAU":
-        m1_lo, m1_hi = _m1_corner(tau_hat, b_hi), _m1_corner(tau_hat, b_lo)
-    elif mode == "FIX_BETA":
-        m1_lo, m1_hi = _m1_corner(tau_lo, beta_abs), _m1_corner(tau_hi, beta_abs)
-    else:
-        m1_lo, m1_hi = _m1_corner(tau_lo, b_hi), _m1_corner(tau_hi, b_lo)
+    taus, betas = {
+        "FIX_TAU": ((tau_hat, tau_hat), (b_hi, b_lo)),
+        "FIX_BETA": ((tau_lo, tau_hi), (beta_abs, beta_abs)),
+        "BOTH": ((tau_lo, tau_hi), (b_hi, b_lo)),
+    }[mode]
+    m1_lo, m1_hi = _m1_corner(np.array(taus), np.array(betas)).tolist()
     return _linked_intervals(m1_lo, m1_hi, method, a_tau, a_beta)
 
 
@@ -529,55 +495,36 @@ def propimp_intervals(
     if fit.tau2_hat == 0.0:
         return _maximal_all("PROPIMP", alpha, alpha), PropImpTrace(0.0, 0.0, 0)
 
-    y, v, k = data.effects, data.within_vars, data.k
+    y, v, df = data.effects, data.within_vars, data.k - 1
     z = norm_quantile(1.0 - alpha / 2.0)
     tau_hat = math.sqrt(fit.tau2_hat)
     beta_hat = fit.beta_hat
     se_beta = math.sqrt(fit.var_beta_hat)
+    evaluations = 0
 
-    state = {"warm_lo": None, "warm_hi": None, "evals": 0}
-
-    def tau_bound(c: float, upper: bool) -> float:
-        if c == 0.0:
-            return tau_hat
+    def corner_m1(theta, upper: bool) -> np.ndarray:
+        """m1 at angles theta: the lower corner, or the upper if ``upper``."""
+        nonlocal evaluations
+        theta = np.asarray(theta, dtype=float)
+        evaluations += theta.size
+        c_tau, c_beta = z * np.sin(theta), z * np.cos(theta)
         # component level for critical value c, then of the matching pivot:
         # the lower bound inverts the profile at the upper chi-square tail
-        p_tail = norm_cdf(c)  # = 1 - alpha_c / 2
-        target = _chisq_cached(p_tail if not upper else 1.0 - p_tail, k - 1)
-        key = "warm_hi" if upper else "warm_lo"
-        root = _qgen_root(y, v, target, state[key])
-        state[key] = root
-        return math.sqrt(root)
+        p_tail = norm_cdf(c_tau)  # = 1 - alpha_c / 2
+        roots = _qprofile_roots(y, v, chisq_quantile(1.0 - p_tail if upper else p_tail, df))
+        tau = np.where(c_tau == 0.0, tau_hat, np.sqrt(roots))
+        half = c_beta * se_beta
+        b_lo, b_up = _fold_abs(beta_hat - half, beta_hat + half)
+        b = np.where(c_beta == 0.0, abs(beta_hat), b_lo if upper else b_up)
+        return _m1_corner(tau, b)
 
-    def abs_beta_bounds(c: float) -> tuple[float, float]:
-        if c == 0.0:
-            b = abs(beta_hat)
-            return b, b
-        half = c * se_beta
-        lo, hi = beta_hat - half, beta_hat + half
-        if lo >= 0.0 and hi > 0.0:
-            return lo, hi
-        if hi <= 0.0 and lo < 0.0:
-            return -hi, -lo
-        return 0.0, max(-lo, hi)
-
-    def objective_lower(theta: float) -> float:
-        state["evals"] += 1
-        c_tau = z * math.sin(theta)
-        c_beta = z * math.cos(theta)
-        _, b_up = abs_beta_bounds(c_beta)
-        return _m1_corner(tau_bound(c_tau, upper=False), b_up)
-
-    def objective_upper(theta: float) -> float:
-        state["evals"] += 1
-        c_tau = z * math.sin(theta)
-        c_beta = z * math.cos(theta)
-        b_lo, _ = abs_beta_bounds(c_beta)
-        return _m1_corner(tau_bound(c_tau, upper=True), b_lo)
-
-    theta_lo, m1_lo = optimize_1d(objective_lower, 0.0, _HALF_PI, mode="min", tol=1e-7)
-    theta_hi, m1_hi = optimize_1d(objective_upper, 0.0, _HALF_PI, mode="max", tol=1e-7)
-    trace = PropImpTrace(theta_lo, theta_hi, state["evals"])
+    theta_lo, m1_lo = optimize_1d(
+        lambda th: corner_m1(th, False), 0.0, _HALF_PI, mode="min", tol=1e-7
+    )
+    theta_hi, m1_hi = optimize_1d(
+        lambda th: corner_m1(th, True), 0.0, _HALF_PI, mode="max", tol=1e-7
+    )
+    trace = PropImpTrace(theta_lo, theta_hi, evaluations)
     return _linked_intervals(m1_lo, m1_hi, "PROPIMP", alpha, alpha), trace
 
 
@@ -592,20 +539,3 @@ def propimp_interval(
         raise DomainError(f"measure must be one of {RATIO_MEASURES}, got {measure!r}")
     intervals, trace = propimp_intervals(data, alpha, fit)
     return intervals[measure], trace
-
-
-# chi-square pivot evaluations dominate the optimizer's inner loop; the
-# grid stage re-visits the same (p, df) pairs for every replication of a
-# scenario, so a small cache pays for itself immediately
-_PIVOT_CACHE: dict[tuple[float, int], float] = {}
-
-
-def _chisq_cached(p: float, df: int) -> float:
-    key = (p, df)
-    hit = _PIVOT_CACHE.get(key)
-    if hit is None:
-        hit = chisq_quantile(p, df)
-        if len(_PIVOT_CACHE) > 100_000:
-            _PIVOT_CACHE.clear()
-        _PIVOT_CACHE[key] = hit
-    return hit

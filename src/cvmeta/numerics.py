@@ -1,12 +1,12 @@
-"""Special functions, root finding, bounded 1-D optimization, and RNG streams.
+"""Special functions, bounded 1-D optimization, and RNG streams.
 
 Everything downstream (pooling, interval construction, simulation) funnels
 its numeric needs through this module so precision and determinism are
 controlled in one place.  Quantile and CDF evaluations are backed by the
-scipy special-function library; root finding wraps Brent's method with an
-explicit bracket check; the 1-D optimizer is a coarse grid followed by
-golden-section refinement so short multi-modal objectives are handled
-without assuming unimodality.
+scipy special-function library and accept arrays; the 1-D optimizer is a
+coarse grid, evaluated in one array call, followed by golden-section
+refinement so short multi-modal objectives are handled without assuming
+unimodality.
 """
 
 from __future__ import annotations
@@ -16,17 +16,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize as _opt
 from scipy import special as _sp
 
-from .errors import BracketError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "RngState",
     "norm_quantile",
     "norm_cdf",
     "chisq_quantile",
-    "find_root",
     "optimize_1d",
     "sample_noncentral_t",
 ]
@@ -59,60 +57,40 @@ def norm_quantile(p: float) -> float:
     return float(_sp.ndtri(p))
 
 
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x)."""
-    return float(_sp.ndtr(x))
+def norm_cdf(x):
+    """Standard normal CDF Phi(x), elementwise for an array ``x``."""
+    out = _sp.ndtr(x)
+    return out if np.ndim(out) else float(out)
 
 
-def chisq_quantile(p: float, df: float) -> float:
+def chisq_quantile(p, df: float):
     """Chi-square quantile via regularized incomplete-gamma inversion.
 
     Parameters
     ----------
-    p : float
-        Probability strictly inside (0, 1).
+    p : float or ndarray
+        Probability strictly inside (0, 1); an array is inverted
+        elementwise in one call.
     df : float
         Degrees of freedom, positive.  Integer in all internal uses but
         real values are accepted.
 
     Returns
     -------
-    float
-        The value x with ChiSq_df CDF(x) = p.
+    float or ndarray
+        The value x with ChiSq_df CDF(x) = p, shaped like ``p``.
     """
-    if not 0.0 < p < 1.0:
+    p_arr = np.asarray(p, dtype=float)
+    if not np.all((0.0 < p_arr) & (p_arr < 1.0)):
         raise DomainError(f"chisq_quantile requires 0 < p < 1, got {p!r}")
     if df <= 0:
         raise DomainError(f"chisq_quantile requires df > 0, got {df!r}")
-    return float(2.0 * _sp.gammaincinv(df / 2.0, p))
-
-
-def find_root(
-    f: Callable[[float], float],
-    bracket: tuple[float, float],
-    tol: float = 1e-12,
-) -> float:
-    """Root of a continuous function inside a sign-changing bracket.
-
-    Brent's method (inverse quadratic with bisection safeguards).  The
-    bracket is validated first; a missing sign change raises instead of
-    silently returning an endpoint.
-    """
-    lo, hi = bracket
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketError(
-            f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
-        )
-    return float(_opt.brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps))
+    out = 2.0 * _sp.gammaincinv(df / 2.0, p_arr)
+    return out if out.ndim else float(out)
 
 
 def optimize_1d(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     mode: str = "min",
@@ -122,17 +100,21 @@ def optimize_1d(
     """Bounded scalar optimization: coarse grid, then golden-section.
 
     The objective is first evaluated on a uniform grid (including both
-    endpoints), then a golden-section search refines inside the bracket
-    around the best grid point.  The best value ever evaluated is
-    returned, so a jump discontinuity at an endpoint cannot be lost to
-    the refinement stage.
+    endpoints) in a single call, then a golden-section search refines
+    inside the bracket around the best grid point, calling ``f`` on one
+    point at a time.  The best value ever evaluated is returned, so a
+    jump discontinuity at an endpoint cannot be lost to the refinement
+    stage.
 
     Parameters
     ----------
     f : callable
-        Continuous on [lo, hi] except possibly at isolated points.
-        Non-finite values are legal and simply win (max) or lose (min)
-        ties the usual way; they are not treated as failures.
+        Maps an array of arguments to the array of objective values,
+        elementwise like ``np.sin``; it also receives single float
+        arguments during refinement.  Continuous on [lo, hi] except
+        possibly at isolated points.  Non-finite values are legal and
+        simply win (max) or lose (min) ties the usual way; NaN never
+        wins.  They are not treated as failures.
     lo, hi : float
         Domain endpoints, lo < hi.
     mode : {"min", "max"}
@@ -155,14 +137,10 @@ def optimize_1d(
     sign = 1.0 if mode == "min" else -1.0
 
     xs = np.linspace(lo, hi, grid_points)
-    best_i = 0
-    best_x = float(xs[0])
-    best_v = sign * f(best_x)
-    for i in range(1, grid_points):
-        x = float(xs[i])
-        v = sign * f(x)
-        if _better(v, best_v):
-            best_i, best_x, best_v = i, x, v
+    vals = sign * np.asarray(f(xs), dtype=float)
+    seen = ~np.isnan(vals)
+    best_i = int(np.flatnonzero(vals == vals[seen].min())[0]) if seen.any() else 0
+    best_x, best_v = float(xs[best_i]), float(vals[best_i])
 
     # refine in the bracket spanning the best point's neighbors
     a = float(xs[max(0, best_i - 1)])
@@ -170,21 +148,21 @@ def optimize_1d(
     h = b - a
     c = a + _GOLDEN2 * h
     d = a + _GOLDEN * h
-    fc = sign * f(c)
-    fd = sign * f(d)
+    fc = sign * float(f(c))
+    fd = sign * float(f(d))
     while h > tol:
         if _better(fc, fd) or (fc == fd):
             b, d, fd = d, c, fc
             h = b - a
             c = a + _GOLDEN2 * h
-            fc = sign * f(c)
+            fc = sign * float(f(c))
             if _better(fc, best_v) or (fc == best_v and c < best_x):
                 best_x, best_v = c, fc
         else:
             a, c, fc = c, d, fd
             h = b - a
             d = a + _GOLDEN * h
-            fd = sign * f(d)
+            fd = sign * float(f(d))
             if _better(fd, best_v) or (fd == best_v and d < best_x):
                 best_x, best_v = d, fd
     return best_x, sign * best_v

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cvmeta.core import MetaDataset, PooledFit, WeightSums, fit_rem
@@ -121,13 +123,19 @@ class TestTau2Qprofile:
 
     def test_pivot_holds_on_random_data(self):
         rng = np.random.default_rng(4)
-        for _ in range(10):
-            d = random_dataset(rng)
+        datasets = [random_dataset(rng) for _ in range(10)]
+        # solver edge cases: K = 2, and within-study variances over eight decades
+        datasets += [random_dataset(rng, k=2) for _ in range(5)]
+        datasets += [
+            MetaDataset.from_arrays(rng.normal(0.0, 1.0, k), np.logspace(-4.0, 4.0, k))
+            for k in (3, 9, 20)
+        ]
+        for d in datasets:
             iv = tau2_ci_qprofile(d)
-            if iv.upper == 0.0:
-                continue
-            hi_target = stats.chi2.ppf(0.025, d.k - 1)
-            assert abs(qgen_reference(d.effects, d.within_vars, iv.upper) - hi_target) < 1e-8
+            for bound, p in ((iv.lower, 0.975), (iv.upper, 0.025)):
+                if bound > 0.0:
+                    target = stats.chi2.ppf(p, d.k - 1)
+                    assert abs(qgen_reference(d.effects, d.within_vars, bound) - target) < 1e-8
 
     def test_alpha_domain(self, hssp):
         with pytest.raises(DomainError):
@@ -404,3 +412,28 @@ class TestPropImp:
         ivs, trace = propimp_intervals(d)
         assert all(ivs[m].degenerate for m in RATIO_MEASURES)
         assert trace.evaluations == 0
+
+
+def assert_scale_free(data, c):
+    """y -> c y, v -> c^2 v scales the tau2 bounds by c^2 and fixes the M1 bounds."""
+    scaled = MetaDataset.from_arrays(data.effects * c, data.within_vars * c * c)
+    q, q_c = tau2_ci_qprofile(data), tau2_ci_qprofile(scaled)
+    assert q_c.lower / c**2 == pytest.approx(q.lower, rel=1e-10, abs=0.0)
+    assert q_c.upper / c**2 == pytest.approx(q.upper, rel=1e-10, abs=0.0)
+    for method in (alpha_adjusted_intervals, lambda d: propimp_intervals(d)[0]):
+        m1, m1_c = method(data)["M1"], method(scaled)["M1"]
+        assert m1_c.lower == pytest.approx(m1.lower, rel=1e-10, abs=0.0)
+        assert m1_c.upper == pytest.approx(m1.upper, rel=1e-10, abs=0.0)
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3])
+    def test_hssp_and_random_data(self, hssp, c):
+        rng = np.random.default_rng(11)
+        for d in [hssp] + [random_dataset(rng) for _ in range(4)]:
+            assert_scale_free(d, c)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), log10_c=st.floats(-8.0, 8.0))
+    def test_property(self, seed, log10_c):
+        assert_scale_free(random_dataset(np.random.default_rng(seed)), 10.0**log10_c)

@@ -5,11 +5,10 @@ import pytest
 from scipy.special import gammainc
 from scipy.stats import kstest
 
-from cvmeta.errors import BracketError, DomainError
+from cvmeta.errors import DomainError
 from cvmeta.numerics import (
     RngState,
     chisq_quantile,
-    find_root,
     norm_cdf,
     norm_quantile,
     optimize_1d,
@@ -58,11 +57,12 @@ class TestChisqQuantile:
         assert abs(chisq_quantile(0.95, 1) - 3.841459) < 1e-6
 
     def test_cdf_round_trip(self):
-        # forward CDF via the regularized incomplete gamma
-        for p in (0.025, 0.5, 0.975):
-            for df in (1, 5, 9, 34):
-                x = chisq_quantile(p, df)
-                assert abs(gammainc(df / 2.0, x / 2.0) - p) < 1e-10
+        # forward CDF via the regularized incomplete gamma; one array call per df
+        p = np.array([0.025, 0.5, 0.975])
+        for df in (1, 5, 9, 34):
+            x = chisq_quantile(p, df)
+            assert x.shape == p.shape
+            assert np.all(abs(gammainc(df / 2.0, x / 2.0) - p) < 1e-10)
 
     def test_strictly_increasing(self):
         ps = np.linspace(0.01, 0.99, 99)
@@ -75,33 +75,20 @@ class TestChisqQuantile:
             chisq_quantile(p, 3)
 
 
-class TestFindRoot:
-    def test_linear(self):
-        assert abs(find_root(lambda x: x - 1.0, (0.0, 2.0)) - 1.0) < 1e-12
-
-    def test_sqrt2(self):
-        root = find_root(lambda x: x * x - 2.0, (0.0, 2.0), tol=1e-12)
-        assert abs(root - math.sqrt(2.0)) < 1e-10
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, (0.0, 2.0))
-
-
 class TestOptimize1d:
     def test_sin_max(self):
-        arg, val = optimize_1d(math.sin, 0.0, math.pi / 2, mode="max")
+        arg, val = optimize_1d(np.sin, 0.0, math.pi / 2, mode="max")
         assert abs(arg - math.pi / 2) < 1e-6
         assert abs(val - 1.0) < 1e-9
 
     def test_cos_min(self):
-        arg, val = optimize_1d(math.cos, 0.0, math.pi / 2, mode="min")
+        arg, val = optimize_1d(np.cos, 0.0, math.pi / 2, mode="min")
         assert abs(arg - math.pi / 2) < 1e-6
         assert abs(val) < 1e-9
 
     def test_multimodal(self):
         # two interior minima on [0, pi/2]; dense scan pins the global one
-        f = lambda t: math.sin(7.0 * t) + 0.3 * t
+        f = lambda t: np.sin(7.0 * t) + 0.3 * t
         _, val = optimize_1d(f, 0.0, math.pi / 2, mode="min", tol=1e-9)
         grid = np.linspace(0.0, math.pi / 2, 100001)
         dense = min(f(t) for t in grid)
@@ -109,7 +96,7 @@ class TestOptimize1d:
 
     def test_max_dominates_probes(self):
         rng = np.random.default_rng(5)
-        f = lambda t: math.exp(-t) * math.cos(5.0 * t)
+        f = lambda t: np.exp(-t) * np.cos(5.0 * t)
         _, val = optimize_1d(f, 0.0, math.pi / 2, mode="max")
         for t in rng.uniform(0.0, math.pi / 2, 200):
             assert val >= f(t) - 1e-9
