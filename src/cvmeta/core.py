@@ -207,8 +207,31 @@ class HetMeasures:
 
 def weight_sums(data: MetaDataset) -> WeightSums:
     """Power sums of the fixed-effect weights for a dataset."""
+    return _fixed_effect_pass(data)[0]
+
+
+def _fixed_effect_pass(data: MetaDataset) -> tuple[WeightSums, float, float]:
+    """Weight sums, Q and the weight normalization S1 - S2/S1 from one set of weights.
+
+    S1^2 - S2 = 2 sum_{i<j} w_i w_j, so the normalization is computed as
+    2 sum_j w_j (w_1 + ... + w_{j-1}) / S1, a sum of positive terms: the
+    difference form cancels to 0 when one weight dwarfs the others.
+    """
     w = 1.0 / data.within_vars
-    return WeightSums(float(w.sum()), float((w * w).sum()), float((w**3).sum()))
+    s = WeightSums(float(w.sum()), float((w * w).sum()), float((w**3).sum()))
+    beta_fem = (w * data.effects).sum() / s.s1
+    q = float((w * (data.effects - beta_fem) ** 2).sum())
+    denom = 2.0 * float((w[1:] * np.cumsum(w[:-1])).sum()) / s.s1
+    return s, q, denom
+
+
+def _dl_tau2(q: float, k: int, denom: float) -> tuple[float, float]:
+    if denom <= 0:
+        raise DegenerateWeightsError(
+            f"S1 - S2/S1 = {denom!r} is not positive; moment estimator undefined"
+        )
+    untrunc = (q - (k - 1)) / denom
+    return max(0.0, untrunc), untrunc
 
 
 def pooled_estimate(data: MetaDataset, tau2: float) -> tuple[float, float]:
@@ -234,9 +257,7 @@ def cochran_q(data: MetaDataset) -> float:
     Computed from the definitional moment form
     Q = sum_i W_i (Y_i - beta_fem)^2 with W_i = 1/v_i.
     """
-    beta_fem, _ = pooled_estimate(data, 0.0)
-    w = 1.0 / data.within_vars
-    return float((w * (data.effects - beta_fem) ** 2).sum())
+    return _fixed_effect_pass(data)[1]
 
 
 def dl_tau2(data: MetaDataset) -> tuple[float, float]:
@@ -253,15 +274,8 @@ def dl_tau2(data: MetaDataset) -> tuple[float, float]:
     DegenerateWeightsError
         If the weight normalization S1 - S2/S1 is not positive.
     """
-    s = weight_sums(data)
-    denom = s.s1 - s.s2 / s.s1
-    if denom <= 0:
-        raise DegenerateWeightsError(
-            f"S1 - S2/S1 = {denom!r} is not positive; moment estimator undefined"
-        )
-    q = cochran_q(data)
-    untrunc = (q - (data.k - 1)) / denom
-    return max(0.0, untrunc), untrunc
+    _, q, denom = _fixed_effect_pass(data)
+    return _dl_tau2(q, data.k, denom)
 
 
 def var_q(ws: WeightSums, k: int, tau2: float) -> float:
@@ -284,8 +298,7 @@ def var_tau2(data: MetaDataset, tau2: float) -> float:
     Var(Q) scaled by the squared weight normalization; truncation is
     deliberately ignored, matching the delta-method usage downstream.
     """
-    s = weight_sums(data)
-    denom = s.s1 - s.s2 / s.s1
+    s, _, denom = _fixed_effect_pass(data)
     if denom <= 0:
         raise DegenerateWeightsError(
             f"S1 - S2/S1 = {denom!r} is not positive; variance undefined"
@@ -331,9 +344,7 @@ def diamond_ratio(data: MetaDataset, tau2: float) -> float:
 def fit_fem(data: MetaDataset) -> PooledFit:
     """Fixed-effect fit: pooled estimate with tau2 pinned to zero."""
     beta, var_beta = pooled_estimate(data, 0.0)
-    s = weight_sums(data)
-    q = cochran_q(data)
-    denom = s.s1 - s.s2 / s.s1
+    s, q, denom = _fixed_effect_pass(data)
     vt2 = var_q(s, data.k, 0.0) / (denom * denom) if denom > 0 else 0.0
     return PooledFit(beta, 0.0, q, var_beta, vt2, s, data.k, model="FEM")
 
@@ -341,13 +352,12 @@ def fit_fem(data: MetaDataset) -> PooledFit:
 def fit_rem(data: MetaDataset) -> PooledFit:
     """Random-effects fit with the moment estimator of tau2.
 
-    The variance of the tau2 estimator is evaluated at the truncated
-    plug-in value.
+    The weights, their sums, the normalization and Q are computed once
+    and shared by the estimate of tau2 and its variance, which is
+    evaluated at the truncated plug-in value.
     """
-    tau2, _ = dl_tau2(data)
+    s, q, denom = _fixed_effect_pass(data)
+    tau2, _ = _dl_tau2(q, data.k, denom)
     beta, var_beta = pooled_estimate(data, tau2)
-    s = weight_sums(data)
-    q = cochran_q(data)
-    denom = s.s1 - s.s2 / s.s1
     vt2 = var_q(s, data.k, tau2) / (denom * denom)
     return PooledFit(beta, tau2, q, var_beta, vt2, s, data.k, model="REM")

@@ -478,9 +478,13 @@ def propimp_intervals(
     adjusted combination, and the two endpoints reproduce the
     fixed-parameter intervals, so the result contains all three.
 
-    Optimization is the grid-then-golden-section contract of
-    :func:`cvmeta.numerics.optimize_1d` on the m1 scale, where the
-    objective is bounded; cv and m2 bounds follow through the links.
+    Both bounds are found on the m1 scale, where the objective is
+    bounded, by one lockstep run of :func:`cvmeta.numerics.optimize_1d`:
+    the minimum of the lower corner and the maximum of the upper corner
+    share every profile solve, so the two 129-point grids are one
+    258-target solve and each golden-section step solves two targets.
+    Each bound takes the same steps as a search of its own.  cv and m2
+    bounds follow through the links.
 
     Returns
     -------
@@ -500,31 +504,25 @@ def propimp_intervals(
     tau_hat = math.sqrt(fit.tau2_hat)
     beta_hat = fit.beta_hat
     se_beta = math.sqrt(fit.var_beta_hat)
-    evaluations = 0
+    upper = np.array([[False], [True]])  # row 0: lower corner, row 1: upper corner
 
-    def corner_m1(theta, upper: bool) -> np.ndarray:
-        """m1 at angles theta: the lower corner, or the upper if ``upper``."""
-        nonlocal evaluations
-        theta = np.asarray(theta, dtype=float)
-        evaluations += theta.size
+    def corners_m1(theta: np.ndarray) -> np.ndarray:
+        """m1 at angles theta, the lower corner in row 0 and the upper in row 1."""
         c_tau, c_beta = z * np.sin(theta), z * np.cos(theta)
         # component level for critical value c, then of the matching pivot:
         # the lower bound inverts the profile at the upper chi-square tail
         p_tail = norm_cdf(c_tau)  # = 1 - alpha_c / 2
-        roots = _qprofile_roots(y, v, chisq_quantile(1.0 - p_tail if upper else p_tail, df))
+        roots = _qprofile_roots(y, v, chisq_quantile(np.where(upper, 1.0 - p_tail, p_tail), df))
         tau = np.where(c_tau == 0.0, tau_hat, np.sqrt(roots))
         half = c_beta * se_beta
         b_lo, b_up = _fold_abs(beta_hat - half, beta_hat + half)
-        b = np.where(c_beta == 0.0, abs(beta_hat), b_lo if upper else b_up)
+        b = np.where(c_beta == 0.0, abs(beta_hat), np.where(upper, b_lo, b_up))
         return _m1_corner(tau, b)
 
-    theta_lo, m1_lo = optimize_1d(
-        lambda th: corner_m1(th, False), 0.0, _HALF_PI, mode="min", tol=1e-7
+    (theta_lo, m1_lo, n_lo), (theta_hi, m1_hi, n_hi) = optimize_1d(
+        corners_m1, 0.0, _HALF_PI, modes=("min", "max"), tol=1e-7
     )
-    theta_hi, m1_hi = optimize_1d(
-        lambda th: corner_m1(th, True), 0.0, _HALF_PI, mode="max", tol=1e-7
-    )
-    trace = PropImpTrace(theta_lo, theta_hi, evaluations)
+    trace = PropImpTrace(theta_lo, theta_hi, n_lo + n_hi)
     return _linked_intervals(m1_lo, m1_hi, "PROPIMP", alpha, alpha), trace
 
 

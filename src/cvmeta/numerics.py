@@ -3,10 +3,10 @@
 Everything downstream (pooling, interval construction, simulation) funnels
 its numeric needs through this module so precision and determinism are
 controlled in one place.  Quantile and CDF evaluations are backed by the
-scipy special-function library and accept arrays; the 1-D optimizer is a
-coarse grid, evaluated in one array call, followed by golden-section
-refinement so short multi-modal objectives are handled without assuming
-unimodality.
+scipy special-function library and accept arrays; the 1-D optimizer
+searches several objectives in lockstep, each on a coarse grid evaluated
+in one array call followed by golden-section refinement, so short
+multi-modal objectives are handled without assuming unimodality.
 """
 
 from __future__ import annotations
@@ -93,31 +93,37 @@ def optimize_1d(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    mode: str = "min",
+    modes: tuple[str, ...] = ("min",),
     tol: float = 1e-7,
     grid_points: int = 129,
-) -> tuple[float, float]:
-    """Bounded scalar optimization: coarse grid, then golden-section.
+) -> list[tuple[float, float, int]]:
+    """Bounded 1-D optimization of one or more objectives in lockstep.
 
-    The objective is first evaluated on a uniform grid (including both
-    endpoints) in a single call, then a golden-section search refines
-    inside the bracket around the best grid point, calling ``f`` on one
-    point at a time.  The best value ever evaluated is returned, so a
-    jump discontinuity at an endpoint cannot be lost to the refinement
-    stage.
+    Objective i is minimized or maximized as ``modes[i]`` says, and
+    every call of ``f`` serves all objectives at once.  Each objective
+    is first evaluated on a uniform grid (including both endpoints), all
+    in a single call.  A golden-section search then refines inside the
+    bracket around each objective's best grid point, with one new point
+    per objective per call.  Each objective takes exactly the steps it
+    would take if searched alone, so its result does not depend on the
+    others.  The best value ever evaluated is returned, so a jump
+    discontinuity at an endpoint cannot be lost to the refinement stage.
 
     Parameters
     ----------
     f : callable
-        Maps an array of arguments to the array of objective values,
-        elementwise like ``np.sin``; it also receives single float
-        arguments during refinement.  Continuous on [lo, hi] except
-        possibly at isolated points.  Non-finite values are legal and
-        simply win (max) or lose (min) ties the usual way; NaN never
-        wins.  They are not treated as failures.
+        Maps an (objectives x points) array of arguments to the array
+        of values of the same shape; row i belongs to objective i, so an
+        elementwise function such as ``np.sin`` serves directly.  Once
+        an objective's search has finished while others go on, the
+        values in its row are ignored and not counted.  Continuous on
+        [lo, hi] except possibly at isolated points.  Non-finite values
+        are legal and simply win (max) or lose (min) ties the usual way;
+        NaN never wins.  They are not treated as failures.
     lo, hi : float
         Domain endpoints, lo < hi.
-    mode : {"min", "max"}
+    modes : tuple of {"min", "max"}
+        One entry per objective.
     tol : float
         Width of the final bracket on the argument scale.
     grid_points : int
@@ -125,56 +131,61 @@ def optimize_1d(
 
     Returns
     -------
-    (argopt, value) : tuple of float
-        Ties are resolved toward the smallest argument.
+    list of (argopt, value, evaluations), one per objective
+        Ties are resolved toward the smallest argument.  evaluations
+        counts the arguments at which the objective was evaluated.
     """
-    if mode not in ("min", "max"):
-        raise DomainError(f"mode must be 'min' or 'max', got {mode!r}")
+    if not modes or any(mode not in ("min", "max") for mode in modes):
+        raise DomainError(f"modes must be a non-empty tuple of 'min' or 'max', got {modes!r}")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
-    sign = 1.0 if mode == "min" else -1.0
+    m = len(modes)
+    sign = np.array([1.0 if mode == "min" else -1.0 for mode in modes])
+
+    def g(x: np.ndarray) -> np.ndarray:
+        return sign[:, None] * np.asarray(f(x), dtype=float)
 
     xs = np.linspace(lo, hi, grid_points)
-    vals = sign * np.asarray(f(xs), dtype=float)
-    seen = ~np.isnan(vals)
-    best_i = int(np.flatnonzero(vals == vals[seen].min())[0]) if seen.any() else 0
-    best_x, best_v = float(xs[best_i]), float(vals[best_i])
+    vals = g(np.broadcast_to(xs, (m, grid_points)))
+    # first grid point at the lowest non-NaN value; 0 when all are NaN
+    best_i = np.argmax(vals == np.fmin.reduce(vals, axis=1)[:, None], axis=1)
+    best_x, best_v = xs[best_i], vals[np.arange(m), best_i]
 
     # refine in the bracket spanning the best point's neighbors
-    a = float(xs[max(0, best_i - 1)])
-    b = float(xs[min(grid_points - 1, best_i + 1)])
+    a = xs[np.maximum(best_i - 1, 0)]
+    b = xs[np.minimum(best_i + 1, grid_points - 1)]
     h = b - a
     c = a + _GOLDEN2 * h
     d = a + _GOLDEN * h
-    fc = sign * float(f(c))
-    fd = sign * float(f(d))
-    while h > tol:
-        if _better(fc, fd) or (fc == fd):
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _GOLDEN2 * h
-            fc = sign * float(f(c))
-            if _better(fc, best_v) or (fc == best_v and c < best_x):
-                best_x, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _GOLDEN * h
-            fd = sign * float(f(d))
-            if _better(fd, best_v) or (fd == best_v and d < best_x):
-                best_x, best_v = d, fd
-    return best_x, sign * best_v
+    fc, fd = g(np.stack([c, d], axis=1)).T
+    evaluations = np.full(m, grid_points + 2)
+    active = h > tol
+    while active.any():
+        # keep [a, d] where c is at least as good as d, else [c, b]; the kept
+        # interior point becomes the new d or c, and x fills the other slot
+        left = _better(fc, fd) | (fc == fd)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        h = b - a
+        x = np.where(left, a + _GOLDEN2 * h, a + _GOLDEN * h)
+        fx = g(x[:, None])[:, 0]
+        c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
+        d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
+        won = active & (_better(fx, best_v) | ((fx == best_v) & (x < best_x)))
+        best_x, best_v = np.where(won, x, best_x), np.where(won, fx, best_v)
+        evaluations += active
+        active &= h > tol
+    return [
+        (float(x), float(s * v), int(n))
+        for x, s, v, n in zip(best_x, sign, best_v, evaluations)
+    ]
 
 
-def _better(v: float, ref: float) -> bool:
+def _better(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
     # NaN never improves; -inf does (minimization after sign fold)
-    if math.isnan(v):
-        return False
-    if math.isnan(ref):
-        return True
-    return v < ref
+    return ~np.isnan(v) & (np.isnan(ref) | (v < ref))
 
 
 @dataclass(frozen=True)

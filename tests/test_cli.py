@@ -116,6 +116,15 @@ class TestAnalyze:
         cv_ivs = [iv for iv in doc["intervals"] if iv["measure"] == "CV_B"]
         assert all(iv["upper_infinite"] and iv["upper"] is None for iv in cv_ivs)
 
+    def test_extreme_variance_ratio_is_degenerate(self, capsys, tmp_path):
+        # the weight normalization is 2e-10 here; it must not cancel to 0
+        csv = write_csv(tmp_path, "ratio.csv", "yi,vi\n0,1e-10\n3,1e10\n")
+        code, out, _ = run(capsys, "analyze", "--input", csv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fit"]["tau2_hat"] == 0.0
+        assert all(iv["degenerate"] for iv in doc["intervals"])
+
     def test_csv_format(self, capsys, tmp_path):
         same = write_csv(
             tmp_path, "same.csv", "yi,vi\n0.4,0.2\n0.4,0.2\n0.4,0.2\n0.4,0.2\n"

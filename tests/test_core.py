@@ -120,6 +120,24 @@ class TestDlTau2:
         assert t2 == 0.0 and abs(raw - (-1.0)) < 1e-14
 
 
+class TestNormalizerCancellation:
+    # one weight 1e20 times the other: S1 - S2/S1 cancels to 0 in floating
+    # point, but equals 2 w1 w2 / S1, about 2e-10
+    d = dataset([0.0, 3.0], [1e-10, 1e10])
+
+    def test_dl_tau2(self):
+        t2, raw = dl_tau2(self.d)
+        q = cochran_q(self.d)
+        assert t2 == 0.0
+        assert raw == pytest.approx((q - 1.0) / 2e-10, rel=1e-12)
+
+    def test_var_tau2_and_fits(self):
+        assert var_tau2(self.d, 0.0) == pytest.approx(2.0 / (2e-10) ** 2, rel=1e-12)
+        rem, fem = fit_rem(self.d), fit_fem(self.d)
+        assert rem.tau2_hat == 0.0
+        assert rem.var_tau2_hat == fem.var_tau2_hat == var_tau2(self.d, 0.0)
+
+
 class TestVarQ:
     def test_tau2_zero(self):
         ws = weight_sums(dataset(np.zeros(10), np.ones(10)))

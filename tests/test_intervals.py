@@ -11,6 +11,7 @@ from cvmeta.errors import DomainError
 from cvmeta.intervals import (
     RATIO_MEASURES,
     IntervalEstimate,
+    _qprofile_roots,
     abs_beta_ci,
     alpha_adjusted_intervals,
     alpha_adjusted_level,
@@ -136,6 +137,16 @@ class TestTau2Qprofile:
                 if bound > 0.0:
                     target = stats.chi2.ppf(p, d.k - 1)
                     assert abs(qgen_reference(d.effects, d.within_vars, bound) - target) < 1e-8
+
+    def test_target_array_matches_single_targets(self, hssp):
+        # rows of one solve are independent: PROPIMP's lockstep search relies on it
+        rng = np.random.default_rng(8)
+        for d in [hssp, random_dataset(rng, k=2), random_dataset(rng, k=30)]:
+            targets = stats.chi2.ppf(rng.uniform(0.001, 0.999, (2, 40)), d.k - 1)
+            roots = _qprofile_roots(d.effects, d.within_vars, targets)
+            assert roots.shape == targets.shape
+            for root, target in zip(roots.ravel(), targets.ravel()):
+                assert root == _qprofile_roots(d.effects, d.within_vars, target)
 
     def test_alpha_domain(self, hssp):
         with pytest.raises(DomainError):
@@ -386,6 +397,14 @@ class TestPropImp:
         ivs, _ = propimp_intervals(hssp)
         assert abs(ivs["CV_B"].lower - 0.707215) < 1e-4
         assert abs(ivs["CV_B"].upper - 41.4472) < 1e-2
+
+    def test_hssp_trace(self, hssp):
+        # the lower bound sits at theta = 0, so its bracket is one grid step
+        # and its search ends a step before the upper one: 313 = 2 (129 + 2)
+        # + 25 + 26 counts no argument repeated for the finished search
+        _, trace = propimp_intervals(hssp)
+        assert trace.theta_lower == 0.0
+        assert trace.evaluations == 313
 
     def test_widens_as_alpha_shrinks(self, hssp):
         at05, _ = propimp_intervals(hssp, alpha=0.05)

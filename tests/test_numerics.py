@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 from scipy.stats import kstest
 
 from cvmeta.errors import DomainError
 from cvmeta.numerics import (
+    _GOLDEN,
+    _GOLDEN2,
     RngState,
     chisq_quantile,
     norm_cdf,
@@ -77,19 +81,19 @@ class TestChisqQuantile:
 
 class TestOptimize1d:
     def test_sin_max(self):
-        arg, val = optimize_1d(np.sin, 0.0, math.pi / 2, mode="max")
+        [(arg, val, _)] = optimize_1d(np.sin, 0.0, math.pi / 2, modes=("max",))
         assert abs(arg - math.pi / 2) < 1e-6
         assert abs(val - 1.0) < 1e-9
 
     def test_cos_min(self):
-        arg, val = optimize_1d(np.cos, 0.0, math.pi / 2, mode="min")
+        [(arg, val, _)] = optimize_1d(np.cos, 0.0, math.pi / 2, modes=("min",))
         assert abs(arg - math.pi / 2) < 1e-6
         assert abs(val) < 1e-9
 
     def test_multimodal(self):
         # two interior minima on [0, pi/2]; dense scan pins the global one
         f = lambda t: np.sin(7.0 * t) + 0.3 * t
-        _, val = optimize_1d(f, 0.0, math.pi / 2, mode="min", tol=1e-9)
+        [(_, val, _)] = optimize_1d(f, 0.0, math.pi / 2, modes=("min",), tol=1e-9)
         grid = np.linspace(0.0, math.pi / 2, 100001)
         dense = min(f(t) for t in grid)
         assert val <= dense + 1e-9
@@ -97,9 +101,115 @@ class TestOptimize1d:
     def test_max_dominates_probes(self):
         rng = np.random.default_rng(5)
         f = lambda t: np.exp(-t) * np.cos(5.0 * t)
-        _, val = optimize_1d(f, 0.0, math.pi / 2, mode="max")
+        [(_, val, _)] = optimize_1d(f, 0.0, math.pi / 2, modes=("max",))
         for t in rng.uniform(0.0, math.pi / 2, 200):
             assert val >= f(t) - 1e-9
+
+
+# Objective families for the lockstep property: each maps (param, t) to values.
+OBJECTIVES = {
+    "smooth": lambda p, t: np.sin(3.0 * t + p),
+    "multimodal": lambda p, t: np.sin((8.0 + 30.0 * abs(p)) * t) + 0.3 * p * t,
+    "endpoint": lambda p, t: p * t,
+    "tied": lambda p, t: np.floor((2.0 + 4.0 * abs(p)) * t),
+    "nan": lambda p, t: np.where(t > 0.8 + 0.5 * p, np.nan, np.cos(5.0 * t)),
+    "all_nan": lambda p, t: np.full(np.shape(t), np.nan),
+    "inf": lambda p, t: np.where(t < 0.2 + 0.2 * p, -np.inf, t),
+}
+
+
+def stacked(specs, calls=None):
+    """One objective per row; ``calls`` collects the shape of every call."""
+
+    def f(x):
+        if calls is not None:
+            calls.append(x.shape)
+        return np.stack([OBJECTIVES[kind](p, row) for (kind, p, _), row in zip(specs, x)])
+
+    return f
+
+
+def scalar_search(f, lo, hi, mode, tol, grid_points=129):
+    """Reference: the one-objective grid and golden-section loop, one point at a time."""
+    sign = 1.0 if mode == "min" else -1.0
+    g = lambda t: sign * float(f(np.array([[t]]))[0, 0])
+
+    def better(v, ref):
+        return not math.isnan(v) and (math.isnan(ref) or v < ref)
+
+    xs = np.linspace(lo, hi, grid_points)
+    vals = sign * f(xs[None, :])[0]
+    seen = ~np.isnan(vals)
+    best_i = int(np.flatnonzero(vals == vals[seen].min())[0]) if seen.any() else 0
+    best_x, best_v = float(xs[best_i]), float(vals[best_i])
+    a = float(xs[max(0, best_i - 1)])
+    b = float(xs[min(grid_points - 1, best_i + 1)])
+    h = b - a
+    c, d = a + _GOLDEN2 * h, a + _GOLDEN * h
+    fc, fd = g(c), g(d)
+    n = grid_points + 2
+    while h > tol:
+        if better(fc, fd) or fc == fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            x = c = a + _GOLDEN2 * h
+            fx = fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            x = d = a + _GOLDEN * h
+            fx = fd = g(d)
+        n += 1
+        if better(fx, best_v) or (fx == best_v and x < best_x):
+            best_x, best_v = x, fx
+    return best_x, sign * best_v, n
+
+
+def same(r, s):
+    """Exact equality of (argopt, value, evaluations), NaN equal to NaN."""
+    both_nan = math.isnan(r[1]) and math.isnan(s[1])
+    return r[0] == s[0] and r[2] == s[2] and (r[1] == s[1] or both_nan)
+
+
+class TestOptimize1dLockstep:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(OBJECTIVES)),
+                st.floats(-1.0, 1.0),
+                st.sampled_from(["min", "max"]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        tol=st.sampled_from([1e-7, 1e-9, 1e-3]),
+    )
+    def test_matches_each_mode_alone(self, specs, tol):
+        together = optimize_1d(
+            stacked(specs), 0.0, math.pi / 2, modes=tuple(m for _, _, m in specs), tol=tol
+        )
+        for spec, got in zip(specs, together):
+            calls = []
+            alone = optimize_1d(
+                stacked([spec], calls), 0.0, math.pi / 2, modes=(spec[2],), tol=tol
+            )
+            assert same(got, alone[0])
+            assert same(got, scalar_search(stacked([spec]), 0.0, math.pi / 2, spec[2], tol))
+            # alone, every argument f receives is one the search uses
+            assert alone[0][2] == sum(n for _, n in calls)
+
+    def test_one_call_per_step_for_all_objectives(self):
+        specs = [("smooth", 0.1, "min"), ("endpoint", 1.0, "max"), ("multimodal", 0.5, "min")]
+        calls = []
+        optimize_1d(stacked(specs, calls), 0.0, math.pi / 2, modes=("min", "max", "min"))
+        assert calls[0] == (3, 129) and calls[1] == (3, 2)
+        assert all(shape == (3, 1) for shape in calls[2:])
+
+    @pytest.mark.parametrize("modes", [(), ("min", "best")])
+    def test_rejects_bad_modes(self, modes):
+        with pytest.raises(DomainError):
+            optimize_1d(np.sin, 0.0, 1.0, modes=modes)
 
 
 class TestRngState:
