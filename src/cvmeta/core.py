@@ -94,12 +94,7 @@ class MetaDataset:
                 f"effects and variances must be equal-length 1-D arrays, "
                 f"got shapes {y.shape} and {v.shape}"
             )
-        if y.size < 2:
-            raise DataFormatError(f"a meta-analysis needs at least 2 studies, got {y.size}")
-        if not np.all(np.isfinite(y)):
-            raise DataFormatError("all effects must be finite")
-        if not (np.all(np.isfinite(v)) and np.all(v > 0)):
-            raise DataFormatError("all within-study variances must be positive and finite")
+        _check_studies(y, v)
         obj = cls.__new__(cls)
         obj._effects = y.copy()
         obj._within_vars = v.copy()
@@ -205,33 +200,80 @@ class HetMeasures:
     m2: float
 
 
+def _check_studies(y: np.ndarray, v: np.ndarray) -> None:
+    """The study checks of :meth:`MetaDataset.from_arrays`, for K along the last axis."""
+    if y.shape[-1] < 2:
+        raise DataFormatError(f"a meta-analysis needs at least 2 studies, got {y.shape[-1]}")
+    if not np.isfinite(y).all():
+        raise DataFormatError("all effects must be finite")
+    if not (np.isfinite(v).all() and (v > 0).all()):
+        raise DataFormatError("all within-study variances must be positive and finite")
+
+
 def weight_sums(data: MetaDataset) -> WeightSums:
     """Power sums of the fixed-effect weights for a dataset."""
-    return _fixed_effect_pass(data)[0]
+    return _fixed_effect_floats(data)[0]
 
 
-def _fixed_effect_pass(data: MetaDataset) -> tuple[WeightSums, float, float]:
+def _fixed_effect_floats(data: MetaDataset) -> tuple[WeightSums, float, float]:
+    """:func:`_fixed_effect_pass` on one dataset: (WeightSums, Q, S1 - S2/S1)."""
+    s1, s2, s3, q, denom = _fixed_effect_pass(data.effects, data.within_vars)
+    return WeightSums(float(s1), float(s2), float(s3)), float(q), float(denom)
+
+
+def _fixed_effect_pass(y: np.ndarray, v: np.ndarray) -> tuple:
     """Weight sums, Q and the weight normalization S1 - S2/S1 from one set of weights.
+
+    Reduces along the last axis, so (R, K) arrays give R fits at once and
+    each row is bit-identical to the 1-D call on that row.  Returns
+    (S1, S2, S3, Q, S1 - S2/S1).
 
     S1^2 - S2 = 2 sum_{i<j} w_i w_j, so the normalization is computed as
     2 sum_j w_j (w_1 + ... + w_{j-1}) / S1, a sum of positive terms: the
     difference form cancels to 0 when one weight dwarfs the others.
     """
-    w = 1.0 / data.within_vars
-    s = WeightSums(float(w.sum()), float((w * w).sum()), float((w**3).sum()))
-    beta_fem = (w * data.effects).sum() / s.s1
-    q = float((w * (data.effects - beta_fem) ** 2).sum())
-    denom = 2.0 * float((w[1:] * np.cumsum(w[:-1])).sum()) / s.s1
-    return s, q, denom
+    w = 1.0 / v
+    s1 = w.sum(axis=-1)
+    beta_fem = (w * y).sum(axis=-1) / s1
+    q = (w * (y - beta_fem[..., None]) ** 2).sum(axis=-1)
+    denom = 2.0 * (w[..., 1:] * np.cumsum(w[..., :-1], axis=-1)).sum(axis=-1) / s1
+    return s1, (w * w).sum(axis=-1), (w**3).sum(axis=-1), q, denom
 
 
-def _dl_tau2(q: float, k: int, denom: float) -> tuple[float, float]:
-    if denom <= 0:
+def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
+    """DerSimonian-Laird fit along the last axis of (..., K) arrays.
+
+    One pass from the fixed-effect weights to the random-effects pooled
+    estimate: returns (S1, S2, S3, Q, S1 - S2/S1, tau2, beta, var_beta),
+    each shaped like the leading axes.  tau2 is the moment estimate
+    truncated at 0; beta and var_beta are the pooled effect and the
+    inverse total weight at weights 1/(v_i + tau2).
+
+    Raises
+    ------
+    DegenerateWeightsError
+        If any weight normalization S1 - S2/S1 is not positive.
+    """
+    s1, s2, s3, q, denom = _fixed_effect_pass(y, v)
+    tau2 = _dl_tau2(q, y.shape[-1], denom)[0]
+    beta, var_beta = _pooled(y, v, tau2[..., None])
+    return s1, s2, s3, q, denom, tau2, beta, var_beta
+
+
+def _dl_tau2(q, k: int, denom) -> tuple:
+    if np.any(denom <= 0):
         raise DegenerateWeightsError(
-            f"S1 - S2/S1 = {denom!r} is not positive; moment estimator undefined"
+            f"S1 - S2/S1 = {float(np.min(denom))!r} is not positive; moment estimator undefined"
         )
     untrunc = (q - (k - 1)) / denom
-    return max(0.0, untrunc), untrunc
+    return np.where(untrunc > 0.0, untrunc, 0.0), untrunc
+
+
+def _pooled(y: np.ndarray, v: np.ndarray, tau2) -> tuple:
+    """Pooled effect and its variance along the last axis at weights 1/(v + tau2)."""
+    w = 1.0 / (v + tau2)
+    total = w.sum(axis=-1)
+    return (w * y).sum(axis=-1) / total, 1.0 / total
 
 
 def pooled_estimate(data: MetaDataset, tau2: float) -> tuple[float, float]:
@@ -246,9 +288,8 @@ def pooled_estimate(data: MetaDataset, tau2: float) -> tuple[float, float]:
     """
     if tau2 < 0:
         raise DataFormatError(f"tau2 must be nonnegative, got {tau2!r}")
-    w = 1.0 / (data.within_vars + tau2)
-    total = w.sum()
-    return float((w * data.effects).sum() / total), float(1.0 / total)
+    beta, var_beta = _pooled(data.effects, data.within_vars, tau2)
+    return float(beta), float(var_beta)
 
 
 def cochran_q(data: MetaDataset) -> float:
@@ -257,7 +298,7 @@ def cochran_q(data: MetaDataset) -> float:
     Computed from the definitional moment form
     Q = sum_i W_i (Y_i - beta_fem)^2 with W_i = 1/v_i.
     """
-    return _fixed_effect_pass(data)[1]
+    return _fixed_effect_floats(data)[1]
 
 
 def dl_tau2(data: MetaDataset) -> tuple[float, float]:
@@ -274,8 +315,9 @@ def dl_tau2(data: MetaDataset) -> tuple[float, float]:
     DegenerateWeightsError
         If the weight normalization S1 - S2/S1 is not positive.
     """
-    _, q, denom = _fixed_effect_pass(data)
-    return _dl_tau2(q, data.k, denom)
+    _, q, denom = _fixed_effect_floats(data)
+    tau2, untrunc = _dl_tau2(q, data.k, denom)
+    return float(tau2), untrunc
 
 
 def var_q(ws: WeightSums, k: int, tau2: float) -> float:
@@ -298,7 +340,7 @@ def var_tau2(data: MetaDataset, tau2: float) -> float:
     Var(Q) scaled by the squared weight normalization; truncation is
     deliberately ignored, matching the delta-method usage downstream.
     """
-    s, _, denom = _fixed_effect_pass(data)
+    s, _, denom = _fixed_effect_floats(data)
     if denom <= 0:
         raise DegenerateWeightsError(
             f"S1 - S2/S1 = {denom!r} is not positive; variance undefined"
@@ -313,9 +355,15 @@ def i_squared(q: float, k: int) -> float:
     """
     if k < 2:
         raise DataFormatError(f"i_squared needs k >= 2, got {k}")
-    if q <= 0.0:
-        return 0.0
-    return max(0.0, (q - (k - 1)) / q)
+    return float(_i_squared(q, k))
+
+
+def _i_squared(q, k: int) -> np.ndarray:
+    """:func:`i_squared` elementwise over an array of Q values."""
+    q = np.asarray(q, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = (q - (k - 1)) / q
+    return np.where((q > 0.0) & (share > 0.0), share, 0.0)
 
 
 def r_b(data: MetaDataset, tau2: float) -> float:
@@ -344,7 +392,7 @@ def diamond_ratio(data: MetaDataset, tau2: float) -> float:
 def fit_fem(data: MetaDataset) -> PooledFit:
     """Fixed-effect fit: pooled estimate with tau2 pinned to zero."""
     beta, var_beta = pooled_estimate(data, 0.0)
-    s, q, denom = _fixed_effect_pass(data)
+    s, q, denom = _fixed_effect_floats(data)
     vt2 = var_q(s, data.k, 0.0) / (denom * denom) if denom > 0 else 0.0
     return PooledFit(beta, 0.0, q, var_beta, vt2, s, data.k, model="FEM")
 
@@ -352,12 +400,15 @@ def fit_fem(data: MetaDataset) -> PooledFit:
 def fit_rem(data: MetaDataset) -> PooledFit:
     """Random-effects fit with the moment estimator of tau2.
 
-    The weights, their sums, the normalization and Q are computed once
-    and shared by the estimate of tau2 and its variance, which is
-    evaluated at the truncated plug-in value.
+    The fit is :func:`_dl_pass` on the dataset's 1-D arrays, the same
+    pass that fits a whole batch of replications at once, so a batched
+    row and this fit agree exactly.  The weight sums, normalization and
+    Q it returns are shared by the estimate of tau2 and its variance,
+    which is evaluated at the truncated plug-in value.
     """
-    s, q, denom = _fixed_effect_pass(data)
-    tau2, _ = _dl_tau2(q, data.k, denom)
-    beta, var_beta = pooled_estimate(data, tau2)
+    s1, s2, s3, q, denom, tau2, beta, var_beta = (
+        float(x) for x in _dl_pass(data.effects, data.within_vars)
+    )
+    s = WeightSums(s1, s2, s3)
     vt2 = var_q(s, data.k, tau2) / (denom * denom)
     return PooledFit(beta, tau2, q, var_beta, vt2, s, data.k, model="REM")

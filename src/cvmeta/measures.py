@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import HetMeasures, MetaDataset, PooledFit, diamond_ratio, i_squared, r_b
 from .errors import DomainError, UndefinedMomentsError
 
@@ -81,13 +83,26 @@ def cv_measures(tau: float, beta: float) -> CvMeasure:
     """
     if tau < 0:
         raise DomainError(f"tau must be nonnegative, got {tau!r}")
-    if tau == 0.0:
-        return CvMeasure(0.0, 0.0, 0.0)
-    b = abs(beta)
-    if b == 0.0:
-        return CvMeasure(math.inf, 1.0, 1.0)
-    cv = tau / b
-    return CvMeasure(cv, tau / (tau + b), tau * tau / (tau * tau + b * b))
+    return CvMeasure(*(float(x) for x in _ratio_measures(tau, beta)))
+
+
+def _ratio_measures(tau, beta) -> tuple:
+    """(cv_b, m1, m2) elementwise for arrays of tau >= 0 and beta.
+
+    The cases of :func:`cv_measures` hold per element: tau = 0 gives
+    zeros, and beta = 0 with tau > 0 gives (inf, 1, 1).
+    """
+    tau = np.asarray(tau, dtype=float)
+    b = np.abs(beta)
+    t2 = tau * tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cv, m1, m2 = tau / b, tau / (tau + b), t2 / (t2 + b * b)
+    zero, inf = tau == 0.0, b == 0.0
+    return (
+        np.where(zero, 0.0, np.where(inf, np.inf, cv)),
+        np.where(zero, 0.0, np.where(inf, 1.0, m1)),
+        np.where(zero, 0.0, np.where(inf, 1.0, m2)),
+    )
 
 
 def measures_from_cv(cv_b: float) -> CvMeasure:

@@ -3,10 +3,13 @@
 Everything downstream (pooling, interval construction, simulation) funnels
 its numeric needs through this module so precision and determinism are
 controlled in one place.  Quantile and CDF evaluations are backed by the
-scipy special-function library and accept arrays; the 1-D optimizer
-searches several objectives in lockstep, each on a coarse grid evaluated
-in one array call followed by golden-section refinement, so short
-multi-modal objectives are handled without assuming unimodality.
+scipy special-function library and accept arrays.  scipy.special is
+loaded on first use: the first time one of them runs, not with this
+module, so a program that never needs a quantile (such as
+``cvmeta table2``) does not pay for it.  The 1-D optimizer searches
+several objectives in lockstep, each on a coarse grid evaluated in one
+array call followed by golden-section refinement, so short multi-modal
+objectives are handled without assuming unimodality.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError
 
@@ -54,12 +56,16 @@ def norm_quantile(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"norm_quantile requires 0 < p < 1, got {p!r}")
-    return float(_sp.ndtri(p))
+    from scipy.special import ndtri
+
+    return float(ndtri(p))
 
 
 def norm_cdf(x):
     """Standard normal CDF Phi(x), elementwise for an array ``x``."""
-    out = _sp.ndtr(x)
+    from scipy.special import ndtr
+
+    out = ndtr(x)
     return out if np.ndim(out) else float(out)
 
 
@@ -85,7 +91,9 @@ def chisq_quantile(p, df: float):
         raise DomainError(f"chisq_quantile requires 0 < p < 1, got {p!r}")
     if df <= 0:
         raise DomainError(f"chisq_quantile requires df > 0, got {df!r}")
-    out = 2.0 * _sp.gammaincinv(df / 2.0, p_arr)
+    from scipy.special import gammaincinv
+
+    out = 2.0 * gammaincinv(df / 2.0, p_arr)
     return out if out.ndim else float(out)
 
 

@@ -11,19 +11,19 @@ between-study variance estimate truncates to zero.
 Replications are keyed by (seed, replication index) through independent
 counter-based streams, and results are reduced in replication order, so
 a scenario's output is bit-identical across runs and across worker
-counts.
+counts.  Summaries of the fitted measures stack a scenario's draws into
+(reps, K) arrays and fit them in one batched pass.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import MetaDataset, fit_rem
+from .core import MetaDataset, _check_studies, _dl_pass, _i_squared, fit_rem
 from .errors import ConfigError
 from .intervals import (
     RATIO_MEASURES,
@@ -31,7 +31,8 @@ from .intervals import (
     propimp_intervals,
     wald_logit_intervals,
 )
-from .measures import cv_measures, het_measures
+from .measures import _ratio_measures, cv_measures
+from .measures import het_measures  # unused here; bench/tracing.py wraps simulator.het_measures
 from .numerics import RngState, sample_noncentral_t
 
 __all__ = [
@@ -184,25 +185,32 @@ def generate_smd_dataset(scenario: Scenario, rng: np.random.Generator) -> MetaDa
     """
     if scenario.arm_sizes is None:
         raise ConfigError("generate_smd_dataset requires arm_sizes mode")
-    n1 = np.array([a for a, _ in scenario.arm_sizes], dtype=float)
-    n2 = np.array([b for _, b in scenario.arm_sizes], dtype=float)
-    m = np.sqrt(1.0 / n1 + 1.0 / n2)
-    df = n1 + n2 - 2.0
-    theta = scenario.beta + rng.normal(0.0, scenario.tau, scenario.k)
-    t = sample_noncentral_t(df, theta / m, rng)
-    y = t * m
-    v = 1.0 / n1 + 1.0 / n2 + y * y / (2.0 * (n1 + n2))
-    return MetaDataset.from_arrays(y, v)
+    return MetaDataset.from_arrays(*_draw(scenario, rng))
 
 
 def generate_normal_dataset(scenario: Scenario, rng: np.random.Generator) -> MetaDataset:
     """Normal-effects dataset at fixed within-study variances."""
     if scenario.within_vars is None:
         raise ConfigError("generate_normal_dataset requires within_vars mode")
-    v = np.asarray(scenario.within_vars, dtype=float)
+    return MetaDataset.from_arrays(*_draw(scenario, rng))
+
+
+def _draw(scenario: Scenario, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One replication's effects and within-study variances, unvalidated.
+
+    The draw code of both generators: the between-study deviations come
+    first, then the within-study draws, from the same stream.
+    """
     theta = scenario.beta + rng.normal(0.0, scenario.tau, scenario.k)
-    y = rng.normal(theta, np.sqrt(v))
-    return MetaDataset.from_arrays(y, v)
+    if scenario.arm_sizes is None:
+        v = np.asarray(scenario.within_vars, dtype=float)
+        return rng.normal(theta, np.sqrt(v)), v
+    n1 = np.array([a for a, _ in scenario.arm_sizes], dtype=float)
+    n2 = np.array([b for _, b in scenario.arm_sizes], dtype=float)
+    m = np.sqrt(1.0 / n1 + 1.0 / n2)
+    t = sample_noncentral_t(n1 + n2 - 2.0, theta / m, rng)
+    y = t * m
+    return y, 1.0 / n1 + 1.0 / n2 + y * y / (2.0 * (n1 + n2))
 
 
 def _generate(scenario: Scenario, rng: np.random.Generator) -> MetaDataset:
@@ -275,6 +283,8 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
         truncated = np.zeros(reps, dtype=np.uint8)
         chunk = max(1, -(-reps // threads))
         ranges = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_run_range, scenario, s, e) for s, e in ranges]
             for (s, e), fut in zip(ranges, futures):
@@ -311,23 +321,29 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
 def measure_summary(scenario: Scenario) -> dict:
     """Five-number summaries of the fitted measures over replications.
 
+    The measures of every replication come from :func:`_replication_measures`,
+    one batched fit over the whole scenario.
+
     Returns a dict mapping "I2", "CV_B", "M1", "M2" to FiveNumber with
     quartiles computed by linear interpolation.
     """
-    reps = scenario.reps
+    _, _, _, *values = _replication_measures(scenario)
+    qs = np.percentile(np.stack(values), [0, 25, 50, 75, 100], axis=1, method="linear")
+    return {m: FiveNumber(*map(float, qs[:, i])) for i, m in enumerate(SUMMARY_MEASURES)}
+
+
+def _replication_measures(scenario: Scenario) -> tuple:
+    """(tau2, beta, Q, I2, CV_B, M1, M2) per replication, each of shape (reps,).
+
+    Each replication draws from its own stream exactly as the generators
+    do.  The draws are stacked into (reps, K) arrays, validated as
+    :meth:`MetaDataset.from_arrays` validates one dataset, and fitted in
+    one DerSimonian-Laird pass, so row r equals ``fit_rem`` and
+    ``het_measures`` on the dataset of replication r.
+    """
     master = RngState(scenario.seed)
-    values = {m: np.zeros(reps) for m in SUMMARY_MEASURES}
-    for r in range(reps):
-        rng = master.stream(r)
-        data = _generate(scenario, rng)
-        fit = fit_rem(data)
-        hm = het_measures(data, fit)
-        values["I2"][r] = hm.i2
-        values["CV_B"][r] = hm.cv_b
-        values["M1"][r] = hm.m1
-        values["M2"][r] = hm.m2
-    out = {}
-    for m, arr in values.items():
-        qs = np.percentile(arr, [0, 25, 50, 75, 100], method="linear")
-        out[m] = FiveNumber(*(float(x) for x in qs))
-    return out
+    draws = [_draw(scenario, master.stream(r)) for r in range(scenario.reps)]
+    y, v = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
+    _check_studies(y, v)
+    *_, q, _, tau2, beta, _ = _dl_pass(y, v)
+    return (tau2, beta, q, _i_squared(q, scenario.k), *_ratio_measures(np.sqrt(tau2), beta))

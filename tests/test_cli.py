@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cvmeta
 from cvmeta.cli import AnalysisReport, analyze_dataset, main
 from cvmeta.datasets import cohen_smd, data_path, load_hssp
 from cvmeta.errors import NumericFailureError
@@ -249,3 +254,28 @@ class TestTable2:
     def test_bad_reps_exits_2(self, capsys):
         code, _, _ = run(capsys, "table2", "--reps", "0")
         assert code == 2
+
+
+IMPORT_COST_SCRIPT = """
+import contextlib, io, sys
+import cvmeta.cli
+loaded = [m for m in ("scipy.special", "concurrent.futures.process") if m in sys.modules]
+assert not loaded, f"import cvmeta.cli loaded {loaded}"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cvmeta.cli.main(["table2", "--reps", "2"]) == 0
+assert "scipy.special" not in sys.modules, "table2 loaded scipy.special"
+from cvmeta.numerics import norm_quantile
+print(repr(norm_quantile(0.975)))
+"""
+
+
+def test_cli_import_and_table2_leave_scipy_special_unloaded():
+    src = str(Path(cvmeta.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_COST_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert abs(float(proc.stdout) - 1.959963984540054) < 1e-12

@@ -6,6 +6,7 @@ import pytest
 from cvmeta.core import (
     MetaDataset,
     StudyRecord,
+    _i_squared,
     cochran_q,
     diamond_ratio,
     dl_tau2,
@@ -197,6 +198,19 @@ class TestISquared:
 
     def test_truncated_below(self):
         assert i_squared(3.0, 10) == 0.0
+
+    def test_scalar_and_array_forms_match_reference(self):
+        def reference(q, k):
+            if q <= 0.0:
+                return 0.0
+            return max(0.0, (q - (k - 1)) / q)
+
+        rng = np.random.default_rng(6)
+        qs = np.array([0.0, -1.0, 1e-300, 8.0, 9.0, 9.5, 1e6, *rng.uniform(0.0, 40.0, 30)])
+        for k in (2, 10, 35):
+            batched = _i_squared(qs, k)
+            for i, q in enumerate(qs):
+                assert i_squared(float(q), k) == float(batched[i]) == reference(float(q), k)
 
 
 class TestRb:

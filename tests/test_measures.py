@@ -6,6 +6,7 @@ import pytest
 from cvmeta.core import PooledFit, WeightSums, fit_rem, weight_sums
 from cvmeta.errors import DomainError, UndefinedMomentsError
 from cvmeta.measures import (
+    _ratio_measures,
     cv_measures,
     het_measures,
     inv_logit,
@@ -69,6 +70,26 @@ class TestCvMeasures:
             m = cv_measures(tau, beta)
             assert abs(m.m1 - m.cv_b / (1.0 + m.cv_b)) <= 1e-12
             assert abs(m.m2 - m.cv_b**2 / (1.0 + m.cv_b**2)) <= 1e-12
+
+    def test_scalar_and_array_forms_match_reference(self):
+        def reference(tau, beta):
+            if tau == 0.0:
+                return (0.0, 0.0, 0.0)
+            b = abs(beta)
+            if b == 0.0:
+                return (math.inf, 1.0, 1.0)
+            return (tau / b, tau / (tau + b), tau * tau / (tau * tau + b * b))
+
+        rng = np.random.default_rng(5)
+        taus = [0.0, 1e-3, 0.3, 2.0, 1e3, *rng.uniform(0.0, 3.0, 20)]
+        betas = [0.0, -0.0, 1e-3, -0.7, 2.5, 1e3, *rng.uniform(-3.0, 3.0, 20)]
+        pairs = [(t, b) for t in taus for b in betas]
+        arrays = _ratio_measures(np.array([t for t, _ in pairs]), np.array([b for _, b in pairs]))
+        for i, (tau, beta) in enumerate(pairs):
+            ref = reference(tau, beta)
+            m = cv_measures(tau, beta)
+            assert (m.cv_b, m.m1, m.m2) == ref
+            assert tuple(float(a[i]) for a in arrays) == ref
 
     def test_monotone_in_tau_and_beta(self):
         taus = np.linspace(0.1, 3.0, 30)

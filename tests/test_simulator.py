@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from cvmeta.core import fit_rem
-from cvmeta.errors import ConfigError
+from cvmeta.core import MetaDataset, _check_studies, fit_rem
+from cvmeta.errors import ConfigError, DataFormatError
 from cvmeta.intervals import (
     RATIO_MEASURES,
     alpha_adjusted_intervals,
     propimp_intervals,
     wald_logit_intervals,
 )
-from cvmeta.measures import cv_measures
+from cvmeta.measures import cv_measures, het_measures
 from cvmeta.numerics import RngState
 from cvmeta.simulator import (
     SIM_METHODS,
     Scenario,
+    _replication_measures,
     generate_normal_dataset,
     generate_smd_dataset,
     measure_summary,
@@ -215,3 +216,50 @@ class TestMeasureSummary:
         cv = s["CV_B"].median
         assert abs(s["M1"].median - cv / (1.0 + cv)) < 1e-12
         assert abs(s["M2"].median - cv * cv / (1.0 + cv * cv)) < 1e-12
+
+
+def _batch_scenario(mode, k, reps):
+    rng = np.random.default_rng(1000 * k + reps)
+    if mode == "smd":
+        sizes = tuple((int(a), int(b)) for a, b in rng.integers(2, 80, (k, 2)))
+        return Scenario(beta=0.3, tau=0.25, arm_sizes=sizes, reps=reps, seed=k + reps)
+    variances = tuple(float(x) for x in np.exp(rng.uniform(-6.0, 0.5, k)))
+    return Scenario(beta=-0.4, tau=0.2, within_vars=variances, reps=reps, seed=k + reps)
+
+
+class TestBatchedPass:
+    @pytest.mark.parametrize("mode", ["smd", "normal"])
+    @pytest.mark.parametrize("k", [2, 10, 35, 60])
+    @pytest.mark.parametrize("reps", [1, 7, 200])
+    def test_rows_equal_per_replication_fit(self, mode, k, reps):
+        sc = _batch_scenario(mode, k, reps)
+        generate = generate_smd_dataset if mode == "smd" else generate_normal_dataset
+        tau2, beta, q, i2, cv_b, m1, m2 = _replication_measures(sc)
+        assert tau2.shape == (reps,)
+        master = RngState(sc.seed)
+        for r in range(reps):
+            data = generate(sc, master.stream(r))
+            fit = fit_rem(data)
+            hm = het_measures(data, fit)
+            assert (tau2[r], beta[r], q[r]) == (fit.tau2_hat, fit.beta_hat, fit.q)
+            assert (i2[r], cv_b[r], m1[r], m2[r]) == (hm.i2, hm.cv_b, hm.m1, hm.m2)
+
+    def test_truncated_and_untruncated_rows_both_occur(self):
+        tau2 = _replication_measures(_batch_scenario("smd", 10, 200))[0]
+        assert 0 < np.count_nonzero(tau2 == 0.0) < tau2.size
+
+    @pytest.mark.parametrize(
+        "y, v",
+        [
+            (np.array([[0.1, 0.2], [np.nan, 0.3]]), np.ones((2, 2))),
+            (np.zeros((2, 3)), np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])),
+            (np.zeros((3, 1)), np.ones((3, 1))),
+        ],
+    )
+    def test_stacked_checks_match_from_arrays(self, y, v):
+        # the last row is bad in every case
+        with pytest.raises(DataFormatError) as batched:
+            _check_studies(y, v)
+        with pytest.raises(DataFormatError) as single:
+            MetaDataset.from_arrays(y[-1], v[-1])
+        assert str(batched.value) == str(single.value)
