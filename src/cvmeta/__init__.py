@@ -15,7 +15,6 @@ from .core import (
     HetMeasures,
     MetaDataset,
     PooledFit,
-    StudyRecord,
     WeightSums,
     cochran_q,
     diamond_ratio,
@@ -42,17 +41,14 @@ from .intervals import (
     IntervalEstimate,
     PropImpTrace,
     abs_beta_ci,
-    alpha_adjusted_interval,
     alpha_adjusted_intervals,
     alpha_adjusted_level,
     beta_ci,
     beta_sq_ci,
     combine_fixed,
     maximal_interval,
-    propimp_interval,
     propimp_intervals,
     tau2_ci_qprofile,
-    wald_logit_interval,
     wald_logit_intervals,
 )
 from .measures import (
@@ -91,7 +87,7 @@ from .datasets import (
 __all__ = [
     "__version__",
     # core
-    "HetMeasures", "MetaDataset", "PooledFit", "StudyRecord", "WeightSums",
+    "HetMeasures", "MetaDataset", "PooledFit", "WeightSums",
     "cochran_q", "diamond_ratio", "dl_tau2", "fit_fem", "fit_rem",
     "i_squared", "pooled_estimate", "r_b", "var_q", "var_tau2", "weight_sums",
     # errors
@@ -99,10 +95,9 @@ __all__ = [
     "DomainError", "NumericFailureError", "UndefinedMomentsError",
     # intervals
     "IntervalEstimate", "PropImpTrace", "abs_beta_ci",
-    "alpha_adjusted_interval", "alpha_adjusted_intervals",
-    "alpha_adjusted_level", "beta_ci", "beta_sq_ci", "combine_fixed",
-    "maximal_interval", "propimp_interval", "propimp_intervals",
-    "tau2_ci_qprofile", "wald_logit_interval", "wald_logit_intervals",
+    "alpha_adjusted_intervals", "alpha_adjusted_level", "beta_ci",
+    "beta_sq_ci", "combine_fixed", "maximal_interval", "propimp_intervals",
+    "tau2_ci_qprofile", "wald_logit_intervals",
     # measures
     "CvMeasure", "LogitMoments", "cv_measures", "het_measures", "inv_logit",
     "logit", "logit_m1_moments", "measures_from_cv", "small_v_moments",

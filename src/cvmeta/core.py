@@ -8,15 +8,14 @@ measures I-squared, diamond ratio, and R_b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, DegenerateWeightsError
 
 __all__ = [
-    "StudyRecord",
     "MetaDataset",
     "WeightSums",
     "PooledFit",
@@ -35,58 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StudyRecord:
-    """One study's observed effect and within-study variance.
-
-    Attributes
-    ----------
-    effect : float
-        Observed effect size, any finite real.
-    within_var : float
-        Sampling variance of the effect, finite and positive.
-    label : str
-        Optional study identifier for reports.
-    """
-
-    effect: float
-    within_var: float
-    label: str = ""
-
-    def __post_init__(self):
-        if not np.isfinite(self.effect):
-            raise DataFormatError(f"study effect must be finite, got {self.effect!r}")
-        if not (np.isfinite(self.within_var) and self.within_var > 0):
-            raise DataFormatError(
-                f"within-study variance must be positive and finite, got {self.within_var!r}"
-            )
-
-
 class MetaDataset:
     """Ordered collection of at least two studies.
 
-    Internally stores effect and variance arrays; the per-study view is
-    available through :attr:`studies`.  Arrays are write-protected so a
-    dataset can be shared freely across threads.
+    ``effects`` must be finite and ``within_vars`` (their sampling
+    variances, one per effect) positive and finite; ``labels`` are
+    optional study identifiers for reports.  The arrays are copied and
+    write-protected, so a dataset can be shared freely across threads.
     """
 
     __slots__ = ("_effects", "_within_vars", "_labels")
 
-    def __init__(self, studies: Iterable[StudyRecord]):
-        records = tuple(studies)
-        if len(records) < 2:
-            raise DataFormatError(
-                f"a meta-analysis needs at least 2 studies, got {len(records)}"
-            )
-        self._effects = np.array([s.effect for s in records], dtype=float)
-        self._within_vars = np.array([s.within_var for s in records], dtype=float)
-        self._labels = tuple(s.label for s in records)
-        self._effects.setflags(write=False)
-        self._within_vars.setflags(write=False)
-
-    @classmethod
-    def from_arrays(cls, effects, within_vars, labels: Sequence[str] | None = None):
-        """Build a dataset from parallel arrays without per-study objects."""
+    def __init__(self, effects, within_vars, labels: Sequence[str] | None = None):
         y = np.asarray(effects, dtype=float)
         v = np.asarray(within_vars, dtype=float)
         if y.ndim != 1 or v.shape != y.shape:
@@ -95,15 +54,13 @@ class MetaDataset:
                 f"got shapes {y.shape} and {v.shape}"
             )
         _check_studies(y, v)
-        obj = cls.__new__(cls)
-        obj._effects = y.copy()
-        obj._within_vars = v.copy()
-        obj._effects.setflags(write=False)
-        obj._within_vars.setflags(write=False)
-        obj._labels = tuple(labels) if labels is not None else ("",) * y.size
-        if len(obj._labels) != y.size:
+        self._effects = y.copy()
+        self._within_vars = v.copy()
+        self._effects.setflags(write=False)
+        self._within_vars.setflags(write=False)
+        self._labels = tuple(labels) if labels is not None else ("",) * y.size
+        if len(self._labels) != y.size:
             raise DataFormatError("labels length must match the number of studies")
-        return obj
 
     @property
     def effects(self) -> np.ndarray:
@@ -121,13 +78,6 @@ class MetaDataset:
     def k(self) -> int:
         """Number of studies."""
         return self._effects.size
-
-    @property
-    def studies(self) -> tuple:
-        return tuple(
-            StudyRecord(float(y), float(v), lab)
-            for y, v, lab in zip(self._effects, self._within_vars, self._labels)
-        )
 
     def __len__(self) -> int:
         return self.k
@@ -201,7 +151,7 @@ class HetMeasures:
 
 
 def _check_studies(y: np.ndarray, v: np.ndarray) -> None:
-    """The study checks of :meth:`MetaDataset.from_arrays`, for K along the last axis."""
+    """The study checks of :class:`MetaDataset`, for K along the last axis."""
     if y.shape[-1] < 2:
         raise DataFormatError(f"a meta-analysis needs at least 2 studies, got {y.shape[-1]}")
     if not np.isfinite(y).all():

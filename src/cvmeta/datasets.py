@@ -1,4 +1,4 @@
-"""Bundled example data, CSV ingestion, and simulation settings.
+"""Bundled example data, CSV ingestion, and simulation configs.
 
 Three published meta-analyses drive the worked examples and the
 simulation studies: the Hospital Stay of Stroke Patients data (Normand,
@@ -9,6 +9,13 @@ transformed-incidence-rate analysis (Zhu et al. 2020) used through its
 35 within-study variances.  The stroke and writing datasets are
 distributed with the R metafor package as dat.normand1999 and
 dat.bangertdrowns2004.
+
+The pooled effects, sample sizes and within-study variances of those
+analyses are published settings, and the shipped configs
+``table4_hssp``, ``table4_wli`` and ``table4_zhu`` under
+``data/configs`` are their one source: load them with
+:func:`load_config` and turn them into scenarios with
+:func:`expand_config`.
 
 CSV ingestion accepts either precomputed effects (columns yi, vi) or
 two-arm summaries (m1, sd1, n1, m2, sd2, n2), from which pooled-SD
@@ -31,12 +38,6 @@ from .errors import ConfigError, DataFormatError
 from .simulator import SIM_METHODS, Scenario
 
 __all__ = [
-    "HSSP_BETA",
-    "HSSP_TOTALS",
-    "WLI_BETA",
-    "WLI_TOTALS",
-    "ZHU_BETA",
-    "ZHU_WITHIN_VARS",
     "cohen_smd",
     "split_arms",
     "read_effects_csv",
@@ -47,26 +48,6 @@ __all__ = [
     "load_config",
     "expand_config",
 ]
-
-# Pooled-estimate and size settings transcribed from the three source
-# meta-analyses, used to parameterize the simulation studies.
-HSSP_BETA = 0.537
-HSSP_TOTALS = (311, 63, 146, 36, 21, 109, 67, 293, 112)
-
-WLI_BETA = 0.222
-WLI_TOTALS = (
-    60, 34, 95, 209, 182, 462, 38, 542, 99, 77, 40, 190, 113, 50, 47, 44,
-    24, 78, 46, 64, 57, 68, 40, 68, 48, 107, 58, 225, 446, 77, 243, 39, 67,
-    91, 36, 177, 20, 120, 16, 105, 195, 62, 289, 25, 250, 51, 46, 56,
-)
-
-ZHU_BETA = 2.225
-ZHU_WITHIN_VARS = (
-    0.009, 0.023, 0.008, 0.008, 0.007, 0.034, 0.019, 0.032, 0.022, 0.027,
-    0.030, 0.019, 0.032, 0.055, 0.001, 0.016, 0.025, 0.076, 0.023, 0.013,
-    0.020, 0.036, 0.010, 0.007, 0.022, 0.028, 0.023, 0.076, 0.076, 0.091,
-    0.008, 0.046, 0.063, 0.019, 0.011,
-)
 
 _EFFECT_COLS = ("yi", "vi")
 _TWO_ARM_COLS = ("m1", "sd1", "n1", "m2", "sd2", "n2")
@@ -193,9 +174,7 @@ def read_effects_csv(path) -> MetaDataset:
         variances.append(v)
         labels.append(row.get(label_col, "") if label_col else "")
 
-    return MetaDataset.from_arrays(
-        np.array(effects), np.array(variances), labels=tuple(labels)
-    )
+    return MetaDataset(np.array(effects), np.array(variances), labels=tuple(labels))
 
 
 def data_path(name: str) -> Path:

@@ -6,15 +6,15 @@ Five constructions are provided on top of two component intervals:
   (inverting the generalized dispersion statistic against chi-square
   quantiles) and a Wald interval for the pooled effect, folded onto the
   |beta| scale by a three-case rule;
-* ``wald_logit_interval``: symmetric on the logit scale via the
+* ``wald_logit_intervals``: symmetric on the logit scale via the
   delta-method variance, back-transformed;
 * ``combine_fixed``: plug component bounds into the measure with the
   other parameter fixed (or both varying), exploiting monotonicity;
-* ``alpha_adjusted_interval``: the both-varying combination with the
+* ``alpha_adjusted_intervals``: the both-varying combination with the
   component confidence levels reduced so that the equal-split corner of
   the propagating construction is reproduced (about 83.42% components
   for a 95% target);
-* ``propimp_interval``: propagating imprecision, which optimizes the
+* ``propimp_intervals``: propagating imprecision, which optimizes the
   measure over all splits of the critical value between the two
   components along a quarter circle.
 
@@ -51,13 +51,10 @@ __all__ = [
     "beta_ci",
     "abs_beta_ci",
     "beta_sq_ci",
-    "wald_logit_interval",
     "wald_logit_intervals",
     "combine_fixed",
-    "alpha_adjusted_interval",
     "alpha_adjusted_intervals",
     "alpha_adjusted_level",
-    "propimp_interval",
     "propimp_intervals",
     "maximal_interval",
 ]
@@ -345,13 +342,6 @@ def wald_logit_intervals(fit: PooledFit, alpha: float = 0.05) -> dict[str, Inter
     )
 
 
-def wald_logit_interval(fit: PooledFit, measure: str, alpha: float = 0.05) -> IntervalEstimate:
-    """Single-measure view of :func:`wald_logit_intervals`."""
-    if measure not in RATIO_MEASURES:
-        raise DomainError(f"measure must be one of {RATIO_MEASURES}, got {measure!r}")
-    return wald_logit_intervals(fit, alpha)[measure]
-
-
 # ---------------------------------------------------------------------------
 # fixed-parameter and simultaneous combinations
 
@@ -447,18 +437,6 @@ def alpha_adjusted_intervals(
     }
 
 
-def alpha_adjusted_interval(
-    data: MetaDataset,
-    measure: str,
-    alpha: float = 0.05,
-    fit: PooledFit | None = None,
-) -> IntervalEstimate:
-    """Single-measure view of :func:`alpha_adjusted_intervals`."""
-    if measure not in RATIO_MEASURES:
-        raise DomainError(f"measure must be one of {RATIO_MEASURES}, got {measure!r}")
-    return alpha_adjusted_intervals(data, alpha, fit)[measure]
-
-
 # ---------------------------------------------------------------------------
 # propagating imprecision
 
@@ -525,15 +503,3 @@ def propimp_intervals(
     trace = PropImpTrace(theta_lo, theta_hi, n_lo + n_hi)
     return _linked_intervals(m1_lo, m1_hi, "PROPIMP", alpha, alpha), trace
 
-
-def propimp_interval(
-    data: MetaDataset,
-    measure: str,
-    alpha: float = 0.05,
-    fit: PooledFit | None = None,
-) -> tuple[IntervalEstimate, PropImpTrace]:
-    """Single-measure view of :func:`propimp_intervals`."""
-    if measure not in RATIO_MEASURES:
-        raise DomainError(f"measure must be one of {RATIO_MEASURES}, got {measure!r}")
-    intervals, trace = propimp_intervals(data, alpha, fit)
-    return intervals[measure], trace

@@ -95,8 +95,12 @@ def _ratio_measures(tau, beta) -> tuple:
     tau = np.asarray(tau, dtype=float)
     b = np.abs(beta)
     t2 = tau * tau
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cv, m1, m2 = tau / b, tau / (tau + b), t2 / (t2 + b * b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sq_sum = t2 + b * b
+        cv, m1, m2 = tau / b, tau / (tau + b), t2 / sq_sum
+        # tau^2 + beta^2 underflows to 0 when both are below about 1e-154;
+        # there m2 = cv^2 / (1 + cv^2), in a form that cannot overflow
+        m2 = np.where((sq_sum == 0.0) & (tau > 0.0), 1.0 / (1.0 + (b / tau) ** 2), m2)
     zero, inf = tau == 0.0, b == 0.0
     return (
         np.where(zero, 0.0, np.where(inf, np.inf, cv)),

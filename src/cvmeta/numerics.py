@@ -33,6 +33,7 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN2 = (3.0 - math.sqrt(5.0)) / 2.0
+_GRID_POINTS = 129  # coarse grid of optimize_1d, endpoints included
 
 
 def norm_quantile(p: float) -> float:
@@ -103,19 +104,19 @@ def optimize_1d(
     hi: float,
     modes: tuple[str, ...] = ("min",),
     tol: float = 1e-7,
-    grid_points: int = 129,
 ) -> list[tuple[float, float, int]]:
     """Bounded 1-D optimization of one or more objectives in lockstep.
 
     Objective i is minimized or maximized as ``modes[i]`` says, and
     every call of ``f`` serves all objectives at once.  Each objective
-    is first evaluated on a uniform grid (including both endpoints), all
-    in a single call.  A golden-section search then refines inside the
-    bracket around each objective's best grid point, with one new point
-    per objective per call.  Each objective takes exactly the steps it
-    would take if searched alone, so its result does not depend on the
-    others.  The best value ever evaluated is returned, so a jump
-    discontinuity at an endpoint cannot be lost to the refinement stage.
+    is first evaluated on a uniform grid of 129 points (including both
+    endpoints), all in a single call.  A golden-section search then
+    refines inside the bracket around each objective's best grid point,
+    with one new point per objective per call.  Each objective takes
+    exactly the steps it would take if searched alone, so its result
+    does not depend on the others.  The best value ever evaluated is
+    returned, so a jump discontinuity at an endpoint cannot be lost to
+    the refinement stage.
 
     Parameters
     ----------
@@ -134,8 +135,6 @@ def optimize_1d(
         One entry per objective.
     tol : float
         Width of the final bracket on the argument scale.
-    grid_points : int
-        Number of coarse grid points, at least 64.
 
     Returns
     -------
@@ -147,28 +146,26 @@ def optimize_1d(
         raise DomainError(f"modes must be a non-empty tuple of 'min' or 'max', got {modes!r}")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    if grid_points < 64:
-        raise DomainError(f"grid_points must be >= 64, got {grid_points}")
     m = len(modes)
     sign = np.array([1.0 if mode == "min" else -1.0 for mode in modes])
 
     def g(x: np.ndarray) -> np.ndarray:
         return sign[:, None] * np.asarray(f(x), dtype=float)
 
-    xs = np.linspace(lo, hi, grid_points)
-    vals = g(np.broadcast_to(xs, (m, grid_points)))
+    xs = np.linspace(lo, hi, _GRID_POINTS)
+    vals = g(np.broadcast_to(xs, (m, _GRID_POINTS)))
     # first grid point at the lowest non-NaN value; 0 when all are NaN
     best_i = np.argmax(vals == np.fmin.reduce(vals, axis=1)[:, None], axis=1)
     best_x, best_v = xs[best_i], vals[np.arange(m), best_i]
 
     # refine in the bracket spanning the best point's neighbors
     a = xs[np.maximum(best_i - 1, 0)]
-    b = xs[np.minimum(best_i + 1, grid_points - 1)]
+    b = xs[np.minimum(best_i + 1, _GRID_POINTS - 1)]
     h = b - a
     c = a + _GOLDEN2 * h
     d = a + _GOLDEN * h
     fc, fd = g(np.stack([c, d], axis=1)).T
-    evaluations = np.full(m, grid_points + 2)
+    evaluations = np.full(m, _GRID_POINTS + 2)
     active = h > tol
     while active.any():
         # keep [a, d] where c is at least as good as d, else [c, b]; the kept

@@ -57,8 +57,8 @@ class Scenario:
     """One simulation setting.
 
     Exactly one of ``arm_sizes`` (standardized-mean-difference mode) and
-    ``within_vars`` (normal mode) must be present.  ``k`` is the study
-    count and must match the per-study list; 0 means derive it.
+    ``within_vars`` (normal mode) must be present; its length is the
+    study count :attr:`k`.
 
     Attributes
     ----------
@@ -75,7 +75,6 @@ class Scenario:
         Subset of SIM_METHODS.
     alpha : float
     seed : int
-    k : int
     """
 
     beta: float
@@ -86,7 +85,6 @@ class Scenario:
     methods: tuple = SIM_METHODS
     alpha: float = 0.05
     seed: int = 0
-    k: int = 0
 
     def __post_init__(self):
         if (self.arm_sizes is None) == (self.within_vars is None):
@@ -97,19 +95,13 @@ class Scenario:
                 if n1 + n2 <= 2:
                     raise ConfigError(f"arm sizes must satisfy n1 + n2 > 2, got {(n1, n2)}")
             object.__setattr__(self, "arm_sizes", sizes)
-            derived = len(sizes)
         else:
             vs = tuple(float(x) for x in self.within_vars)
             if any(not (math.isfinite(x) and x > 0) for x in vs):
                 raise ConfigError("within_vars must all be positive and finite")
             object.__setattr__(self, "within_vars", vs)
-            derived = len(vs)
-        if derived < 2:
-            raise ConfigError(f"a scenario needs at least 2 studies, got {derived}")
-        if self.k == 0:
-            object.__setattr__(self, "k", derived)
-        elif self.k != derived:
-            raise ConfigError(f"k={self.k} does not match the {derived} per-study entries")
+        if self.k < 2:
+            raise ConfigError(f"a scenario needs at least 2 studies, got {self.k}")
         if self.tau < 0:
             raise ConfigError(f"tau must be nonnegative, got {self.tau!r}")
         if self.reps < 1:
@@ -127,6 +119,11 @@ class Scenario:
     @property
     def mode(self) -> str:
         return "smd" if self.arm_sizes is not None else "normal"
+
+    @property
+    def k(self) -> int:
+        """Number of studies: the length of the per-study list."""
+        return len(self.arm_sizes if self.arm_sizes is not None else self.within_vars)
 
 
 @dataclass(frozen=True)
@@ -185,14 +182,14 @@ def generate_smd_dataset(scenario: Scenario, rng: np.random.Generator) -> MetaDa
     """
     if scenario.arm_sizes is None:
         raise ConfigError("generate_smd_dataset requires arm_sizes mode")
-    return MetaDataset.from_arrays(*_draw(scenario, rng))
+    return MetaDataset(*_draw(scenario, rng))
 
 
 def generate_normal_dataset(scenario: Scenario, rng: np.random.Generator) -> MetaDataset:
     """Normal-effects dataset at fixed within-study variances."""
     if scenario.within_vars is None:
         raise ConfigError("generate_normal_dataset requires within_vars mode")
-    return MetaDataset.from_arrays(*_draw(scenario, rng))
+    return MetaDataset(*_draw(scenario, rng))
 
 
 def _draw(scenario: Scenario, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +334,7 @@ def _replication_measures(scenario: Scenario) -> tuple:
 
     Each replication draws from its own stream exactly as the generators
     do.  The draws are stacked into (reps, K) arrays, validated as
-    :meth:`MetaDataset.from_arrays` validates one dataset, and fitted in
+    :class:`MetaDataset` validates one dataset, and fitted in
     one DerSimonian-Laird pass, so row r equals ``fit_rem`` and
     ``het_measures`` on the dataset of replication r.
     """

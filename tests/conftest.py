@@ -17,7 +17,7 @@ def random_dataset(rng: np.random.Generator, k=None) -> MetaDataset:
     tau = rng.uniform(0.0, 1.0)
     v = rng.uniform(0.05, 0.8, k)
     y = rng.normal(mu, np.sqrt(v + tau * tau))
-    return MetaDataset.from_arrays(y, v)
+    return MetaDataset(y, v)
 
 
 def qgen_reference(y, v, t: float) -> float:

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy import stats
 
 from cvmeta.cli import main
 from cvmeta.core import fit_rem
-from cvmeta.datasets import ZHU_BETA, ZHU_WITHIN_VARS, data_path
+from cvmeta.datasets import data_path, expand_config, load_config
 from cvmeta.intervals import (
     RATIO_MEASURES,
     abs_beta_ci,
@@ -210,20 +211,10 @@ def test_criterion_04_propimp_against_grid_oracle():
 @pytest.mark.slow
 def test_criterion_05_coverage_reproduction_incidence_settings():
     start = time.perf_counter()
-    low_tau = run_scenario(
-        Scenario(
-            beta=ZHU_BETA, tau=0.2, within_vars=ZHU_WITHIN_VARS, reps=5000,
-            methods=("ALPHA_ADJ", "PROPIMP", "WALD"), seed=MC_SEED,
-        ),
-        threads=THREADS,
-    )
-    high_tau = run_scenario(
-        Scenario(
-            beta=ZHU_BETA, tau=0.8, within_vars=ZHU_WITHIN_VARS, reps=5000,
-            methods=("PROPIMP",), seed=MC_SEED,
-        ),
-        threads=THREADS,
-    )
+    _, rows = expand_config(load_config("table4_zhu"), reps=5000)
+    by_tau = {label["tau"]: sc for label, sc in rows}
+    low_tau = run_scenario(by_tau[0.2], threads=THREADS)
+    high_tau = run_scenario(replace(by_tau[0.8], methods=("PROPIMP",)), threads=THREADS)
     elapsed = time.perf_counter() - start
 
     windows = {
@@ -250,18 +241,14 @@ def test_criterion_05_coverage_reproduction_incidence_settings():
 def test_criterion_06_small_effect_coverage_band():
     start = time.perf_counter()
     results = {}
-    for k in (10, 30, 50):
-        for tau in (0.4, 0.8):
-            res = run_scenario(
-                Scenario(
-                    beta=0.2, tau=tau, arm_sizes=((30, 30),) * k, reps=2000,
-                    methods=("PROPIMP",), seed=MC_SEED,
-                ),
-                threads=THREADS,
-            )
-            cov = res.method("PROPIMP").coverage
-            results[(k, tau)] = cov
-            assert 0.94 <= cov <= 0.99, ((k, tau), cov)
+    for label, scenario in expand_config(load_config("figure3_beta02"))[1]:
+        k, tau = label["k"], label["tau"]
+        if k not in (10, 30, 50) or tau not in (0.4, 0.8):
+            continue
+        cov = run_scenario(scenario, threads=THREADS).method("PROPIMP").coverage
+        results[(k, tau)] = cov
+        assert 0.94 <= cov <= 0.99, ((k, tau), cov)
+    assert len(results) == 6
     elapsed = time.perf_counter() - start
     assert elapsed < 900.0
     summary = ", ".join(f"K={k} tau={t}: {c:.4f}" for (k, t), c in results.items())
@@ -370,7 +357,7 @@ def test_criterion_09_profile_pivots_and_coverage():
 def test_criterion_10_degenerate_handling(capsys, tmp_path):
     from cvmeta.core import MetaDataset
 
-    data = MetaDataset.from_arrays([0.4] * 5, [0.2] * 5)
+    data = MetaDataset([0.4] * 5, [0.2] * 5)
     fit = fit_rem(data)
     assert fit.tau2_hat == 0.0
     all_ivs = {

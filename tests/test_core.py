@@ -5,7 +5,6 @@ import pytest
 
 from cvmeta.core import (
     MetaDataset,
-    StudyRecord,
     _i_squared,
     cochran_q,
     diamond_ratio,
@@ -25,29 +24,23 @@ from conftest import random_dataset
 
 
 def dataset(y, v):
-    return MetaDataset.from_arrays(np.asarray(y, float), np.asarray(v, float))
-
-
-class TestStudyRecord:
-    def test_basic(self):
-        s = StudyRecord(effect=0.3, within_var=0.1, label="a")
-        assert s.effect == 0.3 and s.within_var == 0.1
-
-    @pytest.mark.parametrize("v", [0.0, -1.0, math.inf, math.nan])
-    def test_bad_variance(self, v):
-        with pytest.raises(DataFormatError):
-            StudyRecord(effect=0.0, within_var=v)
-
-    @pytest.mark.parametrize("y", [math.inf, math.nan])
-    def test_bad_effect(self, y):
-        with pytest.raises(DataFormatError):
-            StudyRecord(effect=y, within_var=1.0)
+    return MetaDataset(np.asarray(y, float), np.asarray(v, float))
 
 
 class TestMetaDataset:
     def test_needs_two_studies(self):
         with pytest.raises(DataFormatError):
             dataset([1.0], [1.0])
+
+    @pytest.mark.parametrize("v", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_variance(self, v):
+        with pytest.raises(DataFormatError):
+            MetaDataset([0.0, 0.1], [1.0, v])
+
+    @pytest.mark.parametrize("y", [math.inf, math.nan])
+    def test_bad_effect(self, y):
+        with pytest.raises(DataFormatError):
+            MetaDataset([0.0, y], [1.0, 1.0])
 
     def test_from_arrays_round_trip(self):
         d = dataset([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
@@ -62,7 +55,7 @@ class TestMetaDataset:
 
     def test_label_length_checked(self):
         with pytest.raises(DataFormatError):
-            MetaDataset.from_arrays(np.ones(3), np.ones(3), labels=("a",))
+            MetaDataset(np.ones(3), np.ones(3), labels=("a",))
 
 
 class TestPooledEstimate:

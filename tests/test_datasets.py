@@ -5,9 +5,6 @@ import numpy as np
 import pytest
 
 from cvmeta.datasets import (
-    HSSP_TOTALS,
-    WLI_TOTALS,
-    ZHU_WITHIN_VARS,
     cohen_smd,
     config_path,
     data_path,
@@ -113,9 +110,11 @@ class TestBundledData:
         assert abs(d.effects[0] - (-0.3551696409400892)) < 1e-15
 
     def test_source_constants(self):
-        assert len(HSSP_TOTALS) == 9
-        assert len(WLI_TOTALS) == 48
-        assert len(ZHU_WITHIN_VARS) == 35
+        hssp, wli, zhu = (load_config(f"table4_{n}") for n in ("hssp", "wli", "zhu"))
+        assert (hssp["beta"], wli["beta"], zhu["beta"]) == (0.537, 0.222, 2.225)
+        assert len(hssp["arm_totals"]) == 9
+        assert len(wli["arm_totals"]) == 48
+        assert len(zhu["within_vars"]) == 35
 
     def test_paths_exist(self):
         assert data_path("hssp.csv").is_file()
@@ -149,14 +148,15 @@ class TestConfigs:
             load_config(p)
 
     def test_expand_zhu_grid(self):
-        name, rows = expand_config(load_config("table4_zhu"))
+        cfg = load_config("table4_zhu")
+        name, rows = expand_config(cfg)
         assert name == "table4_zhu"
         assert len(rows) == 4
         taus = [label["tau"] for label, _ in rows]
         assert taus == [0.2, 0.4, 0.6, 0.8]
         for label, sc in rows:
             assert label["k"] == 35 and sc.mode == "normal"
-            assert sc.within_vars == ZHU_WITHIN_VARS
+            assert sc.within_vars == tuple(cfg["within_vars"])
 
     def test_expand_figure3_grid(self):
         name, rows = expand_config(load_config("figure3_beta02"))
@@ -167,9 +167,10 @@ class TestConfigs:
         assert sc.methods == ("PROPIMP",)
 
     def test_expand_arm_totals(self):
-        name, rows = expand_config(load_config("table4_hssp"))
+        cfg = load_config("table4_hssp")
+        name, rows = expand_config(cfg)
         _, sc = rows[0]
-        assert sc.arm_sizes == tuple(split_arms(t) for t in HSSP_TOTALS)
+        assert sc.arm_sizes == tuple(split_arms(t) for t in cfg["arm_totals"])
 
     def test_overrides(self):
         _, rows = expand_config(load_config("smoke"), reps=33, seed=77)

@@ -105,14 +105,14 @@ class TestTau2Qprofile:
         assert abs(iv.upper - 3.108) < 5e-4
 
     def test_homogeneous_collapses_to_zero(self):
-        d = MetaDataset.from_arrays([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        d = MetaDataset([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
         iv = tau2_ci_qprofile(d)
         assert iv.lower == 0.0 and iv.upper == 0.0
 
     def test_lower_truncates_before_upper(self):
         rng = np.random.default_rng(4)
         y = rng.normal(0.0, 1.05, 12)
-        d = MetaDataset.from_arrays(y, np.ones(12))
+        d = MetaDataset(y, np.ones(12))
         iv = tau2_ci_qprofile(d)
         assert iv.lower == 0.0
         assert iv.upper > 0.0
@@ -128,7 +128,7 @@ class TestTau2Qprofile:
         # solver edge cases: K = 2, and within-study variances over eight decades
         datasets += [random_dataset(rng, k=2) for _ in range(5)]
         datasets += [
-            MetaDataset.from_arrays(rng.normal(0.0, 1.0, k), np.logspace(-4.0, 4.0, k))
+            MetaDataset(rng.normal(0.0, 1.0, k), np.logspace(-4.0, 4.0, k))
             for k in (3, 9, 20)
         ]
         for d in datasets:
@@ -317,7 +317,7 @@ class TestAlphaAdjusted:
         assert abs(out["M1"].upper - 0.893) < 1e-3
 
     def test_degenerate_dataset(self):
-        d = MetaDataset.from_arrays([0.4, 0.4, 0.4, 0.4], [0.2, 0.2, 0.2, 0.2])
+        d = MetaDataset([0.4, 0.4, 0.4, 0.4], [0.2, 0.2, 0.2, 0.2])
         out = alpha_adjusted_intervals(d)
         assert all(out[m].degenerate for m in RATIO_MEASURES)
 
@@ -427,7 +427,7 @@ class TestPropImp:
             assert ivs["M1"].upper >= grid_hi - 1e-9
 
     def test_degenerate_dataset(self):
-        d = MetaDataset.from_arrays([0.4, 0.4, 0.4, 0.4], [0.2, 0.2, 0.2, 0.2])
+        d = MetaDataset([0.4, 0.4, 0.4, 0.4], [0.2, 0.2, 0.2, 0.2])
         ivs, trace = propimp_intervals(d)
         assert all(ivs[m].degenerate for m in RATIO_MEASURES)
         assert trace.evaluations == 0
@@ -435,7 +435,7 @@ class TestPropImp:
 
 def assert_scale_free(data, c):
     """y -> c y, v -> c^2 v scales the tau2 bounds by c^2 and fixes the M1 bounds."""
-    scaled = MetaDataset.from_arrays(data.effects * c, data.within_vars * c * c)
+    scaled = MetaDataset(data.effects * c, data.within_vars * c * c)
     q, q_c = tau2_ci_qprofile(data), tau2_ci_qprofile(scaled)
     assert q_c.lower / c**2 == pytest.approx(q.lower, rel=1e-10, abs=0.0)
     assert q_c.upper / c**2 == pytest.approx(q.upper, rel=1e-10, abs=0.0)

@@ -91,6 +91,16 @@ class TestCvMeasures:
             assert (m.cv_b, m.m1, m.m2) == ref
             assert tuple(float(a[i]) for a in arrays) == ref
 
+    def test_m2_when_squares_underflow(self):
+        # tau^2 + beta^2 underflows to 0 although both are positive
+        pairs = [(1e-300, 1e-300, 0.5), (1e-300, 3e-300, 0.1), (1e-300, -3e-300, 0.1)]
+        m2_array = _ratio_measures(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))[2]
+        for i, (tau, beta, want) in enumerate(pairs):
+            m2 = cv_measures(tau, beta).m2
+            assert float(m2_array[i]) == m2
+            assert abs(m2 - want) <= 1e-15
+        assert cv_measures(1e-300, 1e-300).m2 == 0.5
+
     def test_monotone_in_tau_and_beta(self):
         taus = np.linspace(0.1, 3.0, 30)
         m1s = [cv_measures(t, 0.8).m1 for t in taus]

@@ -41,12 +41,6 @@ class TestScenario:
                 beta=0.5, tau=0.3, arm_sizes=((10, 10),) * 3, within_vars=(0.1, 0.2)
             )
 
-    def test_k_must_match(self):
-        with pytest.raises(ConfigError):
-            Scenario(beta=0.5, tau=0.3, within_vars=(0.1, 0.2, 0.3), k=4)
-        ok = Scenario(beta=0.5, tau=0.3, within_vars=(0.1, 0.2, 0.3), k=3)
-        assert ok.k == 3
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             Scenario(beta=0.5, tau=-0.1, **SMALL)
@@ -261,5 +255,5 @@ class TestBatchedPass:
         with pytest.raises(DataFormatError) as batched:
             _check_studies(y, v)
         with pytest.raises(DataFormatError) as single:
-            MetaDataset.from_arrays(y[-1], v[-1])
+            MetaDataset(y[-1], v[-1])
         assert str(batched.value) == str(single.value)
