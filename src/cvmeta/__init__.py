@@ -16,17 +16,12 @@ from .core import (
     MetaDataset,
     PooledFit,
     WeightSums,
-    cochran_q,
     diamond_ratio,
-    dl_tau2,
-    fit_fem,
     fit_rem,
     i_squared,
     pooled_estimate,
     r_b,
     var_q,
-    var_tau2,
-    weight_sums,
 )
 from .errors import (
     ConfigError,
@@ -44,7 +39,6 @@ from .intervals import (
     alpha_adjusted_intervals,
     alpha_adjusted_level,
     beta_ci,
-    beta_sq_ci,
     combine_fixed,
     maximal_interval,
     propimp_intervals,
@@ -60,7 +54,6 @@ from .measures import (
     logit,
     logit_m1_moments,
     measures_from_cv,
-    small_v_moments,
 )
 from .simulator import (
     CoverageResult,
@@ -88,19 +81,18 @@ __all__ = [
     "__version__",
     # core
     "HetMeasures", "MetaDataset", "PooledFit", "WeightSums",
-    "cochran_q", "diamond_ratio", "dl_tau2", "fit_fem", "fit_rem",
-    "i_squared", "pooled_estimate", "r_b", "var_q", "var_tau2", "weight_sums",
+    "diamond_ratio", "fit_rem", "i_squared", "pooled_estimate", "r_b", "var_q",
     # errors
     "ConfigError", "CvMetaError", "DataFormatError", "DegenerateWeightsError",
     "DomainError", "NumericFailureError", "UndefinedMomentsError",
     # intervals
     "IntervalEstimate", "PropImpTrace", "abs_beta_ci",
     "alpha_adjusted_intervals", "alpha_adjusted_level", "beta_ci",
-    "beta_sq_ci", "combine_fixed", "maximal_interval", "propimp_intervals",
+    "combine_fixed", "maximal_interval", "propimp_intervals",
     "tau2_ci_qprofile", "wald_logit_intervals",
     # measures
     "CvMeasure", "LogitMoments", "cv_measures", "het_measures", "inv_logit",
-    "logit", "logit_m1_moments", "measures_from_cv", "small_v_moments",
+    "logit", "logit_m1_moments", "measures_from_cv",
     # simulator
     "CoverageResult", "FiveNumber", "MethodCoverage", "Scenario",
     "WidthSummary", "generate_normal_dataset", "generate_smd_dataset",

@@ -107,45 +107,8 @@ class AnalysisReport:
             "provenance": dict(self.provenance),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AnalysisReport":
-        from .intervals import IntervalEstimate
-
-        def _restore(entry, side):
-            if entry[f"{side}_infinite"]:
-                return math.inf if side == "upper" else -math.inf
-            return entry[side]
-
-        intervals = tuple(
-            IntervalEstimate(
-                lower=_restore(e, "lower"),
-                upper=_restore(e, "upper"),
-                measure=e["measure"],
-                method=e["method"],
-                alpha_tau=e["alpha_tau"],
-                alpha_beta=e["alpha_beta"],
-                degenerate=e["degenerate"],
-            )
-            for e in doc["intervals"]
-        )
-        measures = {
-            k: (math.inf if v["infinite"] else v["value"])
-            for k, v in doc["measures"].items()
-        }
-        return cls(
-            fit=dict(doc["fit"]),
-            measures=measures,
-            intervals=intervals,
-            warnings=tuple(doc["warnings"]),
-            provenance=dict(doc["provenance"]),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls.from_dict(json.loads(text))
 
 
 def analyze_dataset(data, methods, alpha, source="<memory>") -> AnalysisReport:
@@ -168,7 +131,7 @@ def analyze_dataset(data, methods, alpha, source="<memory>") -> AnalysisReport:
     return AnalysisReport(
         fit={
             "k": fit.k,
-            "model": fit.model,
+            "model": "REM",
             "beta_hat": fit.beta_hat,
             "se_beta_hat": math.sqrt(fit.var_beta_hat),
             "var_beta_hat": fit.var_beta_hat,
@@ -317,15 +280,22 @@ def cmd_simulate(args) -> int:
     echo["reps"] = rows[0][1].reps
     echo["seed"] = rows[0][1].seed
     echo["methods"] = list(rows[0][1].methods)
+    if args.out:
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot create directory ({exc})") from exc
 
     results = [run_scenario(scenario, threads=args.threads) for _, scenario in rows]
     doc = _simulate_doc(name, echo, rows, results)
     text_json = json.dumps(doc, indent=2)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{name}.json").write_text(text_json + "\n", encoding="utf-8")
-        (out_dir / f"{name}.csv").write_text(_simulate_csv(rows, results) + "\n", encoding="utf-8")
+        try:
+            (out_dir / f"{name}.json").write_text(text_json + "\n", encoding="utf-8")
+            (out_dir / f"{name}.csv").write_text(_simulate_csv(rows, results) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot write results ({exc})") from exc
         print(f"wrote {out_dir / f'{name}.json'} and {out_dir / f'{name}.csv'}", file=sys.stderr)
     else:
         print(text_json)

@@ -1,9 +1,10 @@
 """Study-level data model and inverse-variance pooling.
 
-Fixed-effect and random-effects pooling, the weighted dispersion
-statistic Q, the moment estimator of the between-study variance with
-truncation at zero, its large-sample variance, and the comparison
-measures I-squared, diamond ratio, and R_b.
+One random-effects fit, :func:`fit_rem`, gives the pooled effect, the
+weighted dispersion statistic Q, the moment estimator of the
+between-study variance with truncation at zero and its large-sample
+variance; the comparison measures I-squared, diamond ratio, and R_b
+are computed from it.
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ __all__ = [
     "WeightSums",
     "PooledFit",
     "HetMeasures",
-    "weight_sums",
     "pooled_estimate",
-    "cochran_q",
-    "dl_tau2",
     "var_q",
-    "var_tau2",
     "i_squared",
     "r_b",
     "diamond_ratio",
-    "fit_fem",
     "fit_rem",
 ]
 
@@ -120,8 +116,6 @@ class PooledFit:
         estimator, evaluated at the plug-in tau2_hat.
     weight_sums : WeightSums
     k : int
-    model : str
-        "FEM" or "REM".
     """
 
     beta_hat: float
@@ -131,7 +125,6 @@ class PooledFit:
     var_tau2_hat: float
     weight_sums: WeightSums
     k: int
-    model: str = "REM"
 
 
 @dataclass(frozen=True)
@@ -160,63 +153,39 @@ def _check_studies(y: np.ndarray, v: np.ndarray) -> None:
         raise DataFormatError("all within-study variances must be positive and finite")
 
 
-def weight_sums(data: MetaDataset) -> WeightSums:
-    """Power sums of the fixed-effect weights for a dataset."""
-    return _fixed_effect_floats(data)[0]
+def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
+    """DerSimonian-Laird fit along the last axis of (..., K) arrays.
 
-
-def _fixed_effect_floats(data: MetaDataset) -> tuple[WeightSums, float, float]:
-    """:func:`_fixed_effect_pass` on one dataset: (WeightSums, Q, S1 - S2/S1)."""
-    s1, s2, s3, q, denom = _fixed_effect_pass(data.effects, data.within_vars)
-    return WeightSums(float(s1), float(s2), float(s3)), float(q), float(denom)
-
-
-def _fixed_effect_pass(y: np.ndarray, v: np.ndarray) -> tuple:
-    """Weight sums, Q and the weight normalization S1 - S2/S1 from one set of weights.
-
-    Reduces along the last axis, so (R, K) arrays give R fits at once and
-    each row is bit-identical to the 1-D call on that row.  Returns
-    (S1, S2, S3, Q, S1 - S2/S1).
+    One pass from the fixed-effect weights w = 1/v to the random-effects
+    pooled estimate: returns (S1, S2, S3, Q, S1 - S2/S1, tau2, beta,
+    var_beta), each shaped like the leading axes, so (R, K) arrays give
+    R fits at once and each row is bit-identical to the 1-D call on that
+    row.  tau2 is the moment estimate truncated at 0; beta and var_beta
+    are the pooled effect and the inverse total weight at weights
+    1/(v_i + tau2).
 
     S1^2 - S2 = 2 sum_{i<j} w_i w_j, so the normalization is computed as
     2 sum_j w_j (w_1 + ... + w_{j-1}) / S1, a sum of positive terms: the
     difference form cancels to 0 when one weight dwarfs the others.
-    """
-    w = 1.0 / v
-    s1 = w.sum(axis=-1)
-    beta_fem = (w * y).sum(axis=-1) / s1
-    q = (w * (y - beta_fem[..., None]) ** 2).sum(axis=-1)
-    denom = 2.0 * (w[..., 1:] * np.cumsum(w[..., :-1], axis=-1)).sum(axis=-1) / s1
-    return s1, (w * w).sum(axis=-1), (w**3).sum(axis=-1), q, denom
-
-
-def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
-    """DerSimonian-Laird fit along the last axis of (..., K) arrays.
-
-    One pass from the fixed-effect weights to the random-effects pooled
-    estimate: returns (S1, S2, S3, Q, S1 - S2/S1, tau2, beta, var_beta),
-    each shaped like the leading axes.  tau2 is the moment estimate
-    truncated at 0; beta and var_beta are the pooled effect and the
-    inverse total weight at weights 1/(v_i + tau2).
 
     Raises
     ------
     DegenerateWeightsError
         If any weight normalization S1 - S2/S1 is not positive.
     """
-    s1, s2, s3, q, denom = _fixed_effect_pass(y, v)
-    tau2 = _dl_tau2(q, y.shape[-1], denom)[0]
-    beta, var_beta = _pooled(y, v, tau2[..., None])
-    return s1, s2, s3, q, denom, tau2, beta, var_beta
-
-
-def _dl_tau2(q, k: int, denom) -> tuple:
+    w = 1.0 / v
+    s1 = w.sum(axis=-1)
+    beta_fem = (w * y).sum(axis=-1) / s1
+    q = (w * (y - beta_fem[..., None]) ** 2).sum(axis=-1)
+    denom = 2.0 * (w[..., 1:] * np.cumsum(w[..., :-1], axis=-1)).sum(axis=-1) / s1
     if np.any(denom <= 0):
         raise DegenerateWeightsError(
             f"S1 - S2/S1 = {float(np.min(denom))!r} is not positive; moment estimator undefined"
         )
-    untrunc = (q - (k - 1)) / denom
-    return np.where(untrunc > 0.0, untrunc, 0.0), untrunc
+    untrunc = (q - (y.shape[-1] - 1)) / denom
+    tau2 = np.where(untrunc > 0.0, untrunc, 0.0)
+    beta, var_beta = _pooled(y, v, tau2[..., None])
+    return s1, (w * w).sum(axis=-1), (w**3).sum(axis=-1), q, denom, tau2, beta, var_beta
 
 
 def _pooled(y: np.ndarray, v: np.ndarray, tau2) -> tuple:
@@ -242,34 +211,6 @@ def pooled_estimate(data: MetaDataset, tau2: float) -> tuple[float, float]:
     return float(beta), float(var_beta)
 
 
-def cochran_q(data: MetaDataset) -> float:
-    """Weighted dispersion of effects around the fixed-effect estimate.
-
-    Computed from the definitional moment form
-    Q = sum_i W_i (Y_i - beta_fem)^2 with W_i = 1/v_i.
-    """
-    return _fixed_effect_floats(data)[1]
-
-
-def dl_tau2(data: MetaDataset) -> tuple[float, float]:
-    """Moment estimator of the between-study variance, truncated at zero.
-
-    Returns
-    -------
-    (tau2, untruncated) : tuple of float
-        The truncated estimate max(0, .) and the raw moment value, which
-        is useful for diagnostics on the truncation rate.
-
-    Raises
-    ------
-    DegenerateWeightsError
-        If the weight normalization S1 - S2/S1 is not positive.
-    """
-    _, q, denom = _fixed_effect_floats(data)
-    tau2, untrunc = _dl_tau2(q, data.k, denom)
-    return float(tau2), untrunc
-
-
 def var_q(ws: WeightSums, k: int, tau2: float) -> float:
     """Large-sample variance of the dispersion statistic Q.
 
@@ -282,20 +223,6 @@ def var_q(ws: WeightSums, k: int, tau2: float) -> float:
     c1 = 4.0 * (ws.s1 - ws.s2 / ws.s1)
     c2 = 2.0 * (ws.s2 - 2.0 * ws.s3 / ws.s1 + ws.s2**2 / ws.s1**2)
     return float(2.0 * (k - 1) + c1 * tau2 + c2 * tau2 * tau2)
-
-
-def var_tau2(data: MetaDataset, tau2: float) -> float:
-    """Large-sample variance of the untruncated moment estimator.
-
-    Var(Q) scaled by the squared weight normalization; truncation is
-    deliberately ignored, matching the delta-method usage downstream.
-    """
-    s, _, denom = _fixed_effect_floats(data)
-    if denom <= 0:
-        raise DegenerateWeightsError(
-            f"S1 - S2/S1 = {denom!r} is not positive; variance undefined"
-        )
-    return var_q(s, data.k, tau2) / (denom * denom)
 
 
 def i_squared(q: float, k: int) -> float:
@@ -339,14 +266,6 @@ def diamond_ratio(data: MetaDataset, tau2: float) -> float:
     return float(np.sqrt(var_re / var_fe))
 
 
-def fit_fem(data: MetaDataset) -> PooledFit:
-    """Fixed-effect fit: pooled estimate with tau2 pinned to zero."""
-    beta, var_beta = pooled_estimate(data, 0.0)
-    s, q, denom = _fixed_effect_floats(data)
-    vt2 = var_q(s, data.k, 0.0) / (denom * denom) if denom > 0 else 0.0
-    return PooledFit(beta, 0.0, q, var_beta, vt2, s, data.k, model="FEM")
-
-
 def fit_rem(data: MetaDataset) -> PooledFit:
     """Random-effects fit with the moment estimator of tau2.
 
@@ -361,4 +280,4 @@ def fit_rem(data: MetaDataset) -> PooledFit:
     )
     s = WeightSums(s1, s2, s3)
     vt2 = var_q(s, data.k, tau2) / (denom * denom)
-    return PooledFit(beta, tau2, q, var_beta, vt2, s, data.k, model="REM")
+    return PooledFit(beta, tau2, q, var_beta, vt2, s, data.k)

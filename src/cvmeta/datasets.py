@@ -127,7 +127,7 @@ def read_effects_csv(path) -> MetaDataset:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -149,9 +149,10 @@ def read_effects_csv(path) -> MetaDataset:
 
     effects, variances, labels = [], [], []
     for row_num, raw_row in enumerate(reader, start=2):
-        row = {rename.get(k, k): v for k, v in raw_row.items() if k is not None}
-        if any(v is None for v in row.values()):
+        # DictReader files surplus fields under the key None and pads a short row with None
+        if None in raw_row or None in raw_row.values():
             raise DataFormatError(f"row {row_num}: wrong number of fields")
+        row = {rename[k]: v for k, v in raw_row.items()}
         vals = {c: _parse_float(row.get(c), row_num, c) for c in schema}
         if schema is _EFFECT_COLS:
             y, v = vals["yi"], vals["vi"]
@@ -249,7 +250,11 @@ def load_config(source) -> dict:
                 + ", ".join(list_configs())
             )
     try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):

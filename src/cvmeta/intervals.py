@@ -50,7 +50,6 @@ __all__ = [
     "tau2_ci_qprofile",
     "beta_ci",
     "abs_beta_ci",
-    "beta_sq_ci",
     "wald_logit_intervals",
     "combine_fixed",
     "alpha_adjusted_intervals",
@@ -60,7 +59,7 @@ __all__ = [
 ]
 
 RATIO_MEASURES = ("CV_B", "M1", "M2")
-MEASURE_TAGS = RATIO_MEASURES + ("TAU2", "BETA", "ABS_BETA", "BETA_SQ")
+MEASURE_TAGS = RATIO_MEASURES + ("TAU2", "BETA", "ABS_BETA")
 METHOD_TAGS = (
     "WALD",
     "FIXED_TAU",
@@ -243,14 +242,6 @@ def abs_beta_ci(beta_interval: IntervalEstimate) -> IntervalEstimate:
     """
     a, b = _fold_abs(beta_interval.lower, beta_interval.upper)
     return replace(beta_interval, lower=float(a), upper=float(b), measure="ABS_BETA")
-
-
-def beta_sq_ci(beta_interval: IntervalEstimate) -> IntervalEstimate:
-    """Interval for the squared effect: square the folded bounds."""
-    folded = abs_beta_ci(beta_interval)
-    return replace(
-        folded, lower=folded.lower**2, upper=folded.upper**2, measure="BETA_SQ"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ delta-method variance serve all of them:
 
     logit(m1) = log(cv_b)        logit(m2) = 2 log(cv_b)
 
-Delta-method variance and bias for logit(m1) are provided along with the
-small-within-variance diagnostic forms.
+Delta-method variance and bias for logit(m1) are provided.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "logit",
     "inv_logit",
     "logit_m1_moments",
-    "small_v_moments",
     "het_measures",
 ]
 
@@ -164,27 +162,6 @@ def logit_m1_moments(fit: PooledFit) -> LogitMoments:
     var1 = var_ratio_t / 4.0 + var_ratio_b
     bias1 = 0.5 * (var_ratio_b - var_ratio_t / 2.0)
     return LogitMoments(var1, bias1, 4.0 * var1, 2.0 * bias1)
-
-
-def small_v_moments(ws, k: int, tau: float, beta: float) -> tuple[float, float]:
-    """Diagnostic variance and bias of logit(m1) when v_i << tau^2.
-
-    Closed forms that drop the within-study variance contribution to the
-    pooled effect:
-
-    var  = (S2 - 2 S3/S1 + S2^2/S1^2)/2 + (tau^2/beta^2)/K
-    bias = ((tau^2/beta^2)/K - (S2 - 2 S3/S1 + S2^2/S1^2))/2
-
-    Shipped for regime diagnostics only; interval construction never
-    calls this.
-    """
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau!r}")
-    if beta == 0:
-        raise DomainError("beta must be nonzero")
-    spread = ws.s2 - 2.0 * ws.s3 / ws.s1 + ws.s2**2 / ws.s1**2
-    ratio = (tau * tau) / (beta * beta) / k
-    return spread / 2.0 + ratio, (ratio - spread) / 2.0
 
 
 def het_measures(data: MetaDataset, fit: PooledFit) -> HetMeasures:

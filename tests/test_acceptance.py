@@ -121,23 +121,42 @@ def _qgen_rows(y, v, ts):
 
 
 def _solve_profile(y, v, targets):
-    """Vectorized profile inversion: t >= 0 with Q_gen(t) = target."""
+    """Vectorized profile inversion: t >= 0 with Q_gen(t) = target.
+
+    Illinois regula falsi on f(t) = Q_gen(t) - target, which decreases in
+    t.  With S the sum of squares of y about its unweighted mean,
+    S/(max v + t) <= Q_gen(t) <= S/(min v + t), so each root lies in
+    [max(0, S/target - max v), S/target - min v].  The bracket keeps
+    f(lo) >= 0 >= f(hi) and shrinks until it is 1e-14 of its upper end.
+    """
     q0 = float(_qgen_rows(y, v, np.zeros(1))[0])
     out = np.zeros(targets.shape)
     need = targets < q0
     if need.any():
         tg = targets[need]
-        hi = 1.0
-        while float(_qgen_rows(y, v, np.array([hi]))[0]) > float(tg.min()):
-            hi *= 4.0
-        lo_arr = np.zeros(tg.shape)
-        hi_arr = np.full(tg.shape, hi)
-        for _ in range(80):
-            mid = 0.5 * (lo_arr + hi_arr)
-            go_right = _qgen_rows(y, v, mid) > tg
-            lo_arr = np.where(go_right, mid, lo_arr)
-            hi_arr = np.where(go_right, hi_arr, mid)
-        out[need] = 0.5 * (lo_arr + hi_arr)
+        s = float(np.sum((y - y.mean()) ** 2))
+        lo = np.maximum(0.0, s / tg - v.max())
+        hi = s / tg - v.min()
+        f_lo = _qgen_rows(y, v, lo) - tg
+        f_hi = _qgen_rows(y, v, hi) - tg
+        last = np.zeros(tg.shape, dtype=np.int8)  # +1: lo moved last, -1: hi did
+        for _ in range(100):
+            if np.all(hi - lo <= 1e-14 * hi):
+                break
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            t = np.clip(np.where(np.isfinite(t), t, 0.5 * (lo + hi)), lo, hi)
+            f = _qgen_rows(y, v, t) - tg
+            right = f > 0.0
+            # Illinois step: halve the value kept at an end that stays put twice
+            f_hi = np.where(right & (last == 1), 0.5 * f_hi, f_hi)
+            f_lo = np.where(~right & (last == -1), 0.5 * f_lo, f_lo)
+            lo, f_lo = np.where(f >= 0.0, t, lo), np.where(right, f, f_lo)
+            hi, f_hi = np.where(right, hi, t), np.where(right, f_hi, f)
+            last = np.where(right, 1, -1).astype(np.int8)
+        else:
+            raise AssertionError("profile oracle did not converge in 100 steps")
+        out[need] = 0.5 * (lo + hi)
     return out
 
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import cvmeta
-from cvmeta.cli import AnalysisReport, analyze_dataset, main
-from cvmeta.datasets import cohen_smd, data_path, load_hssp
+from cvmeta.cli import main
+from cvmeta.datasets import cohen_smd, data_path
 from cvmeta.errors import NumericFailureError
 
 HSSP_CSV = str(data_path("hssp.csv"))
@@ -32,7 +32,7 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--input", HSSP_CSV)
         assert code == 0 and err == ""
         doc = json.loads(out)
-        assert doc["fit"]["k"] == 9
+        assert doc["fit"]["k"] == 9 and doc["fit"]["model"] == "REM"
         assert abs(doc["fit"]["tau2_hat"] - 0.540) < 5e-4
         assert abs(100.0 * doc["measures"]["i2"]["value"] - 93.534) < 2e-3
         assert abs(doc["measures"]["cv_b"]["value"] - 1.384) < 5e-4
@@ -45,10 +45,6 @@ class TestAnalyze:
         )
         assert abs(adj_cv["lower"] - 0.733) < 2e-3
         assert abs(adj_cv["upper"] - 8.358) < 2e-3
-
-    def test_report_round_trip(self):
-        report = analyze_dataset(load_hssp(), ("PROPIMP", "WALD"), 0.05)
-        assert AnalysisReport.from_json(report.to_json()) == report
 
     def test_two_arm_matches_precomputed(self, capsys, tmp_path):
         arms = [
@@ -207,6 +203,14 @@ class TestSimulate:
         assert csv_lines[0].startswith("k,beta,tau,method,coverage,truncation_rate")
         assert len(csv_lines) == 1 + 3
 
+    def test_out_write_error_exits_2(self, capsys, tmp_path):
+        (tmp_path / "smoke.json").mkdir()
+        code, out, err = run(
+            capsys, "simulate", "--config", "smoke", "--reps", "1", "--out", str(tmp_path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "smoke.json" in err
+
     def test_unknown_config_exits_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--config", "no_such_config")
         assert code == 2
@@ -234,6 +238,34 @@ class TestSimulate:
     def test_bad_threads_exits_2(self, capsys):
         code, _, _ = run(capsys, "simulate", "--config", "smoke", "--threads", "0")
         assert code == 2
+
+
+def _non_utf8(tmp_path, name, head):
+    p = tmp_path / name
+    p.write_bytes(head + b"\xff\xfe\n")
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["analyze", "--input", _non_utf8(tmp, "d.csv", b"yi,vi\n0.1,0.2\n")],
+        lambda tmp: ["simulate", "--config", str(tmp)],
+        lambda tmp: ["simulate", "--config", _non_utf8(tmp, "c.json", b"{")],
+        lambda tmp: [
+            "simulate", "--config", "smoke", "--out", write_csv(tmp, "taken", "a file"),
+        ],
+    ],
+    ids=["non_utf8_csv", "config_is_directory", "non_utf8_config", "out_is_a_file"],
+)
+def test_unreadable_or_unwritable_files_exit_2(capsys, tmp_path, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a file error must stop the run before any scenario")
+
+    monkeypatch.setattr("cvmeta.cli.run_scenario", no_run)
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 class TestTable2:

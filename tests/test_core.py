@@ -6,17 +6,12 @@ import pytest
 from cvmeta.core import (
     MetaDataset,
     _i_squared,
-    cochran_q,
     diamond_ratio,
-    dl_tau2,
-    fit_fem,
     fit_rem,
     i_squared,
     pooled_estimate,
     r_b,
     var_q,
-    var_tau2,
-    weight_sums,
 )
 from cvmeta.errors import DataFormatError
 
@@ -25,6 +20,22 @@ from conftest import random_dataset
 
 def dataset(y, v):
     return MetaDataset(np.asarray(y, float), np.asarray(v, float))
+
+
+def normalizer(fit):
+    """S1 - S2/S1 in the difference form, exact enough away from extreme weights."""
+    ws = fit.weight_sums
+    return ws.s1 - ws.s2 / ws.s1
+
+
+def untruncated_tau2(fit):
+    return (fit.q - (fit.k - 1)) / normalizer(fit)
+
+
+def moment_variance(d, tau2):
+    """Var(Q) over the squared normalizer: the variance of the untruncated estimator."""
+    fit = fit_rem(d)
+    return var_q(fit.weight_sums, d.k, tau2) / normalizer(fit) ** 2
 
 
 class TestMetaDataset:
@@ -81,10 +92,10 @@ class TestPooledEstimate:
 
 class TestCochranQ:
     def test_no_dispersion(self):
-        assert cochran_q(dataset([1, 1], [1, 1])) == 0.0
+        assert fit_rem(dataset([1, 1], [1, 1])).q == 0.0
 
     def test_two_point(self):
-        assert abs(cochran_q(dataset([0, 2], [1, 1])) - 2.0) < 1e-14
+        assert abs(fit_rem(dataset([0, 2], [1, 1])).q - 2.0) < 1e-14
 
     def test_algebraic_identity(self):
         rng = np.random.default_rng(1)
@@ -93,25 +104,26 @@ class TestCochranQ:
             w = 1.0 / d.within_vars
             s1 = float(np.sum(w))
             alt = float(np.sum(w * d.effects**2) - np.sum(w * d.effects) ** 2 / s1)
-            assert abs(cochran_q(d) - alt) < 1e-10
+            assert abs(fit_rem(d).q - alt) < 1e-10
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
-        assert all(cochran_q(random_dataset(rng)) >= 0.0 for _ in range(20))
+        assert all(fit_rem(random_dataset(rng)).q >= 0.0 for _ in range(20))
 
 
 class TestDlTau2:
     def test_two_point(self):
-        t2, raw = dl_tau2(dataset([0, 2], [1, 1]))
-        assert abs(t2 - 1.0) < 1e-14 and abs(raw - 1.0) < 1e-14
+        fit = fit_rem(dataset([0, 2], [1, 1]))
+        assert abs(fit.tau2_hat - 1.0) < 1e-14
+        assert abs(untruncated_tau2(fit) - 1.0) < 1e-14
 
     def test_truncation(self):
-        t2, raw = dl_tau2(dataset([1.0, 1.01], [1, 1]))
-        assert t2 == 0.0 and raw < 0.0
+        fit = fit_rem(dataset([1.0, 1.01], [1, 1]))
+        assert fit.tau2_hat == 0.0 and untruncated_tau2(fit) < 0.0
 
     def test_identical_studies_untruncated(self):
-        t2, raw = dl_tau2(dataset([1, 1], [1, 1]))
-        assert t2 == 0.0 and abs(raw - (-1.0)) < 1e-14
+        fit = fit_rem(dataset([1, 1], [1, 1]))
+        assert fit.tau2_hat == 0.0 and abs(untruncated_tau2(fit) - (-1.0)) < 1e-14
 
 
 class TestNormalizerCancellation:
@@ -120,25 +132,26 @@ class TestNormalizerCancellation:
     d = dataset([0.0, 3.0], [1e-10, 1e10])
 
     def test_dl_tau2(self):
-        t2, raw = dl_tau2(self.d)
-        q = cochran_q(self.d)
-        assert t2 == 0.0
-        assert raw == pytest.approx((q - 1.0) / 2e-10, rel=1e-12)
+        assert fit_rem(self.d).tau2_hat == 0.0
+        # the same weights with Q near 9 leave tau2 positive, so its value
+        # is Q - 1 over the normalizer itself
+        fit = fit_rem(dataset([0.0, 3e5], [1e-10, 1e10]))
+        assert fit.q > 1.0
+        assert fit.tau2_hat == pytest.approx((fit.q - 1.0) / 2e-10, rel=1e-12)
 
     def test_var_tau2_and_fits(self):
-        assert var_tau2(self.d, 0.0) == pytest.approx(2.0 / (2e-10) ** 2, rel=1e-12)
-        rem, fem = fit_rem(self.d), fit_fem(self.d)
+        rem = fit_rem(self.d)
         assert rem.tau2_hat == 0.0
-        assert rem.var_tau2_hat == fem.var_tau2_hat == var_tau2(self.d, 0.0)
+        assert rem.var_tau2_hat == pytest.approx(2.0 / (2e-10) ** 2, rel=1e-12)
 
 
 class TestVarQ:
     def test_tau2_zero(self):
-        ws = weight_sums(dataset(np.zeros(10), np.ones(10)))
+        ws = fit_rem(dataset(np.zeros(10), np.ones(10))).weight_sums
         assert var_q(ws, 10, 0.0) == 18.0
 
     def test_equal_unit_weights(self):
-        ws = weight_sums(dataset([0, 0], [1, 1]))
+        ws = fit_rem(dataset([0, 0], [1, 1])).weight_sums
         assert abs(var_q(ws, 2, 1.0) - 8.0) < 1e-12
 
     def test_monte_carlo(self):
@@ -151,7 +164,7 @@ class TestVarQ:
         w = 1.0 / v
         beta = (y * w).sum(axis=1) / w.sum()
         q = (w * (y - beta[:, None]) ** 2).sum(axis=1)
-        ws = weight_sums(dataset(np.zeros(v.size), v))
+        ws = fit_rem(dataset(np.zeros(v.size), v)).weight_sums
         predicted = var_q(ws, v.size, tau2)
         assert abs(float(np.var(q, ddof=1)) / predicted - 1.0) < 0.03
 
@@ -159,13 +172,14 @@ class TestVarQ:
 class TestVarTau2:
     def test_direct(self):
         d = dataset([0, 0], [1, 1])
-        assert abs(var_tau2(d, 0.0) - 2.0) < 1e-14
+        assert abs(moment_variance(d, 0.0) - 2.0) < 1e-14
+        assert fit_rem(d).var_tau2_hat == moment_variance(d, 0.0)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(4)
         d = random_dataset(rng)
         scaled = dataset(2.0 * d.effects, 4.0 * d.within_vars)
-        assert abs(var_tau2(scaled, 4.0 * 0.2) / var_tau2(d, 0.2) - 16.0) < 1e-9
+        assert abs(moment_variance(scaled, 4.0 * 0.2) / moment_variance(d, 0.2) - 16.0) < 1e-9
 
     def test_monte_carlo_untruncated(self):
         rng = np.random.default_rng(5)
@@ -179,7 +193,7 @@ class TestVarTau2:
         s1, s2 = float(w.sum()), float((w**2).sum())
         raw = (q - (v.size - 1)) / (s1 - s2 / s1)
         d = dataset(np.zeros(v.size), v)
-        assert abs(float(np.var(raw, ddof=1)) / var_tau2(d, tau2) - 1.0) < 0.05
+        assert abs(float(np.var(raw, ddof=1)) / moment_variance(d, tau2) - 1.0) < 0.05
 
 
 class TestISquared:
@@ -244,17 +258,12 @@ class TestFits:
         rng = np.random.default_rng(8)
         d = random_dataset(rng)
         fit = fit_rem(d)
-        assert fit.model == "REM"
-        assert fit.tau2_hat == dl_tau2(d)[0]
+        w = 1.0 / d.within_vars
+        q = float(np.sum(w * (d.effects - np.sum(w * d.effects) / np.sum(w)) ** 2))
+        assert fit.q == pytest.approx(q, rel=1e-12)
+        assert fit.tau2_hat == pytest.approx(max(0.0, untruncated_tau2(fit)), rel=1e-12)
         b, var_b = pooled_estimate(d, fit.tau2_hat)
         assert fit.beta_hat == b and fit.var_beta_hat == var_b
-        assert fit.q == cochran_q(d)
-
-    def test_fem_pins_tau2(self):
-        rng = np.random.default_rng(9)
-        d = random_dataset(rng)
-        fit = fit_fem(d)
-        assert fit.model == "FEM" and fit.tau2_hat == 0.0
 
     def test_scale_equivariance_exact(self):
         # powers of two keep every float operation exact

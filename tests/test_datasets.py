@@ -89,6 +89,12 @@ class TestReadEffectsCsv:
         with pytest.raises(DataFormatError, match="row 3.*'vi'"):
             read_effects_csv(p)
 
+    def test_surplus_field_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("yi,vi\n0.5,0.2\n0.7,0.2,9\n0.1,0.3\n")
+        with pytest.raises(DataFormatError, match="row 3: wrong number of fields"):
+            read_effects_csv(p)
+
     def test_non_integer_arm_size(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("n1,m1,sd1,n2,m2,sd2\n10.5,1.0,1.0,10,0.0,1.0\n10,0.5,1.0,10,0.0,1.0\n")

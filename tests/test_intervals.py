@@ -16,7 +16,6 @@ from cvmeta.intervals import (
     alpha_adjusted_intervals,
     alpha_adjusted_level,
     beta_ci,
-    beta_sq_ci,
     combine_fixed,
     maximal_interval,
     propimp_intervals,
@@ -190,13 +189,6 @@ class TestBetaIntervals:
         assert (iv.lower, iv.upper) == (0.0, 1.0)
         other = abs_beta_ci(IntervalEstimate(-2.0, 1.0, "BETA", "WALD", 0.0, 0.05))
         assert (other.lower, other.upper) == (0.0, 2.0)
-
-    def test_squared_effect(self):
-        iv = beta_sq_ci(IntervalEstimate(-3.0, -1.0, "BETA", "WALD", 0.0, 0.05))
-        assert (iv.lower, iv.upper) == (1.0, 9.0)
-        assert iv.measure == "BETA_SQ"
-        straddle = beta_sq_ci(IntervalEstimate(-0.5, 1.0, "BETA", "WALD", 0.0, 0.05))
-        assert (straddle.lower, straddle.upper) == (0.0, 1.0)
 
 
 class TestWaldLogit:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvmeta.core import PooledFit, WeightSums, fit_rem, weight_sums
+from cvmeta.core import PooledFit, WeightSums, fit_rem
 from cvmeta.errors import DomainError, UndefinedMomentsError
 from cvmeta.measures import (
     _ratio_measures,
@@ -13,7 +13,6 @@ from cvmeta.measures import (
     logit,
     logit_m1_moments,
     measures_from_cv,
-    small_v_moments,
 )
 
 from conftest import random_dataset
@@ -164,29 +163,6 @@ class TestLogitM1Moments:
             logit_m1_moments(synthetic_fit(0.0, 1.0, 0.01, 0.04))
 
 
-class TestSmallVMoments:
-    def test_direct_evaluation(self):
-        ws = WeightSums(2.0, 2.0, 2.0)
-        var, bias = small_v_moments(ws, 2, 1.0, 1.0)
-        assert abs(var - 1.0) < 1e-15
-        assert abs(bias - (-0.25)) < 1e-15
-
-    def test_second_term_halves_with_k(self):
-        ws = WeightSums(2.0, 2.0, 2.0)
-        spread = 0.5 * (2.0 - 2.0 + 1.0)
-        v1, _ = small_v_moments(ws, 2, 1.0, 1.0)
-        v2, _ = small_v_moments(ws, 4, 1.0, 1.0)
-        assert abs((v1 - spread) - 2.0 * (v2 - spread)) < 1e-15
-
-    def test_excess_proportional_to_cv_squared(self):
-        ws = WeightSums(3.0, 5.0, 9.0)
-        spread = 0.5 * (5.0 - 2 * 9.0 / 3.0 + 25.0 / 9.0)
-        for tau, beta in [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)]:
-            var, _ = small_v_moments(ws, 5, tau, beta)
-            cv2 = (tau / beta) ** 2
-            assert abs((var - spread) - cv2 / 5.0) < 1e-12
-
-
 class TestHetMeasures:
     def test_hssp_values(self, hssp):
         fit = fit_rem(hssp)
@@ -201,7 +177,7 @@ class TestHetMeasures:
     def test_matches_weight_sums(self):
         rng = np.random.default_rng(2)
         d = random_dataset(rng)
-        ws = weight_sums(d)
+        ws = fit_rem(d).weight_sums
         w = 1.0 / d.within_vars
         assert abs(ws.s1 - float(np.sum(w))) < 1e-12
         assert abs(ws.s2 - float(np.sum(w**2))) < 1e-12
