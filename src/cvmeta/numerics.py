@@ -9,7 +9,9 @@ module, so a program that never needs a quantile (such as
 ``cvmeta table2``) does not pay for it.  The 1-D optimizer searches
 several objectives in lockstep, each on a coarse grid evaluated in one
 array call followed by golden-section refinement, so short multi-modal
-objectives are handled without assuming unimodality.
+objectives are handled without assuming unimodality.  Random streams
+are derived here; what is drawn from them, and in which order, belongs
+to the generators in :mod:`cvmeta.simulator`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "norm_cdf",
     "chisq_quantile",
     "optimize_1d",
-    "sample_noncentral_t",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -220,38 +221,3 @@ class RngState:
             raise DomainError(f"trial index must be nonnegative, got {trial!r}")
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(trial),))
         return np.random.Generator(np.random.Philox(seq))
-
-
-def sample_noncentral_t(df, ncp, rng: np.random.Generator):
-    """Noncentral-t draws built from their defining composition.
-
-    Each draw is (Z + ncp) / sqrt(V / df) with Z standard normal and V
-    an independent chi-square on ``df`` degrees of freedom.  The
-    construction, not a library sampler, is used so the distributional
-    form is explicit and the stream layout is stable: the normal draw
-    is consumed first, then the chi-square draw.
-
-    Parameters
-    ----------
-    df : float or ndarray
-        Degrees of freedom, positive; broadcasts against ``ncp``.
-    ncp : float or ndarray
-        Noncentrality; an array yields one draw per element.
-    rng : numpy.random.Generator
-
-    Returns
-    -------
-    float or ndarray
-    """
-    df_arr = np.asarray(df, dtype=float)
-    if np.any(df_arr <= 0):
-        raise DomainError(f"df must be positive, got {df!r}")
-    ncp_arr = np.asarray(ncp, dtype=float)
-    shape = np.broadcast_shapes(df_arr.shape, ncp_arr.shape)
-    z = rng.standard_normal(shape if shape else None)
-    chi2 = rng.chisquare(np.broadcast_to(df_arr, shape) if shape else float(df_arr),
-                         shape if shape else None)
-    t = (z + ncp_arr) / np.sqrt(chi2 / df_arr)
-    if shape:
-        return t
-    return float(t)

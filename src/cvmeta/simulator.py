@@ -11,8 +11,11 @@ between-study variance estimate truncates to zero.
 Replications are keyed by (seed, replication index) through independent
 counter-based streams, and results are reduced in replication order, so
 a scenario's output is bit-identical across runs and across worker
-counts.  Summaries of the fitted measures stack a scenario's draws into
-(reps, K) arrays and fit them in one batched pass.
+counts.  One draw routine serves the generators, the coverage runner
+and the summaries: it takes one stream per replication and returns the
+(reps, K) effects and variances, with the scenario's constants built
+once.  The coverage runner then fits each row as a dataset; the
+summaries fit all rows in one batched pass.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .intervals import (
 )
 from .measures import _ratio_measures, cv_measures
 from .measures import het_measures  # unused here; bench/tracing.py wraps simulator.het_measures
-from .numerics import RngState, sample_noncentral_t
+from .numerics import RngState
 
 __all__ = [
     "SIM_METHODS",
@@ -63,11 +66,12 @@ class Scenario:
     Attributes
     ----------
     beta : float
-        True pooled effect.
+        True pooled effect, finite.
     tau : float
-        True between-study standard deviation, nonnegative.
+        True between-study standard deviation, nonnegative and finite.
     arm_sizes : tuple of (int, int) or None
-        Per-study two-arm sample sizes.
+        Per-study two-arm sample sizes, each arm at least 1 and
+        n1 + n2 > 2.
     within_vars : tuple of float or None
         Per-study within-study variances.
     reps : int
@@ -92,8 +96,9 @@ class Scenario:
         if self.arm_sizes is not None:
             sizes = tuple((int(a), int(b)) for a, b in self.arm_sizes)
             for n1, n2 in sizes:
-                if n1 + n2 <= 2:
-                    raise ConfigError(f"arm sizes must satisfy n1 + n2 > 2, got {(n1, n2)}")
+                if min(n1, n2) < 1 or n1 + n2 <= 2:
+                    raise ConfigError(
+                        f"arm sizes must be at least 1 with n1 + n2 > 2, got {(n1, n2)}")
             object.__setattr__(self, "arm_sizes", sizes)
         else:
             vs = tuple(float(x) for x in self.within_vars)
@@ -102,8 +107,10 @@ class Scenario:
             object.__setattr__(self, "within_vars", vs)
         if self.k < 2:
             raise ConfigError(f"a scenario needs at least 2 studies, got {self.k}")
-        if self.tau < 0:
-            raise ConfigError(f"tau must be nonnegative, got {self.tau!r}")
+        if not math.isfinite(self.beta):
+            raise ConfigError(f"beta must be finite, got {self.beta!r}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ConfigError(f"tau must be nonnegative and finite, got {self.tau!r}")
         if self.reps < 1:
             raise ConfigError(f"reps must be at least 1, got {self.reps!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -174,46 +181,56 @@ class FiveNumber:
 def generate_smd_dataset(scenario: Scenario, rng: np.random.Generator) -> MetaDataset:
     """Standardized-mean-difference dataset via noncentral-t sampling.
 
-    For each study the true effect is beta plus a between-study normal
-    deviation; the observed effect is a noncentral-t draw scaled by
-    m = sqrt(1/n1 + 1/n2) with noncentrality theta/m on n1 + n2 - 2
-    degrees of freedom.  The within-study variance is the usual
-    large-sample form 1/n1 + 1/n2 + y^2 / (2 (n1 + n2)).
+    For each study the true effect is theta = beta + u with u drawn as
+    N(0, tau^2); the observed effect is y = m t, where
+    m = sqrt(1/n1 + 1/n2) and t = (z + theta/m) / sqrt(V/df) is the
+    noncentral-t composition on df = n1 + n2 - 2 degrees of freedom,
+    z standard normal and V chi-square on df.  The within-study variance
+    is the usual large-sample form 1/n1 + 1/n2 + y^2 / (2 (n1 + n2)).
+    ``rng`` supplies, in this order, the K deviations u, the K normals z
+    and the K chi-squares V.
     """
     if scenario.arm_sizes is None:
         raise ConfigError("generate_smd_dataset requires arm_sizes mode")
-    return MetaDataset(*_draw(scenario, rng))
+    y, v = _draws(scenario, [rng])
+    return MetaDataset(y[0], v[0])
 
 
 def generate_normal_dataset(scenario: Scenario, rng: np.random.Generator) -> MetaDataset:
     """Normal-effects dataset at fixed within-study variances."""
     if scenario.within_vars is None:
         raise ConfigError("generate_normal_dataset requires within_vars mode")
-    return MetaDataset(*_draw(scenario, rng))
+    y, v = _draws(scenario, [rng])
+    return MetaDataset(y[0], v[0])
 
 
-def _draw(scenario: Scenario, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One replication's effects and within-study variances, unvalidated.
+def _draws(scenario: Scenario, rngs: Iterable[np.random.Generator]) -> tuple:
+    """Effects and within-study variances of N replications, unvalidated.
 
-    The draw code of both generators: the between-study deviations come
-    first, then the within-study draws, from the same stream.
+    The draw code of both generators and of the scenario runners.  Row i
+    of the (N, K) arrays comes from the i-th generator of ``rngs``: the
+    between-study deviations first, then the within-study draws, from
+    the same stream.  The scenario constants are built once per call and
+    the arithmetic runs once over all rows; elementwise operations do
+    not depend on the array shape, so each row equals the draw of its
+    replication alone.
     """
-    theta = scenario.beta + rng.normal(0.0, scenario.tau, scenario.k)
+    k, tau = scenario.k, scenario.tau
     if scenario.arm_sizes is None:
         v = np.asarray(scenario.within_vars, dtype=float)
-        return rng.normal(theta, np.sqrt(v)), v
-    n1 = np.array([a for a, _ in scenario.arm_sizes], dtype=float)
-    n2 = np.array([b for _, b in scenario.arm_sizes], dtype=float)
-    m = np.sqrt(1.0 / n1 + 1.0 / n2)
-    t = sample_noncentral_t(n1 + n2 - 2.0, theta / m, rng)
-    y = t * m
-    return y, 1.0 / n1 + 1.0 / n2 + y * y / (2.0 * (n1 + n2))
-
-
-def _generate(scenario: Scenario, rng: np.random.Generator) -> MetaDataset:
-    if scenario.mode == "smd":
-        return generate_smd_dataset(scenario, rng)
-    return generate_normal_dataset(scenario, rng)
+        sd = np.sqrt(v)
+        y = np.array([rng.normal(scenario.beta + rng.normal(0.0, tau, k), sd) for rng in rngs])
+        return y, np.broadcast_to(v, y.shape)
+    n1, n2 = np.array(scenario.arm_sizes, dtype=float).T
+    inv_n = 1.0 / n1 + 1.0 / n2
+    m = np.sqrt(inv_n)
+    df = n1 + n2 - 2.0
+    two_n = 2.0 * (n1 + n2)
+    rows = [(rng.normal(0.0, tau, k), rng.standard_normal(k), rng.chisquare(df, k))
+            for rng in rngs]
+    dev, z, chi2 = np.array(rows).transpose(1, 0, 2)
+    y = (z + (scenario.beta + dev) / m) / np.sqrt(chi2 / df) * m
+    return y, inv_n + y * y / two_n
 
 
 def _intervals_for(method: str, data, fit, alpha):
@@ -240,10 +257,10 @@ def _run_range(scenario: Scenario, start: int, stop: int):
     truncated = np.zeros(n, dtype=np.uint8)
     true_m1 = cv_measures(scenario.tau, scenario.beta).m1
     master = RngState(scenario.seed)
+    y, v = _draws(scenario, map(master.stream, range(start, stop)))
 
     for j in range(n):
-        rng = master.stream(start + j)
-        data = _generate(scenario, rng)
+        data = MetaDataset(y[j], v[j])
         fit = fit_rem(data)
         if fit.tau2_hat == 0.0:
             truncated[j] = 1
@@ -339,8 +356,7 @@ def _replication_measures(scenario: Scenario) -> tuple:
     ``het_measures`` on the dataset of replication r.
     """
     master = RngState(scenario.seed)
-    draws = [_draw(scenario, master.stream(r)) for r in range(scenario.reps)]
-    y, v = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
+    y, v = _draws(scenario, map(master.stream, range(scenario.reps)))
     _check_studies(y, v)
     *_, q, _, tau2, beta, _ = _dl_pass(y, v)
     return (tau2, beta, q, _i_squared(q, scenario.k), *_ratio_measures(np.sqrt(tau2), beta))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
-from scipy.stats import kstest
 
 from cvmeta.errors import DomainError
 from cvmeta.numerics import (
@@ -16,7 +15,6 @@ from cvmeta.numerics import (
     norm_cdf,
     norm_quantile,
     optimize_1d,
-    sample_noncentral_t,
 )
 
 
@@ -228,37 +226,3 @@ class TestRngState:
             RngState(-1)
         with pytest.raises(DomainError):
             RngState(2**64)
-
-
-class TestSampleNoncentralT:
-    def test_deterministic(self):
-        a = sample_noncentral_t(10.0, np.zeros(8), RngState(3).stream(0))
-        b = sample_noncentral_t(10.0, np.zeros(8), RngState(3).stream(0))
-        assert np.array_equal(a, b)
-
-    def test_central_mean(self):
-        rng = RngState(11).stream(0)
-        draws = sample_noncentral_t(30.0, np.zeros(100000), rng)
-        assert abs(float(np.mean(draws))) < 0.02
-
-    def test_noncentral_mean(self):
-        # E[T] = ncp * sqrt(df/2) * Gamma((df-1)/2) / Gamma(df/2)
-        df, ncp = 10.0, 2.0
-        expected = ncp * math.sqrt(df / 2.0) * math.gamma((df - 1) / 2.0) / math.gamma(df / 2.0)
-        rng = RngState(12).stream(0)
-        draws = sample_noncentral_t(df, np.full(100000, ncp), rng)
-        assert abs(float(np.mean(draws)) - expected) < 0.03
-
-    def test_central_matches_t_distribution(self):
-        rng = RngState(13).stream(0)
-        draws = sample_noncentral_t(8.0, np.zeros(100000), rng)
-        assert kstest(draws, "t", args=(8.0,)).pvalue > 0.001
-
-    def test_array_df_broadcast(self):
-        rng = RngState(14).stream(0)
-        out = sample_noncentral_t(np.array([5.0, 50.0, 500.0]), np.array([1.0, 1.0, 1.0]), rng)
-        assert out.shape == (3,)
-
-    def test_df_domain(self):
-        with pytest.raises(DomainError):
-            sample_noncentral_t(0.0, 1.0, RngState(1).stream(0))

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from cvmeta.core import MetaDataset, _check_studies, fit_rem
 from cvmeta.errors import ConfigError, DataFormatError
@@ -16,7 +18,9 @@ from cvmeta.numerics import RngState
 from cvmeta.simulator import (
     SIM_METHODS,
     Scenario,
+    _draws,
     _replication_measures,
+    _run_range,
     generate_normal_dataset,
     generate_smd_dataset,
     measure_summary,
@@ -55,6 +59,23 @@ class TestScenario:
         with pytest.raises(ConfigError):
             Scenario(beta=0.5, tau=0.3, alpha=1.0, arm_sizes=((10, 10),) * 3)
 
+    @pytest.mark.parametrize("arms", [(0, 5), (-1, 5), (5, 0), (4, -1)])
+    def test_arm_sizes_at_least_one(self, arms):
+        with pytest.raises(ConfigError):
+            Scenario(beta=0.5, tau=0.3, arm_sizes=((10, 10), arms))
+        # the smallest split of a total that split_arms accepts
+        assert Scenario(beta=0.5, tau=0.3, arm_sizes=((10, 10), (2, 1))).k == 2
+
+    @pytest.mark.parametrize(
+        "beta, tau", [(math.nan, 0.3), (math.inf, 0.3), (-math.inf, 0.3), (0.5, math.nan),
+                      (0.5, math.inf)],
+    )
+    def test_beta_and_tau_finite(self, beta, tau):
+        with pytest.raises(ConfigError):
+            Scenario(beta=beta, tau=tau, **SMALL)
+        with pytest.raises(ConfigError):
+            Scenario(beta=beta, tau=tau, within_vars=(0.1, 0.2))
+
     def test_method_normalization(self):
         sc = Scenario(beta=0.5, tau=0.3, methods=("wald", "propimp"), **SMALL)
         assert sc.methods == ("WALD", "PROPIMP")
@@ -89,6 +110,21 @@ class TestGenerators:
         )
         assert abs(float(np.mean(d.effects)) - 0.5 * factor) < 0.004
 
+    def test_smd_central_t_mean(self):
+        t = _smd_t_draws((16, 16), 0.0, 11)  # df = 30
+        assert abs(float(np.mean(t))) < 0.02
+
+    def test_smd_noncentral_t_mean(self):
+        # E[T] = ncp * sqrt(df/2) * Gamma((df-1)/2) / Gamma(df/2)
+        df, ncp = 10.0, 2.0
+        expected = ncp * math.sqrt(df / 2.0) * math.gamma((df - 1) / 2.0) / math.gamma(df / 2.0)
+        t = _smd_t_draws((6, 6), ncp * math.sqrt(1.0 / 6.0 + 1.0 / 6.0), 12)
+        assert abs(float(np.mean(t)) - expected) < 0.03
+
+    def test_smd_null_matches_t_distribution(self):
+        t = _smd_t_draws((5, 5), 0.0, 13)  # df = 8
+        assert kstest(t, "t", args=(8.0,)).pvalue > 0.001
+
     def test_smd_variance_formula(self):
         sc = Scenario(beta=0.5, tau=0.3, arm_sizes=((12, 8),) * 4, seed=0)
         d = generate_smd_dataset(sc, RngState(13).stream(0))
@@ -113,6 +149,13 @@ class TestGenerators:
         norm = Scenario(beta=0.5, tau=0.3, within_vars=(0.1, 0.2))
         with pytest.raises(ConfigError):
             generate_smd_dataset(norm, RngState(0).stream(0))
+
+
+def _smd_t_draws(arms, beta, stream, k=100_000):
+    """Generated SMD effects divided by m: noncentral-t draws at ncp = beta/m."""
+    sc = Scenario(beta=beta, tau=0.0, arm_sizes=(arms,) * k, seed=0)
+    d = generate_smd_dataset(sc, RngState(stream).stream(0))
+    return d.effects / math.sqrt(1.0 / arms[0] + 1.0 / arms[1])
 
 
 class TestRunScenario:
@@ -257,3 +300,74 @@ class TestBatchedPass:
         with pytest.raises(DataFormatError) as single:
             MetaDataset(y[-1], v[-1])
         assert str(batched.value) == str(single.value)
+
+
+def _reference_draw(scenario, rng):
+    """One replication drawn as the generators drew it before batching.
+
+    The per-replication draw with its noncentral-t sampler inline: the
+    deviations, then z, then the chi-square, each one call on ``rng``.
+    """
+    theta = scenario.beta + rng.normal(0.0, scenario.tau, scenario.k)
+    if scenario.arm_sizes is None:
+        v = np.asarray(scenario.within_vars, dtype=float)
+        return rng.normal(theta, np.sqrt(v)), v
+    n1 = np.array([a for a, _ in scenario.arm_sizes], dtype=float)
+    n2 = np.array([b for _, b in scenario.arm_sizes], dtype=float)
+    m = np.sqrt(1.0 / n1 + 1.0 / n2)
+    df_arr = np.asarray(n1 + n2 - 2.0, dtype=float)
+    ncp_arr = np.asarray(theta / m, dtype=float)
+    shape = np.broadcast_shapes(df_arr.shape, ncp_arr.shape)
+    z = rng.standard_normal(shape)
+    chi2 = rng.chisquare(np.broadcast_to(df_arr, shape), shape)
+    t = (z + ncp_arr) / np.sqrt(chi2 / df_arr)
+    y = t * m
+    return y, 1.0 / n1 + 1.0 / n2 + y * y / (2.0 * (n1 + n2))
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("mode", ["smd", "normal"])
+    @pytest.mark.parametrize("k", [2, 10, 35, 60])
+    @pytest.mark.parametrize("reps", [1, 7, 200])
+    def test_rows_equal_per_replication_draw(self, mode, k, reps):
+        sc = _batch_scenario(mode, k, reps)
+        master = RngState(sc.seed)
+        y, v = _draws(sc, map(master.stream, range(reps)))
+        assert y.shape == v.shape == (reps, k)
+        for r in range(reps):
+            ref_y, ref_v = _reference_draw(sc, master.stream(r))
+            assert (y[r] == ref_y).all() and (v[r] == ref_v).all()
+
+    def test_deterministic(self):
+        # central t draws (beta = tau = 0, df = 10 per study) repeat on the same streams
+        sc = Scenario(beta=0.0, tau=0.0, arm_sizes=((6, 6),) * 8, reps=5, seed=3)
+        y1, v1 = _draws(sc, map(RngState(3).stream, range(5)))
+        y2, v2 = _draws(sc, map(RngState(3).stream, range(5)))
+        assert np.array_equal(y1, y2) and np.array_equal(v1, v2)
+        y3, _ = _draws(sc, map(RngState(4).stream, range(5)))
+        assert not np.array_equal(y1, y3)
+
+    @pytest.mark.parametrize("mode", ["smd", "normal"])
+    @pytest.mark.parametrize("threads", [2, 3, 7])
+    def test_offset_ranges_equal_rows_of_full_range(self, mode, threads):
+        # the contiguous chunks run_scenario hands to its workers
+        sc = _batch_scenario(mode, 10, 200)
+        master = RngState(sc.seed)
+        y, v = _draws(sc, map(master.stream, range(sc.reps)))
+        chunk = -(-sc.reps // threads)
+        for s in range(0, sc.reps, chunk):
+            e = min(s + chunk, sc.reps)
+            part_y, part_v = _draws(sc, map(master.stream, range(s, e)))
+            assert (part_y == y[s:e]).all() and (part_v == v[s:e]).all()
+
+    @pytest.mark.parametrize("mode", ["smd", "normal"])
+    def test_run_range_rows_use_their_streams(self, mode):
+        sc = dataclasses.replace(_batch_scenario(mode, 10, 30), methods=("WALD",))
+        master = RngState(sc.seed)
+        for s, e in [(0, 30), (11, 23)]:
+            covered, widths, truncated = _run_range(sc, s, e)
+            for j in range(e - s):
+                fit = fit_rem(MetaDataset(*_reference_draw(sc, master.stream(s + j))))
+                ivs = wald_logit_intervals(fit, sc.alpha)
+                assert truncated[j] == (fit.tau2_hat == 0.0)
+                assert list(widths[0, :, j]) == [ivs[m].width for m in RATIO_MEASURES]
