@@ -15,13 +15,11 @@ from .core import (
     HetMeasures,
     MetaDataset,
     PooledFit,
-    WeightSums,
     diamond_ratio,
     fit_rem,
     i_squared,
     pooled_estimate,
     r_b,
-    var_q,
 )
 from .errors import (
     ConfigError,
@@ -80,8 +78,8 @@ from .datasets import (
 __all__ = [
     "__version__",
     # core
-    "HetMeasures", "MetaDataset", "PooledFit", "WeightSums",
-    "diamond_ratio", "fit_rem", "i_squared", "pooled_estimate", "r_b", "var_q",
+    "HetMeasures", "MetaDataset", "PooledFit", "diamond_ratio", "fit_rem",
+    "i_squared", "pooled_estimate", "r_b",
     # errors
     "ConfigError", "CvMetaError", "DataFormatError", "DegenerateWeightsError",
     "DomainError", "NumericFailureError", "UndefinedMomentsError",

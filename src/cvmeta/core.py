@@ -4,7 +4,8 @@ One random-effects fit, :func:`fit_rem`, gives the pooled effect, the
 weighted dispersion statistic Q, the moment estimator of the
 between-study variance with truncation at zero and its large-sample
 variance; the comparison measures I-squared, diamond ratio, and R_b
-are computed from it.
+are computed from it.  No weight sum can cancel, so the fit stays
+scale-free (y -> c y, v -> c^2 v) across most of the float range.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateWeightsError
+from .errors import DataFormatError, DegenerateWeightsError, NumericFailureError
 
 __all__ = [
     "MetaDataset",
-    "WeightSums",
     "PooledFit",
     "HetMeasures",
     "pooled_estimate",
-    "var_q",
     "i_squared",
     "r_b",
     "diamond_ratio",
@@ -83,21 +82,6 @@ class MetaDataset:
 
 
 @dataclass(frozen=True)
-class WeightSums:
-    """Power sums S_r of the fixed-effect weights 1/v_i, r = 1, 2, 3."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    def __post_init__(self):
-        if not (self.s1 > 0 and self.s2 > 0 and self.s3 > 0):
-            raise DegenerateWeightsError(
-                f"weight sums must be positive, got {(self.s1, self.s2, self.s3)}"
-            )
-
-
-@dataclass(frozen=True)
 class PooledFit:
     """Pooled estimate and heterogeneity machinery for one dataset.
 
@@ -114,7 +98,6 @@ class PooledFit:
     var_tau2_hat : float
         Large-sample variance of the untruncated between-study variance
         estimator, evaluated at the plug-in tau2_hat.
-    weight_sums : WeightSums
     k : int
     """
 
@@ -123,7 +106,6 @@ class PooledFit:
     q: float
     var_beta_hat: float
     var_tau2_hat: float
-    weight_sums: WeightSums
     k: int
 
 
@@ -157,11 +139,11 @@ def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
     """DerSimonian-Laird fit along the last axis of (..., K) arrays.
 
     One pass from the fixed-effect weights w = 1/v to the random-effects
-    pooled estimate: returns (S1, S2, S3, Q, S1 - S2/S1, tau2, beta,
-    var_beta), each shaped like the leading axes, so (R, K) arrays give
-    R fits at once and each row is bit-identical to the 1-D call on that
-    row.  tau2 is the moment estimate truncated at 0; beta and var_beta
-    are the pooled effect and the inverse total weight at weights
+    pooled estimate: returns (Q, S1 - S2/S1, tau2, beta, var_beta), each
+    shaped like the leading axes, so (R, K) arrays give R fits at once
+    and each row is bit-identical to the 1-D call on that row.  S_r is
+    sum w^r, tau2 the moment estimate truncated at 0, and beta and
+    var_beta the pooled effect and the inverse total weight at weights
     1/(v_i + tau2).
 
     S1^2 - S2 = 2 sum_{i<j} w_i w_j, so the normalization is computed as
@@ -171,21 +153,50 @@ def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
     Raises
     ------
     DegenerateWeightsError
-        If any weight normalization S1 - S2/S1 is not positive.
+        If any normalization S1 - S2/S1 or estimate is not a positive,
+        finite float (weights out of the float range at extreme scales).
+    """
+    with np.errstate(all="ignore"):
+        w = 1.0 / v
+        s1 = w.sum(axis=-1)
+        beta_fem = (w * y).sum(axis=-1) / s1
+        q = (w * (y - beta_fem[..., None]) ** 2).sum(axis=-1)
+        denom = 2.0 * (w[..., 1:] * np.cumsum(w[..., :-1], axis=-1)).sum(axis=-1) / s1
+        untrunc = (q - (y.shape[-1] - 1)) / denom
+    if not ((denom > 0) & (denom < np.inf) & np.isfinite(untrunc)).all():
+        raise DegenerateWeightsError(
+            f"S1 - S2/S1 = {float(np.min(denom))!r} is not positive and finite, or the"
+            " estimate overflows; moment estimator undefined"
+        )
+    tau2 = np.where(untrunc > 0.0, untrunc, 0.0)
+    beta, var_beta = _pooled(y, v, tau2[..., None])
+    return q, denom, tau2, beta, var_beta
+
+
+def _var_tau2(v: np.ndarray, denom, tau2) -> np.ndarray:
+    """Variance of the untruncated tau2 estimate, Var(Q) / denom^2, along the last axis.
+
+    ``denom`` (S1 - S2/S1) and ``tau2`` come from :func:`_dl_pass`.  With
+    the scale-free shares p = w/S1 and u = S1 tau2, Var(Q) = 2(K-1) +
+    4 denom tau2 + 2 u^2 [sum p_i^2 (1-p_i)^2 + 2 sum_{i<j} p_i^2 p_j^2],
+    where 1 - p_i is the sum of the other shares: all positive terms, so
+    nothing cancels as in 2 (S2 - 2 S3/S1 + S2^2/S1^2) tau2^2.
     """
     w = 1.0 / v
     s1 = w.sum(axis=-1)
-    beta_fem = (w * y).sum(axis=-1) / s1
-    q = (w * (y - beta_fem[..., None]) ** 2).sum(axis=-1)
-    denom = 2.0 * (w[..., 1:] * np.cumsum(w[..., :-1], axis=-1)).sum(axis=-1) / s1
-    if np.any(denom <= 0):
-        raise DegenerateWeightsError(
-            f"S1 - S2/S1 = {float(np.min(denom))!r} is not positive; moment estimator undefined"
-        )
-    untrunc = (q - (y.shape[-1] - 1)) / denom
-    tau2 = np.where(untrunc > 0.0, untrunc, 0.0)
-    beta, var_beta = _pooled(y, v, tau2[..., None])
-    return s1, (w * w).sum(axis=-1), (w**3).sum(axis=-1), q, denom, tau2, beta, var_beta
+    p = w / s1[..., None]
+    p2 = p * p
+    zero = np.zeros_like(p[..., :1])
+    rest = np.concatenate([zero, np.cumsum(p[..., :-1], axis=-1)], axis=-1) + np.concatenate(
+        [np.cumsum(p[..., :0:-1], axis=-1)[..., ::-1], zero], axis=-1
+    )
+    spread = (p2 * rest * rest).sum(axis=-1) + 2.0 * (
+        p2[..., 1:] * np.cumsum(p2[..., :-1], axis=-1)
+    ).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = s1 * tau2
+        q_var = 2.0 * (v.shape[-1] - 1) + 4.0 * denom * tau2 + 2.0 * u * u * spread
+        return q_var / (denom * denom)
 
 
 def _pooled(y: np.ndarray, v: np.ndarray, tau2) -> tuple:
@@ -209,20 +220,6 @@ def pooled_estimate(data: MetaDataset, tau2: float) -> tuple[float, float]:
         raise DataFormatError(f"tau2 must be nonnegative, got {tau2!r}")
     beta, var_beta = _pooled(data.effects, data.within_vars, tau2)
     return float(beta), float(var_beta)
-
-
-def var_q(ws: WeightSums, k: int, tau2: float) -> float:
-    """Large-sample variance of the dispersion statistic Q.
-
-    Quadratic in the between-study variance:
-    2(K-1) + c1 tau2 + c2 tau2^2 with
-    c1 = 4 (S1 - S2/S1) and c2 = 2 (S2 - 2 S3/S1 + S2^2/S1^2).
-    """
-    if tau2 < 0:
-        raise DataFormatError(f"tau2 must be nonnegative, got {tau2!r}")
-    c1 = 4.0 * (ws.s1 - ws.s2 / ws.s1)
-    c2 = 2.0 * (ws.s2 - 2.0 * ws.s3 / ws.s1 + ws.s2**2 / ws.s1**2)
-    return float(2.0 * (k - 1) + c1 * tau2 + c2 * tau2 * tau2)
 
 
 def i_squared(q: float, k: int) -> float:
@@ -271,13 +268,13 @@ def fit_rem(data: MetaDataset) -> PooledFit:
 
     The fit is :func:`_dl_pass` on the dataset's 1-D arrays, the same
     pass that fits a whole batch of replications at once, so a batched
-    row and this fit agree exactly.  The weight sums, normalization and
-    Q it returns are shared by the estimate of tau2 and its variance,
-    which is evaluated at the truncated plug-in value.
+    row and this fit agree exactly.  The variance of the estimator,
+    :func:`_var_tau2`, is evaluated at the truncated plug-in value; it
+    scales as c^4, and is a :class:`NumericFailureError` where that
+    leaves the float range.
     """
-    s1, s2, s3, q, denom, tau2, beta, var_beta = (
-        float(x) for x in _dl_pass(data.effects, data.within_vars)
-    )
-    s = WeightSums(s1, s2, s3)
-    vt2 = var_q(s, data.k, tau2) / (denom * denom)
-    return PooledFit(beta, tau2, q, var_beta, vt2, s, data.k)
+    q, denom, tau2, beta, var_beta = _dl_pass(data.effects, data.within_vars)
+    vt2 = float(_var_tau2(data.within_vars, denom, tau2))
+    if not 0.0 < vt2 < np.inf:
+        raise NumericFailureError(f"var(tau2_hat) = {vt2!r} is out of the float range")
+    return PooledFit(float(beta), float(tau2), float(q), float(var_beta), vt2, data.k)

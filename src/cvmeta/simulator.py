@@ -358,5 +358,5 @@ def _replication_measures(scenario: Scenario) -> tuple:
     master = RngState(scenario.seed)
     y, v = _draws(scenario, map(master.stream, range(scenario.reps)))
     _check_studies(y, v)
-    *_, q, _, tau2, beta, _ = _dl_pass(y, v)
+    q, _, tau2, beta, _ = _dl_pass(y, v)
     return (tau2, beta, q, _i_squared(q, scenario.k), *_ratio_measures(np.sqrt(tau2), beta))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,31 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["fit"]["tau2_hat"] == 0.0
         assert all(iv["degenerate"] for iv in doc["intervals"])
+
+    def test_hssp_rescaled_across_the_float_range(self, capsys, tmp_path, hssp):
+        # y -> c y, v -> c^2 v leaves every measure bound unchanged; where the
+        # weights leave the float range the run must end in a typed numeric
+        # failure (exit 3), never an uncaught error or a numpy warning
+        def bounds(e):
+            c = 10.0**e
+            rows = "".join(
+                f"{y * c!r},{v * c * c!r}\n" for y, v in zip(hssp.effects.tolist(), hssp.within_vars.tolist())
+            )
+            path = write_csv(tmp_path, f"hssp_{e}.csv", "yi,vi\n" + rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out, _ = run(capsys, "analyze", "--input", path)
+            assert code in (0, 3)
+            if code == 3:
+                return None
+            return [iv[key] for iv in json.loads(out)["intervals"] for key in ("lower", "upper")]
+
+        base = bounds(0)
+        assert len(base) == 18
+        for e in range(-150, 151, 10):
+            got = bounds(e)
+            if abs(e) <= 70 or got is not None:
+                assert got == pytest.approx(base, rel=1e-12, abs=0.0), e
 
     def test_csv_format(self, capsys, tmp_path):
         same = write_csv(

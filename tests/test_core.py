@@ -1,17 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cvmeta.core import (
     MetaDataset,
+    _dl_pass,
     _i_squared,
+    _var_tau2,
     diamond_ratio,
     fit_rem,
     i_squared,
     pooled_estimate,
     r_b,
-    var_q,
 )
 from cvmeta.errors import DataFormatError
 
@@ -22,20 +24,34 @@ def dataset(y, v):
     return MetaDataset(np.asarray(y, float), np.asarray(v, float))
 
 
-def normalizer(fit):
+def normalizer(d):
     """S1 - S2/S1 in the difference form, exact enough away from extreme weights."""
-    ws = fit.weight_sums
-    return ws.s1 - ws.s2 / ws.s1
+    w = 1.0 / d.within_vars
+    return float(w.sum() - (w * w).sum() / w.sum())
 
 
-def untruncated_tau2(fit):
-    return (fit.q - (fit.k - 1)) / normalizer(fit)
+def untruncated_tau2(d):
+    return (fit_rem(d).q - (d.k - 1)) / normalizer(d)
 
 
 def moment_variance(d, tau2):
     """Var(Q) over the squared normalizer: the variance of the untruncated estimator."""
-    fit = fit_rem(d)
-    return var_q(fit.weight_sums, d.k, tau2) / normalizer(fit) ** 2
+    return float(_var_tau2(d.within_vars, _dl_pass(d.effects, d.within_vars)[1], tau2))
+
+
+def var_q(d, tau2):
+    """Large-sample variance of Q, as the fit forms it."""
+    denom = _dl_pass(d.effects, d.within_vars)[1]
+    return float(_var_tau2(d.within_vars, denom, tau2) * denom * denom)
+
+
+def exact_var_tau2(v, tau2):
+    """Var(Q)/(S1 - S2/S1)^2 in exact rational arithmetic, from the power sums S_r."""
+    w = [1 / Fraction(x) for x in v]
+    s1, s2, s3 = (sum(x**r for x in w) for r in (1, 2, 3))
+    t, denom = Fraction(tau2), s1 - s2 / s1
+    vq = 2 * (len(w) - 1) + 4 * denom * t + 2 * (s2 - 2 * s3 / s1 + s2 * s2 / (s1 * s1)) * t * t
+    return vq / denom**2
 
 
 class TestMetaDataset:
@@ -113,17 +129,17 @@ class TestCochranQ:
 
 class TestDlTau2:
     def test_two_point(self):
-        fit = fit_rem(dataset([0, 2], [1, 1]))
-        assert abs(fit.tau2_hat - 1.0) < 1e-14
-        assert abs(untruncated_tau2(fit) - 1.0) < 1e-14
+        d = dataset([0, 2], [1, 1])
+        assert abs(fit_rem(d).tau2_hat - 1.0) < 1e-14
+        assert abs(untruncated_tau2(d) - 1.0) < 1e-14
 
     def test_truncation(self):
-        fit = fit_rem(dataset([1.0, 1.01], [1, 1]))
-        assert fit.tau2_hat == 0.0 and untruncated_tau2(fit) < 0.0
+        d = dataset([1.0, 1.01], [1, 1])
+        assert fit_rem(d).tau2_hat == 0.0 and untruncated_tau2(d) < 0.0
 
     def test_identical_studies_untruncated(self):
-        fit = fit_rem(dataset([1, 1], [1, 1]))
-        assert fit.tau2_hat == 0.0 and abs(untruncated_tau2(fit) - (-1.0)) < 1e-14
+        d = dataset([1, 1], [1, 1])
+        assert fit_rem(d).tau2_hat == 0.0 and abs(untruncated_tau2(d) - (-1.0)) < 1e-14
 
 
 class TestNormalizerCancellation:
@@ -147,12 +163,10 @@ class TestNormalizerCancellation:
 
 class TestVarQ:
     def test_tau2_zero(self):
-        ws = fit_rem(dataset(np.zeros(10), np.ones(10))).weight_sums
-        assert var_q(ws, 10, 0.0) == 18.0
+        assert var_q(dataset(np.zeros(10), np.ones(10)), 0.0) == 18.0
 
     def test_equal_unit_weights(self):
-        ws = fit_rem(dataset([0, 0], [1, 1])).weight_sums
-        assert abs(var_q(ws, 2, 1.0) - 8.0) < 1e-12
+        assert abs(var_q(dataset([0, 0], [1, 1]), 1.0) - 8.0) < 1e-12
 
     def test_monte_carlo(self):
         # simulate Q for normal effects at fixed variances, tau2 = 0.3
@@ -164,8 +178,7 @@ class TestVarQ:
         w = 1.0 / v
         beta = (y * w).sum(axis=1) / w.sum()
         q = (w * (y - beta[:, None]) ** 2).sum(axis=1)
-        ws = fit_rem(dataset(np.zeros(v.size), v)).weight_sums
-        predicted = var_q(ws, v.size, tau2)
+        predicted = var_q(dataset(np.zeros(v.size), v), tau2)
         assert abs(float(np.var(q, ddof=1)) / predicted - 1.0) < 0.03
 
 
@@ -194,6 +207,23 @@ class TestVarTau2:
         raw = (q - (v.size - 1)) / (s1 - s2 / s1)
         d = dataset(np.zeros(v.size), v)
         assert abs(float(np.var(raw, ddof=1)) / moment_variance(d, tau2) - 1.0) < 0.05
+
+    def test_exact_where_power_sums_cancel(self):
+        # the power-sum form of the tau2^2 coefficient gave 2.5e19 here
+        fit = fit_rem(dataset([0, 3e6, 1e7], [1e-10, 1e10, 1e10]))
+        exact = exact_var_tau2([1e-10, 1e10, 1e10], fit.tau2_hat)
+        assert fit.var_tau2_hat == pytest.approx(float(exact), rel=1e-12)
+        assert fit.var_tau2_hat == pytest.approx(9.2813500625e26, rel=1e-12)
+
+    def test_exact_batch(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            k = int(rng.integers(2, 41))
+            v = np.exp(rng.normal(0.0, rng.uniform(0.0, 8.0), k))
+            y = rng.normal(0.0, np.sqrt(v + rng.uniform(0.0, 2.0)))
+            fit = fit_rem(dataset(y, v))
+            exact = exact_var_tau2(v, fit.tau2_hat)
+            assert fit.var_tau2_hat == pytest.approx(float(exact), rel=1e-12)
 
 
 class TestISquared:
@@ -261,7 +291,7 @@ class TestFits:
         w = 1.0 / d.within_vars
         q = float(np.sum(w * (d.effects - np.sum(w * d.effects) / np.sum(w)) ** 2))
         assert fit.q == pytest.approx(q, rel=1e-12)
-        assert fit.tau2_hat == pytest.approx(max(0.0, untruncated_tau2(fit)), rel=1e-12)
+        assert fit.tau2_hat == pytest.approx(max(0.0, untruncated_tau2(d)), rel=1e-12)
         b, var_b = pooled_estimate(d, fit.tau2_hat)
         assert fit.beta_hat == b and fit.var_beta_hat == var_b
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cvmeta.core import MetaDataset, PooledFit, WeightSums, fit_rem
+from cvmeta.core import MetaDataset, PooledFit, fit_rem
 from cvmeta.errors import DomainError
 from cvmeta.intervals import (
     RATIO_MEASURES,
@@ -36,7 +36,6 @@ def synthetic_fit(beta_hat, tau2_hat, var_beta_hat=0.01, var_tau2_hat=0.04):
         q=1.0,
         var_beta_hat=var_beta_hat,
         var_tau2_hat=var_tau2_hat,
-        weight_sums=WeightSums(2.0, 2.0, 2.0),
         k=2,
     )
 
@@ -426,12 +425,20 @@ class TestPropImp:
 
 
 def assert_scale_free(data, c):
-    """y -> c y, v -> c^2 v scales the tau2 bounds by c^2 and fixes the M1 bounds."""
+    """y -> c y, v -> c^2 v scales the tau2 bounds by c^2 and var(tau2_hat) by
+    c^4, and fixes the M1 bounds."""
     scaled = MetaDataset(data.effects * c, data.within_vars * c * c)
     q, q_c = tau2_ci_qprofile(data), tau2_ci_qprofile(scaled)
     assert q_c.lower / c**2 == pytest.approx(q.lower, rel=1e-10, abs=0.0)
     assert q_c.upper / c**2 == pytest.approx(q.upper, rel=1e-10, abs=0.0)
-    for method in (alpha_adjusted_intervals, lambda d: propimp_intervals(d)[0]):
+    assert fit_rem(scaled).var_tau2_hat / c**2 / c**2 == pytest.approx(
+        fit_rem(data).var_tau2_hat, rel=1e-10, abs=0.0
+    )
+    for method in (
+        alpha_adjusted_intervals,
+        lambda d: propimp_intervals(d)[0],
+        lambda d: wald_logit_intervals(fit_rem(d)),
+    ):
         m1, m1_c = method(data)["M1"], method(scaled)["M1"]
         assert m1_c.lower == pytest.approx(m1.lower, rel=1e-10, abs=0.0)
         assert m1_c.upper == pytest.approx(m1.upper, rel=1e-10, abs=0.0)
@@ -445,6 +452,54 @@ class TestScaleInvariance:
             assert_scale_free(d, c)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**32 - 1), log10_c=st.floats(-8.0, 8.0))
+    @given(seed=st.integers(0, 2**32 - 1), log10_c=st.floats(-70.0, 70.0))
     def test_property(self, seed, log10_c):
         assert_scale_free(random_dataset(np.random.default_rng(seed)), 10.0**log10_c)
+
+
+def all_bounds(data):
+    """Lower and upper bounds of WALD, ALPHA_ADJ and PROPIMP for CV_B, M1 and M2."""
+    fit = fit_rem(data)
+    per_method = (
+        wald_logit_intervals(fit),
+        alpha_adjusted_intervals(data, fit=fit),
+        propimp_intervals(data, fit=fit)[0],
+    )
+    return [b for ivs in per_method for m in RATIO_MEASURES for b in (ivs[m].lower, ivs[m].upper)]
+
+
+def near_null_dataset(rng, k):
+    """Effects scaled so that Q = (K - 1)(1 + 1e-4): tau2_hat small but positive."""
+    v = rng.uniform(0.05, 0.8, k)
+    y = rng.normal(0.0, np.sqrt(v))
+    q = fit_rem(MetaDataset(y, v)).q
+    return MetaDataset(0.3 + y * np.sqrt((k - 1) * (1.0 + 1e-4) / q), v)
+
+
+class TestSymmetryInvariance:
+    """The measures depend on |beta| and on the studies as a set, so their bounds do too."""
+
+    @staticmethod
+    def datasets(seed, k):
+        rng = np.random.default_rng(seed)
+        return [random_dataset(rng, k=k), near_null_dataset(rng, k)]
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 2, 3, 5, 12]))
+    def test_sign_flip(self, seed, k):
+        for d in self.datasets(seed, k):
+            flipped = MetaDataset(-d.effects, d.within_vars)
+            assert all_bounds(flipped) == pytest.approx(all_bounds(d), rel=1e-9, abs=0.0)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 2, 3, 5, 12]))
+    def test_permutation(self, seed, k):
+        for d in self.datasets(seed, k):
+            order = np.random.default_rng(seed + 1).permutation(k)
+            shuffled = MetaDataset(d.effects[order], d.within_vars[order])
+            assert all_bounds(shuffled) == pytest.approx(all_bounds(d), rel=1e-9, abs=0.0)
+
+    def test_near_null_data_is_near_null(self):
+        fits = [fit_rem(near_null_dataset(np.random.default_rng(s), k)) for s in range(5)
+                for k in (2, 12)]
+        assert all(0.0 < f.tau2_hat < 1e-3 for f in fits)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvmeta.core import PooledFit, WeightSums, fit_rem
+from cvmeta.core import PooledFit, fit_rem
 from cvmeta.errors import DomainError, UndefinedMomentsError
 from cvmeta.measures import (
     _ratio_measures,
@@ -15,18 +15,15 @@ from cvmeta.measures import (
     measures_from_cv,
 )
 
-from conftest import random_dataset
 
 
 def synthetic_fit(beta_hat, tau2_hat, var_beta_hat, var_tau2_hat):
-    ws = WeightSums(2.0, 2.0, 2.0)
     return PooledFit(
         beta_hat=beta_hat,
         tau2_hat=tau2_hat,
         q=1.0,
         var_beta_hat=var_beta_hat,
         var_tau2_hat=var_tau2_hat,
-        weight_sums=ws,
         k=2,
     )
 
@@ -173,12 +170,3 @@ class TestHetMeasures:
         assert abs(hm.m2 - 0.657) < 5e-4
         assert 0.0 <= hm.rb <= 1.0
         assert hm.dr >= 1.0
-
-    def test_matches_weight_sums(self):
-        rng = np.random.default_rng(2)
-        d = random_dataset(rng)
-        ws = fit_rem(d).weight_sums
-        w = 1.0 / d.within_vars
-        assert abs(ws.s1 - float(np.sum(w))) < 1e-12
-        assert abs(ws.s2 - float(np.sum(w**2))) < 1e-12
-        assert abs(ws.s3 - float(np.sum(w**3))) < 1e-12
