@@ -11,16 +11,7 @@ coverage studies behind those constructions.
 
 __version__ = "0.1.0"
 
-from .core import (
-    HetMeasures,
-    MetaDataset,
-    PooledFit,
-    diamond_ratio,
-    fit_rem,
-    i_squared,
-    pooled_estimate,
-    r_b,
-)
+from .core import MetaDataset, PooledFit, fit_rem
 from .errors import (
     ConfigError,
     CvMetaError,
@@ -45,6 +36,7 @@ from .intervals import (
 )
 from .measures import (
     CvMeasure,
+    HetMeasures,
     LogitMoments,
     cv_measures,
     het_measures,
@@ -78,8 +70,7 @@ from .datasets import (
 __all__ = [
     "__version__",
     # core
-    "HetMeasures", "MetaDataset", "PooledFit", "diamond_ratio", "fit_rem",
-    "i_squared", "pooled_estimate", "r_b",
+    "MetaDataset", "PooledFit", "fit_rem",
     # errors
     "ConfigError", "CvMetaError", "DataFormatError", "DegenerateWeightsError",
     "DomainError", "NumericFailureError", "UndefinedMomentsError",
@@ -89,8 +80,8 @@ __all__ = [
     "combine_fixed", "maximal_interval", "propimp_intervals",
     "tau2_ci_qprofile", "wald_logit_intervals",
     # measures
-    "CvMeasure", "LogitMoments", "cv_measures", "het_measures", "inv_logit",
-    "logit", "logit_m1_moments", "measures_from_cv",
+    "CvMeasure", "HetMeasures", "LogitMoments", "cv_measures", "het_measures",
+    "inv_logit", "logit", "logit_m1_moments", "measures_from_cv",
     # simulator
     "CoverageResult", "FiveNumber", "MethodCoverage", "Scenario",
     "WidthSummary", "generate_normal_dataset", "generate_smd_dataset",

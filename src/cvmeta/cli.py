@@ -23,12 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import fit_rem
-from .datasets import (
-    expand_config,
-    load_config,
-    normalize_method,
-    read_effects_csv,
-)
+from .datasets import expand_config, load_config, read_effects_csv
 from .errors import (
     ConfigError,
     CvMetaError,
@@ -43,7 +38,7 @@ from .intervals import (
     wald_logit_intervals,
 )
 from .measures import het_measures
-from .simulator import Scenario, measure_summary, run_scenario
+from .simulator import Scenario, measure_summary, normalize_method, run_scenario
 
 __all__ = ["AnalysisReport", "analyze_dataset", "main"]
 

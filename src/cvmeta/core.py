@@ -1,17 +1,16 @@
-"""Study-level data model and inverse-variance pooling.
+"""Study-level data model and the random-effects fit.
 
 One random-effects fit, :func:`fit_rem`, gives the pooled effect, the
 weighted dispersion statistic Q, the moment estimator of the
 between-study variance with truncation at zero and its large-sample
-variance; the comparison measures I-squared, diamond ratio, and R_b
-are computed from it.  No weight sum can cancel, so the fit stays
+variance; every heterogeneity measure is computed from it in
+:mod:`cvmeta.measures`.  No weight sum can cancel, so the fit stays
 scale-free (y -> c y, v -> c^2 v) across most of the float range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,11 +19,6 @@ from .errors import DataFormatError, DegenerateWeightsError, NumericFailureError
 __all__ = [
     "MetaDataset",
     "PooledFit",
-    "HetMeasures",
-    "pooled_estimate",
-    "i_squared",
-    "r_b",
-    "diamond_ratio",
     "fit_rem",
 ]
 
@@ -33,14 +27,14 @@ class MetaDataset:
     """Ordered collection of at least two studies.
 
     ``effects`` must be finite and ``within_vars`` (their sampling
-    variances, one per effect) positive and finite; ``labels`` are
-    optional study identifiers for reports.  The arrays are copied and
-    write-protected, so a dataset can be shared freely across threads.
+    variances, one per effect) positive and finite.  The arrays are
+    copied and write-protected, so a dataset can be shared freely across
+    threads.
     """
 
-    __slots__ = ("_effects", "_within_vars", "_labels")
+    __slots__ = ("_effects", "_within_vars")
 
-    def __init__(self, effects, within_vars, labels: Sequence[str] | None = None):
+    def __init__(self, effects, within_vars):
         y = np.asarray(effects, dtype=float)
         v = np.asarray(within_vars, dtype=float)
         if y.ndim != 1 or v.shape != y.shape:
@@ -53,9 +47,6 @@ class MetaDataset:
         self._within_vars = v.copy()
         self._effects.setflags(write=False)
         self._within_vars.setflags(write=False)
-        self._labels = tuple(labels) if labels is not None else ("",) * y.size
-        if len(self._labels) != y.size:
-            raise DataFormatError("labels length must match the number of studies")
 
     @property
     def effects(self) -> np.ndarray:
@@ -64,10 +55,6 @@ class MetaDataset:
     @property
     def within_vars(self) -> np.ndarray:
         return self._within_vars
-
-    @property
-    def labels(self) -> tuple:
-        return self._labels
 
     @property
     def k(self) -> int:
@@ -107,22 +94,6 @@ class PooledFit:
     var_beta_hat: float
     var_tau2_hat: float
     k: int
-
-
-@dataclass(frozen=True)
-class HetMeasures:
-    """Point values of the heterogeneity measures for one fit.
-
-    i2, rb, m1, m2 lie in [0, 1]; dr is at least 1; cv_b is nonnegative
-    and may be infinite when the pooled effect is zero.
-    """
-
-    i2: float
-    dr: float
-    rb: float
-    cv_b: float
-    m1: float
-    m2: float
 
 
 def _check_studies(y: np.ndarray, v: np.ndarray) -> None:
@@ -204,63 +175,6 @@ def _pooled(y: np.ndarray, v: np.ndarray, tau2) -> tuple:
     w = 1.0 / (v + tau2)
     total = w.sum(axis=-1)
     return (w * y).sum(axis=-1) / total, 1.0 / total
-
-
-def pooled_estimate(data: MetaDataset, tau2: float) -> tuple[float, float]:
-    """Inverse-variance pooled effect at a given between-study variance.
-
-    Weights are 1/(v_i + tau2); tau2 = 0 gives the fixed-effect fit.
-
-    Returns
-    -------
-    (beta_hat, var_beta_hat) : tuple of float
-        The weighted mean and the inverse of the total weight.
-    """
-    if tau2 < 0:
-        raise DataFormatError(f"tau2 must be nonnegative, got {tau2!r}")
-    beta, var_beta = _pooled(data.effects, data.within_vars, tau2)
-    return float(beta), float(var_beta)
-
-
-def i_squared(q: float, k: int) -> float:
-    """Share of total dispersion attributed to between-study variation.
-
-    max(0, (Q - (K-1))/Q), with the 0/0 case at Q = 0 mapped to 0.
-    """
-    if k < 2:
-        raise DataFormatError(f"i_squared needs k >= 2, got {k}")
-    return float(_i_squared(q, k))
-
-
-def _i_squared(q, k: int) -> np.ndarray:
-    """:func:`i_squared` elementwise over an array of Q values."""
-    q = np.asarray(q, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = (q - (k - 1)) / q
-    return np.where((q > 0.0) & (share > 0.0), share, 0.0)
-
-
-def r_b(data: MetaDataset, tau2: float) -> float:
-    """Average share of each study's total variance due to heterogeneity.
-
-    (1/K) sum_i tau2/(v_i + tau2), bounded in [0, 1].
-    """
-    if tau2 < 0:
-        raise DataFormatError(f"tau2 must be nonnegative, got {tau2!r}")
-    if tau2 == 0.0:
-        return 0.0
-    return float(np.mean(tau2 / (data.within_vars + tau2)))
-
-
-def diamond_ratio(data: MetaDataset, tau2: float) -> float:
-    """Ratio of random-effects to fixed-effect pooled-estimate widths.
-
-    sqrt of the ratio of the two pooled variances; at least 1 because
-    adding tau2 can only inflate each study's variance.
-    """
-    _, var_re = pooled_estimate(data, tau2)
-    _, var_fe = pooled_estimate(data, 0.0)
-    return float(np.sqrt(var_re / var_fe))
 
 
 def fit_rem(data: MetaDataset) -> PooledFit:

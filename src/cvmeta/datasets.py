@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import MetaDataset
 from .errors import ConfigError, DataFormatError
-from .simulator import SIM_METHODS, Scenario
+from .simulator import Scenario, normalize_method
 
 __all__ = [
     "cohen_smd",
@@ -51,28 +51,6 @@ __all__ = [
 
 _EFFECT_COLS = ("yi", "vi")
 _TWO_ARM_COLS = ("m1", "sd1", "n1", "m2", "sd2", "n2")
-_LABEL_COLS = ("study", "label", "id")
-
-METHOD_ALIASES = {
-    "wald": "WALD",
-    "wt": "WALD",
-    "alpha-adj": "ALPHA_ADJ",
-    "alpha_adj": "ALPHA_ADJ",
-    "alphaadj": "ALPHA_ADJ",
-    "propimp": "PROPIMP",
-}
-
-
-def normalize_method(token: str) -> str:
-    """Map a user-facing method token to its canonical tag."""
-    key = str(token).strip().lower()
-    tag = METHOD_ALIASES.get(key, key.upper().replace("-", "_"))
-    if tag not in SIM_METHODS:
-        raise ConfigError(
-            f"unknown method {token!r}; choose from "
-            + ", ".join(sorted(set(METHOD_ALIASES)))
-        )
-    return tag
 
 
 def cohen_smd(n1, m1, sd1, n2, m2, sd2):
@@ -121,7 +99,7 @@ def read_effects_csv(path) -> MetaDataset:
     The header decides the schema: columns (yi, vi) are taken as
     precomputed effects and within-study variances; columns
     (m1, sd1, n1, m2, sd2, n2) are two-arm summaries converted through
-    cohen_smd.  An optional study/label column is kept as labels; lines
+    cohen_smd.  Other columns, such as a study label, are ignored; lines
     starting with '#' are comments.
     """
     path = Path(path)
@@ -136,7 +114,6 @@ def read_effects_csv(path) -> MetaDataset:
     fields = [f.strip().lower() for f in reader.fieldnames or []]
     rename = dict(zip(reader.fieldnames or [], fields))
 
-    label_col = next((c for c in _LABEL_COLS if c in fields), None)
     if all(c in fields for c in _EFFECT_COLS):
         schema = _EFFECT_COLS
     elif all(c in fields for c in _TWO_ARM_COLS):
@@ -147,7 +124,7 @@ def read_effects_csv(path) -> MetaDataset:
             f"{_TWO_ARM_COLS}; found {tuple(fields)}"
         )
 
-    effects, variances, labels = [], [], []
+    effects, variances = [], []
     for row_num, raw_row in enumerate(reader, start=2):
         # DictReader files surplus fields under the key None and pads a short row with None
         if None in raw_row or None in raw_row.values():
@@ -173,9 +150,8 @@ def read_effects_csv(path) -> MetaDataset:
                 raise DataFormatError(f"row {row_num}: {exc}") from None
         effects.append(y)
         variances.append(v)
-        labels.append(row.get(label_col, "") if label_col else "")
 
-    return MetaDataset(np.array(effects), np.array(variances), labels=tuple(labels))
+    return MetaDataset(np.array(effects), np.array(variances))
 
 
 def data_path(name: str) -> Path:

@@ -318,7 +318,8 @@ def wald_logit_intervals(fit: PooledFit, alpha: float = 0.05) -> dict[str, Inter
     single construction serves cv, m1, and m2 with bound-by-bound
     consistency.  A zero heterogeneity estimate (or zero pooled effect)
     has no usable logit moments and yields the degenerate maximal
-    intervals instead.
+    intervals instead; an infinite delta-method variance gives the
+    whole range (0, 1) for M1, not marked degenerate.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
@@ -326,8 +327,11 @@ def wald_logit_intervals(fit: PooledFit, alpha: float = 0.05) -> dict[str, Inter
         moments = logit_m1_moments(fit)
     except UndefinedMomentsError:
         return _maximal_all("WALD", alpha, alpha)
-    center = math.log(math.sqrt(fit.tau2_hat) / abs(fit.beta_hat))
     half = norm_quantile(1.0 - alpha / 2.0) * math.sqrt(moments.var_logit_m1)
+    if math.isinf(half):
+        # the center can be infinite too where |beta_hat| is near the float minimum
+        return _linked_intervals(0.0, 1.0, "WALD", alpha, alpha)
+    center = math.log(math.sqrt(fit.tau2_hat) / abs(fit.beta_hat))
     return _linked_intervals(
         inv_logit(center - half), inv_logit(center + half), "WALD", alpha, alpha
     )

@@ -1,4 +1,4 @@
-"""Heterogeneity relative to effect size: the ratio measures and their moments.
+"""Heterogeneity measures of a fit: the ratio family and its moments, I^2, R_b, DR.
 
 The between-study coefficient of variation cv_b = tau/|beta| compares the
 spread of true effects to their typical size.  Two rescalings map it onto
@@ -9,7 +9,12 @@ delta-method variance serve all of them:
 
     logit(m1) = log(cv_b)        logit(m2) = 2 log(cv_b)
 
-Delta-method variance and bias for logit(m1) are provided.
+Delta-method variance and bias for logit(m1) are provided.  The
+comparison measures, which depend on the study sizes, come from the same
+fit: I^2 = (Q - (K-1))/Q, the diamond ratio DR (random-effects over
+fixed-effect pooled standard error) and R_b, the mean share tau^2/(v_i +
+tau^2) of each study's variance due to heterogeneity.  All six are
+reported together by :func:`het_measures`.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HetMeasures, MetaDataset, PooledFit, diamond_ratio, i_squared, r_b
+from .core import MetaDataset, PooledFit
 from .errors import DomainError, UndefinedMomentsError
 
 __all__ = [
+    "HetMeasures",
     "CvMeasure",
     "LogitMoments",
     "cv_measures",
@@ -32,6 +38,22 @@ __all__ = [
     "logit_m1_moments",
     "het_measures",
 ]
+
+
+@dataclass(frozen=True)
+class HetMeasures:
+    """Point values of the heterogeneity measures for one fit.
+
+    i2, rb, m1, m2 lie in [0, 1]; dr is at least 1; cv_b is nonnegative
+    and may be infinite when the pooled effect is zero.
+    """
+
+    i2: float
+    dr: float
+    rb: float
+    cv_b: float
+    m1: float
+    m2: float
 
 
 @dataclass(frozen=True)
@@ -135,6 +157,12 @@ def inv_logit(x: float) -> float:
     return e / (1.0 + e)
 
 
+def _over_square(var: float, x: float) -> float:
+    """var / x^2, infinite where x * x underflows to 0."""
+    xx = x * x
+    return var / xx if xx > 0.0 else math.inf
+
+
 def logit_m1_moments(fit: PooledFit) -> LogitMoments:
     """Delta-method variance and bias of logit(m1) at plug-in estimates.
 
@@ -144,6 +172,9 @@ def logit_m1_moments(fit: PooledFit) -> LogitMoments:
     with T2 the between-study variance estimate and B the pooled effect,
     both taken from the fit together with their estimated variances.
     The squared-scale measure gets 4x the variance and 2x the bias.
+    Where T2^2 or B^2 underflows to 0 (T2 or |B| below about 1e-154),
+    its ratio and the variance are infinite; the bias is then infinite
+    too, or nan if both underflow.
 
     Raises
     ------
@@ -157,20 +188,41 @@ def logit_m1_moments(fit: PooledFit) -> LogitMoments:
         raise UndefinedMomentsError(
             f"moments need tau2_hat > 0 and beta_hat != 0, got ({t2!r}, {b!r})"
         )
-    var_ratio_t = fit.var_tau2_hat / (t2 * t2)
-    var_ratio_b = fit.var_beta_hat / (b * b)
+    var_ratio_t = _over_square(fit.var_tau2_hat, t2)
+    var_ratio_b = _over_square(fit.var_beta_hat, b)
     var1 = var_ratio_t / 4.0 + var_ratio_b
     bias1 = 0.5 * (var_ratio_b - var_ratio_t / 2.0)
     return LogitMoments(var1, bias1, 4.0 * var1, 2.0 * bias1)
 
 
+def _i_squared(q, k: int) -> np.ndarray:
+    """Share of total dispersion attributed to between-study variation, elementwise.
+
+    max(0, (Q - (K-1))/Q) over an array of Q values, with the 0/0 case
+    at Q = 0 mapped to 0.
+    """
+    q = np.asarray(q, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = (q - (k - 1)) / q
+    return np.where((q > 0.0) & (share > 0.0), share, 0.0)
+
+
 def het_measures(data: MetaDataset, fit: PooledFit) -> HetMeasures:
-    """All heterogeneity measures for a fitted dataset."""
-    cm = cv_measures(math.sqrt(fit.tau2_hat), fit.beta_hat)
+    """All heterogeneity measures for a fitted dataset.
+
+    DR is sqrt(var_beta_hat / var_fe) with var_fe = 1/sum(1/v_i), the
+    fixed-effect pooled variance; it is at least 1 because tau2 can only
+    inflate each study's variance.  R_b is (1/K) sum_i tau2/(v_i + tau2),
+    exactly 0 at tau2 = 0.
+    """
+    t2 = fit.tau2_hat
+    v = data.within_vars
+    var_fe = 1.0 / (1.0 / v).sum()
+    cm = cv_measures(math.sqrt(t2), fit.beta_hat)
     return HetMeasures(
-        i2=i_squared(fit.q, fit.k),
-        dr=diamond_ratio(data, fit.tau2_hat),
-        rb=r_b(data, fit.tau2_hat),
+        i2=float(_i_squared(fit.q, fit.k)),
+        dr=math.sqrt(fit.var_beta_hat / var_fe),
+        rb=float(np.mean(t2 / (v + t2))),
         cv_b=cm.cv_b,
         m1=cm.m1,
         m2=cm.m2,

@@ -21,12 +21,13 @@ summaries fit all rows in one batched pass.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import MetaDataset, _check_studies, _dl_pass, _i_squared, fit_rem
+from .core import MetaDataset, _check_studies, _dl_pass, fit_rem
 from .errors import ConfigError
 from .intervals import (
     RATIO_MEASURES,
@@ -34,12 +35,14 @@ from .intervals import (
     propimp_intervals,
     wald_logit_intervals,
 )
-from .measures import _ratio_measures, cv_measures
+from .measures import _i_squared, _ratio_measures, cv_measures
 from .measures import het_measures  # unused here; bench/tracing.py wraps simulator.het_measures
 from .numerics import RngState
 
 __all__ = [
     "SIM_METHODS",
+    "METHOD_ALIASES",
+    "normalize_method",
     "Scenario",
     "WidthSummary",
     "MethodCoverage",
@@ -53,6 +56,27 @@ __all__ = [
 
 SIM_METHODS = ("WALD", "ALPHA_ADJ", "PROPIMP")
 SUMMARY_MEASURES = ("I2", "CV_B", "M1", "M2")
+
+METHOD_ALIASES = {
+    "wald": "WALD",
+    "wt": "WALD",
+    "alpha-adj": "ALPHA_ADJ",
+    "alpha_adj": "ALPHA_ADJ",
+    "alphaadj": "ALPHA_ADJ",
+    "propimp": "PROPIMP",
+}
+
+
+def normalize_method(token: str) -> str:
+    """Map a user-facing method token to its canonical tag."""
+    key = str(token).strip().lower()
+    tag = METHOD_ALIASES.get(key, key.upper().replace("-", "_"))
+    if tag not in SIM_METHODS:
+        raise ConfigError(
+            f"unknown method {token!r}; choose from "
+            + ", ".join(sorted(set(METHOD_ALIASES)))
+        )
+    return tag
 
 
 @dataclass(frozen=True)
@@ -76,9 +100,10 @@ class Scenario:
         Per-study within-study variances.
     reps : int
     methods : tuple of str
-        Subset of SIM_METHODS.
+        Subset of SIM_METHODS; any name :func:`normalize_method` accepts.
     alpha : float
     seed : int
+        Master seed in [0, 2**64).
     """
 
     beta: float
@@ -111,14 +136,19 @@ class Scenario:
             raise ConfigError(f"beta must be finite, got {self.beta!r}")
         if not (math.isfinite(self.tau) and self.tau >= 0):
             raise ConfigError(f"tau must be nonnegative and finite, got {self.tau!r}")
+        for field in ("reps", "seed"):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{field} must be an integer, got {value!r}") from None
         if self.reps < 1:
             raise ConfigError(f"reps must be at least 1, got {self.reps!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be inside (0, 1), got {self.alpha!r}")
-        methods = tuple(str(m).upper() for m in self.methods)
-        unknown = [m for m in methods if m not in SIM_METHODS]
-        if unknown:
-            raise ConfigError(f"unknown methods {unknown}; choose from {SIM_METHODS}")
+        methods = tuple(normalize_method(m) for m in self.methods)
         if not methods:
             raise ConfigError("at least one method is required")
         object.__setattr__(self, "methods", methods)
@@ -163,8 +193,12 @@ class CoverageResult:
     truncation_rate: float
 
     def method(self, name: str) -> MethodCoverage:
+        try:
+            tag = normalize_method(name)
+        except ConfigError:
+            raise KeyError(name) from None
         for mc in self.per_method:
-            if mc.method == name.upper():
+            if mc.method == tag:
                 return mc
         raise KeyError(name)
 
@@ -288,24 +322,17 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
     CoverageResult
     """
     reps = scenario.reps
-    if threads <= 1 or reps < 2:
-        covered, widths, truncated = _run_range(scenario, 0, reps)
+    chunk = -(-reps // max(1, threads))
+    starts = range(0, reps, chunk)
+    stops = [min(s + chunk, reps) for s in starts]
+    if len(starts) == 1:
+        parts = [_run_range(scenario, 0, reps)]
     else:
-        n_methods = len(scenario.methods)
-        covered = np.zeros((n_methods, reps), dtype=np.uint8)
-        widths = np.zeros((n_methods, len(RATIO_MEASURES), reps), dtype=float)
-        truncated = np.zeros(reps, dtype=np.uint8)
-        chunk = max(1, -(-reps // threads))
-        ranges = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_range, scenario, s, e) for s, e in ranges]
-            for (s, e), fut in zip(ranges, futures):
-                c, w, t = fut.result()
-                covered[:, s:e] = c
-                widths[:, :, s:e] = w
-                truncated[s:e] = t
+            parts = list(pool.map(_run_range, [scenario] * len(starts), starts, stops))
+    covered, widths, truncated = (np.concatenate(p, axis=-1) for p in zip(*parts))
 
     per_method = []
     for mi, method in enumerate(scenario.methods):

@@ -127,6 +127,15 @@ class TestAnalyze:
         assert doc["fit"]["tau2_hat"] == 0.0
         assert all(iv["degenerate"] for iv in doc["intervals"])
 
+    @pytest.mark.parametrize("tiny", ["3e-200", "1.5e-323"])
+    def test_pooled_effect_near_zero(self, capsys, tmp_path, tiny):
+        # beta_hat = tiny / 3, whose square underflows to 0
+        csv = write_csv(tmp_path, "tiny.csv", f"yi,vi\n2,1\n-2,1\n{tiny},1\n")
+        code, out, _ = run(capsys, "analyze", "--input", csv, "--method", "wald")
+        assert code == 0
+        m1 = next(iv for iv in json.loads(out)["intervals"] if iv["measure"] == "M1")
+        assert (m1["lower"], m1["upper"], m1["degenerate"]) == (0.0, 1.0, False)
+
     def test_hssp_rescaled_across_the_float_range(self, capsys, tmp_path, hssp):
         # y -> c y, v -> c^2 v leaves every measure bound unchanged; where the
         # weights leave the float range the run must end in a typed numeric

@@ -4,24 +4,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cvmeta.core import (
-    MetaDataset,
-    _dl_pass,
-    _i_squared,
-    _var_tau2,
-    diamond_ratio,
-    fit_rem,
-    i_squared,
-    pooled_estimate,
-    r_b,
-)
+from cvmeta.core import MetaDataset, PooledFit, _dl_pass, _pooled, _var_tau2, fit_rem
 from cvmeta.errors import DataFormatError
+from cvmeta.measures import _i_squared, het_measures
 
 from conftest import random_dataset
 
 
 def dataset(y, v):
     return MetaDataset(np.asarray(y, float), np.asarray(v, float))
+
+
+def pooled(d, tau2):
+    """Pooled effect and its variance at weights 1/(v + tau2), as floats."""
+    b, var = _pooled(d.effects, d.within_vars, tau2)
+    return float(b), float(var)
+
+
+def measures_at(d, tau2):
+    """het_measures of ``d`` for a fit whose between-study variance is ``tau2``."""
+    b, var = pooled(d, tau2)
+    return het_measures(d, PooledFit(b, tau2, fit_rem(d).q, var, 1.0, d.k))
 
 
 def normalizer(d):
@@ -80,29 +83,25 @@ class TestMetaDataset:
         with pytest.raises(ValueError):
             d.effects[0] = 9.0
 
-    def test_label_length_checked(self):
-        with pytest.raises(DataFormatError):
-            MetaDataset(np.ones(3), np.ones(3), labels=("a",))
-
 
 class TestPooledEstimate:
     def test_identical_studies(self):
-        b, var = pooled_estimate(dataset([1, 1], [1, 1]), 0.0)
+        b, var = pooled(dataset([1, 1], [1, 1]), 0.0)
         assert b == 1.0 and var == 0.5
 
     def test_symmetric_average(self):
-        b, var = pooled_estimate(dataset([0, 2], [1, 1]), 0.0)
+        b, var = pooled(dataset([0, 2], [1, 1]), 0.0)
         assert b == 1.0 and var == 0.5
 
     def test_unequal_weights_with_tau2(self):
-        b, var = pooled_estimate(dataset([0, 2], [1, 3]), 1.0)
+        b, var = pooled(dataset([0, 2], [1, 3]), 1.0)
         assert abs(b - 2.0 / 3.0) < 1e-15
         assert abs(var - 4.0 / 3.0) < 1e-15
 
     def test_large_tau2_tends_to_unweighted_mean(self):
         rng = np.random.default_rng(0)
         d = random_dataset(rng)
-        b, _ = pooled_estimate(d, 1e12)
+        b, _ = pooled(d, 1e12)
         assert abs(b - float(np.mean(d.effects))) < 1e-6 * max(1.0, abs(b))
 
 
@@ -228,13 +227,13 @@ class TestVarTau2:
 
 class TestISquared:
     def test_zero_q(self):
-        assert i_squared(0.0, 8) == 0.0
+        assert _i_squared(0.0, 8) == 0.0
 
     def test_midpoint(self):
-        assert i_squared(18.0, 10) == 0.5
+        assert _i_squared(18.0, 10) == 0.5
 
     def test_truncated_below(self):
-        assert i_squared(3.0, 10) == 0.0
+        assert _i_squared(3.0, 10) == 0.0
 
     def test_scalar_and_array_forms_match_reference(self):
         def reference(q, k):
@@ -247,40 +246,41 @@ class TestISquared:
         for k in (2, 10, 35):
             batched = _i_squared(qs, k)
             for i, q in enumerate(qs):
-                assert i_squared(float(q), k) == float(batched[i]) == reference(float(q), k)
+                scalar = float(_i_squared(float(q), k))
+                assert scalar == float(batched[i]) == reference(float(q), k)
 
 
 class TestRb:
     def test_zero_tau2(self):
-        assert r_b(dataset([0, 1], [1, 3]), 0.0) == 0.0
+        assert measures_at(dataset([0, 1], [1, 3]), 0.0).rb == 0.0
 
     def test_direct(self):
-        assert abs(r_b(dataset([0, 1], [1, 3]), 1.0) - 0.375) < 1e-15
+        assert abs(measures_at(dataset([0, 1], [1, 3]), 1.0).rb - 0.375) < 1e-15
 
     def test_small_within_limit(self):
-        assert abs(r_b(dataset([0, 1], [1e-12, 1e-12]), 1.0) - 1.0) < 1e-9
+        assert abs(measures_at(dataset([0, 1], [1e-12, 1e-12]), 1.0).rb - 1.0) < 1e-9
 
     def test_identity_with_pooled_variance(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             d = random_dataset(rng)
             tau2 = float(rng.uniform(0.05, 2.0))
-            _, var_b = pooled_estimate(d, tau2)
-            assert abs(r_b(d, tau2) * d.k * var_b - tau2) < 1e-10
+            _, var_b = pooled(d, tau2)
+            assert abs(measures_at(d, tau2).rb * d.k * var_b - tau2) < 1e-10
 
 
 class TestDiamondRatio:
     def test_tau2_zero(self):
-        assert diamond_ratio(dataset([0, 1], [1, 2]), 0.0) == 1.0
+        assert measures_at(dataset([0, 1], [1, 2]), 0.0).dr == 1.0
 
     def test_direct(self):
-        assert abs(diamond_ratio(dataset([0, 1], [1, 1]), 1.0) - math.sqrt(2.0)) < 1e-14
+        assert abs(measures_at(dataset([0, 1], [1, 1]), 1.0).dr - math.sqrt(2.0)) < 1e-14
 
     def test_at_least_one(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             d = random_dataset(rng)
-            assert diamond_ratio(d, float(rng.uniform(0.0, 2.0))) >= 1.0
+            assert measures_at(d, float(rng.uniform(0.0, 2.0))).dr >= 1.0
 
 
 class TestFits:
@@ -292,7 +292,7 @@ class TestFits:
         q = float(np.sum(w * (d.effects - np.sum(w * d.effects) / np.sum(w)) ** 2))
         assert fit.q == pytest.approx(q, rel=1e-12)
         assert fit.tau2_hat == pytest.approx(max(0.0, untruncated_tau2(d)), rel=1e-12)
-        b, var_b = pooled_estimate(d, fit.tau2_hat)
+        b, var_b = pooled(d, fit.tau2_hat)
         assert fit.beta_hat == b and fit.var_beta_hat == var_b
 
     def test_scale_equivariance_exact(self):
@@ -303,6 +303,5 @@ class TestFits:
         f1, f2 = fit_rem(d), fit_rem(scaled)
         assert f2.beta_hat == 2.0 * f1.beta_hat
         assert f2.tau2_hat == 4.0 * f1.tau2_hat
-        assert i_squared(f2.q, scaled.k) == i_squared(f1.q, d.k)
-        assert r_b(scaled, f2.tau2_hat) == r_b(d, f1.tau2_hat)
-        assert diamond_ratio(scaled, f2.tau2_hat) == diamond_ratio(d, f1.tau2_hat)
+        h1, h2 = het_measures(d, f1), het_measures(scaled, f2)
+        assert (h2.i2, h2.rb, h2.dr) == (h1.i2, h1.rb, h1.dr)

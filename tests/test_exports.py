@@ -1,11 +1,15 @@
 """Every exported name resolves, so removing a function cannot leave a dangling export."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import cvmeta
+from cvmeta.cli import AnalysisReport
+from cvmeta.numerics import RngState
 
 MODULES = ["cvmeta"] + [
     f"cvmeta.{info.name}" for info in pkgutil.iter_modules(cvmeta.__path__)
@@ -26,3 +30,16 @@ def test_modules_with_exports_are_checked():
 
 def test_top_level_all_has_no_duplicates():
     assert len(cvmeta.__all__) == len(set(cvmeta.__all__))
+
+
+def test_names_the_benchmark_tracer_wraps_resolve():
+    # bench/tracing.py wraps these names where the program imports them; a
+    # missing one fails the traced benchmark run, so it fails here first
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [(importlib.import_module(f"cvmeta.{m}"), attr) for m, attr, _ in tracing.WRAPPED]
+    targets += [(RngState, "stream"), (AnalysisReport, "to_json")]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in targets if not hasattr(owner, attr)]
+    assert missing == []

@@ -221,6 +221,23 @@ class TestWaldLogit:
         assert abs(iv.lower - 2.0 / 3.0) < 1e-9
         assert abs(iv.upper - 2.0 / 3.0) < 1e-9
 
+    @pytest.mark.parametrize("c", [1.0, 1e-70, 1e-75])
+    def test_square_underflow_gives_whole_range(self, c):
+        # tau2_hat is about 1e-15 c^2, so at c = 1e-75 its square underflows to 0;
+        # the bounds are those of c = 1, where the variance is finite but huge
+        data = MetaDataset(np.array([0.0, math.sqrt(2.0) * (1.0 + 4e-16)]) * c, [c * c, c * c])
+        fit = fit_rem(data)
+        assert 0.0 < fit.tau2_hat < 1e-14 * c * c
+        m1 = wald_logit_intervals(fit)["M1"]
+        assert (m1.lower, m1.upper, m1.degenerate) == (0.0, 1.0, False)
+
+    @pytest.mark.parametrize("beta", [1e-160, 1e-200, 5e-324])
+    def test_tiny_pooled_effect_gives_whole_range(self, beta):
+        ivs = wald_logit_intervals(synthetic_fit(beta, 1.0))
+        assert (ivs["M1"].lower, ivs["M1"].upper, ivs["M1"].degenerate) == (0.0, 1.0, False)
+        assert (ivs["M2"].lower, ivs["M2"].upper) == (0.0, 1.0)
+        assert ivs["CV_B"].lower == 0.0 and math.isinf(ivs["CV_B"].upper)
+
     def test_degenerate_fit_gives_maximal(self):
         fit = synthetic_fit(0.5, 0.0)
         ivs = wald_logit_intervals(fit)

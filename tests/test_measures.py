@@ -151,6 +151,11 @@ class TestLogitM1Moments:
             assert mom.var_logit_m2 == 4.0 * mom.var_logit_m1
             assert mom.bias_logit_m2 == 2.0 * mom.bias_logit_m1
 
+    @pytest.mark.parametrize("beta, tau2", [(1e-200, 1.0), (5e-324, 1.0), (0.5, 1e-170)])
+    def test_infinite_where_a_square_underflows(self, beta, tau2):
+        mom = logit_m1_moments(synthetic_fit(beta, tau2, 0.01, 0.04))
+        assert math.isinf(mom.var_logit_m1) and math.isinf(mom.var_logit_m2)
+
     def test_undefined_at_zero_tau2(self):
         with pytest.raises(UndefinedMomentsError):
             logit_m1_moments(synthetic_fit(0.5, 0.0, 0.01, 0.04))

@@ -84,6 +84,24 @@ class TestScenario:
         with pytest.raises(ConfigError):
             Scenario(beta=0.5, tau=0.3, methods=(), **SMALL)
 
+    def test_method_aliases_as_in_the_cli(self):
+        sc = Scenario(beta=0.5, tau=0.3, methods=("alpha-adj", "wt", "alpha_adj"), **SMALL)
+        assert sc.methods == ("ALPHA_ADJ", "WALD", "ALPHA_ADJ")
+
+    @pytest.mark.parametrize(
+        "field, value", [("reps", 2.5), ("reps", "40"), ("seed", 1.5), ("seed", -1),
+                         ("seed", 2**64)],
+    )
+    def test_reps_and_seed_checked_at_construction(self, field, value):
+        with pytest.raises(ConfigError):
+            Scenario(beta=0.5, tau=0.3, **{**SMALL, field: value})
+
+    def test_integer_reps_and_seed_stored_as_int(self):
+        sc = Scenario(beta=0.5, tau=0.3, arm_sizes=((10, 10),) * 3,
+                      reps=np.int64(3), seed=np.uint64(2**64 - 1))
+        assert (sc.reps, sc.seed) == (3, 2**64 - 1)
+        assert type(sc.reps) is int and type(sc.seed) is int
+
 
 class TestGenerators:
     def test_smd_deterministic(self):
@@ -181,8 +199,13 @@ class TestRunScenario:
         res = run_scenario(sc)
         assert tuple(mc.method for mc in res.per_method) == SIM_METHODS
         assert res.method("propimp").method == "PROPIMP"
+        assert res.method("alpha-adj").method == "ALPHA_ADJ"
+        assert res.method("wt").method == "WALD"
         with pytest.raises(KeyError):
             res.method("BOOT")
+        wald_only = run_scenario(dataclasses.replace(sc, methods=("WALD",), reps=2))
+        with pytest.raises(KeyError):
+            wald_only.method("alpha-adj")
         for mc in res.per_method:
             assert set(mc.widths) == set(RATIO_MEASURES)
             assert 0.0 <= mc.coverage <= 1.0
