@@ -6,30 +6,31 @@ vary, an equal-split adjustment that lets both vary, and the
 propagating-imprecision envelope that searches over every split.
 """
 
+import math
+
 from cvmeta import fit_rem, load_hssp
 from cvmeta.intervals import (
-    abs_beta_ci,
     alpha_adjusted_intervals,
-    beta_ci,
-    combine_fixed,
+    fixed_intervals,
     propimp_intervals,
     tau2_ci_qprofile,
     wald_logit_intervals,
 )
+from cvmeta.numerics import norm_quantile
 
 data = load_hssp()
 fit = fit_rem(data)
 
 tau_iv = tau2_ci_qprofile(data)
-absb_iv = abs_beta_ci(beta_ci(fit))
+half = norm_quantile(0.975) * math.sqrt(fit.var_beta_hat)
 print(f"components: tau2 in ({tau_iv.lower:.3f}, {tau_iv.upper:.3f}),"
-      f" |beta| in ({absb_iv.lower:.3f}, {absb_iv.upper:.3f})")
+      f" beta in ({fit.beta_hat - half:.3f}, {fit.beta_hat + half:.3f})")
 
 rows = {
     "wald logit": wald_logit_intervals(fit),
-    "fixed tau": combine_fixed(fit, tau_iv, absb_iv, "FIX_TAU"),
-    "fixed beta": combine_fixed(fit, tau_iv, absb_iv, "FIX_BETA"),
-    "both at 95": combine_fixed(fit, tau_iv, absb_iv, "BOTH"),
+    "fixed tau": fixed_intervals(data, "FIXED_TAU", fit=fit),
+    "fixed beta": fixed_intervals(data, "FIXED_BETA", fit=fit),
+    "both at 95": fixed_intervals(data, "BOTH95", fit=fit),
     "alpha adjusted": alpha_adjusted_intervals(data, fit=fit),
     "propimp": propimp_intervals(data, fit=fit)[0],
 }

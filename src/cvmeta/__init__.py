@@ -24,11 +24,9 @@ from .errors import (
 from .intervals import (
     IntervalEstimate,
     PropImpTrace,
-    abs_beta_ci,
     alpha_adjusted_intervals,
     alpha_adjusted_level,
-    beta_ci,
-    combine_fixed,
+    fixed_intervals,
     maximal_interval,
     propimp_intervals,
     tau2_ci_qprofile,
@@ -75,10 +73,9 @@ __all__ = [
     "ConfigError", "CvMetaError", "DataFormatError", "DegenerateWeightsError",
     "DomainError", "NumericFailureError", "UndefinedMomentsError",
     # intervals
-    "IntervalEstimate", "PropImpTrace", "abs_beta_ci",
-    "alpha_adjusted_intervals", "alpha_adjusted_level", "beta_ci",
-    "combine_fixed", "maximal_interval", "propimp_intervals",
-    "tau2_ci_qprofile", "wald_logit_intervals",
+    "IntervalEstimate", "PropImpTrace", "alpha_adjusted_intervals",
+    "alpha_adjusted_level", "fixed_intervals", "maximal_interval",
+    "propimp_intervals", "tau2_ci_qprofile", "wald_logit_intervals",
     # measures
     "CvMeasure", "HetMeasures", "LogitMoments", "cv_measures", "het_measures",
     "inv_logit", "logit", "logit_m1_moments", "measures_from_cv",

@@ -1,22 +1,25 @@
 """Confidence intervals for the heterogeneity-to-effect ratio measures.
 
-Five constructions are provided on top of two component intervals:
+Every construction except the logit-Wald one is the measure at the
+corners of a box of two component intervals: a profile interval for
+the between-study variance (inverting the generalized dispersion
+statistic against chi-square quantiles) and a Wald interval for the
+pooled effect, folded onto the |beta| scale.  The measure rises in tau
+and falls in |beta|, so the lower bound sits at (lower tau, upper
+|beta|) and the upper bound at the opposite corner.  The constructions
+differ only in how the overall critical value z is split between the
+two components, c_tau = z sin(theta) and c_beta = z cos(theta), and one
+private kernel computes the corners for all of them:
 
-* component intervals: a profile interval for the between-study variance
-  (inverting the generalized dispersion statistic against chi-square
-  quantiles) and a Wald interval for the pooled effect, folded onto the
-  |beta| scale by a three-case rule;
 * ``wald_logit_intervals``: symmetric on the logit scale via the
-  delta-method variance, back-transformed;
-* ``combine_fixed``: plug component bounds into the measure with the
-  other parameter fixed (or both varying), exploiting monotonicity;
-* ``alpha_adjusted_intervals``: the both-varying combination with the
-  component confidence levels reduced so that the equal-split corner of
-  the propagating construction is reproduced (about 83.42% components
-  for a 95% target);
+  delta-method variance, back-transformed (no box);
+* ``fixed_intervals``: FIXED_TAU (theta = 0, tau pinned at its
+  estimate), FIXED_BETA (theta = pi/2, |beta| pinned) and BOTH95 (both
+  components at their own level-alpha intervals);
+* ``alpha_adjusted_intervals``: the equal split, theta = pi/4, which
+  reduces both component levels to about 83.42% for a 95% target;
 * ``propimp_intervals``: propagating imprecision, which optimizes the
-  measure over all splits of the critical value between the two
-  components along a quarter circle.
+  measure over every split along the quarter circle.
 
 All measure intervals are computed on the m1 = tau/(tau+|beta|) scale
 first and mapped to the other two scales through the exact links
@@ -32,7 +35,7 @@ unit-scale measures and (0, inf) for the coefficient of variation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +51,8 @@ __all__ = [
     "IntervalEstimate",
     "PropImpTrace",
     "tau2_ci_qprofile",
-    "beta_ci",
-    "abs_beta_ci",
     "wald_logit_intervals",
-    "combine_fixed",
+    "fixed_intervals",
     "alpha_adjusted_intervals",
     "alpha_adjusted_level",
     "propimp_intervals",
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 RATIO_MEASURES = ("CV_B", "M1", "M2")
-MEASURE_TAGS = RATIO_MEASURES + ("TAU2", "BETA", "ABS_BETA")
+MEASURE_TAGS = RATIO_MEASURES + ("TAU2",)
 METHOD_TAGS = (
     "WALD",
     "FIXED_TAU",
@@ -80,8 +81,7 @@ class IntervalEstimate:
     Attributes
     ----------
     lower, upper : float
-        upper may be math.inf.  Bounds are nonnegative for every
-        quantity except the signed pooled effect (measure "BETA").
+        upper may be math.inf.  Bounds are nonnegative.
     measure : str
         One of MEASURE_TAGS.
     method : str
@@ -113,7 +113,7 @@ class IntervalEstimate:
             raise DomainError("interval bounds cannot be NaN")
         if self.lower > self.upper:
             raise DomainError(f"lower {self.lower!r} exceeds upper {self.upper!r}")
-        if self.measure != "BETA" and self.lower < 0:
+        if self.lower < 0:
             raise DomainError(f"{self.measure} lower bound must be nonnegative")
         if self.measure in ("M1", "M2") and self.upper > 1:
             raise DomainError(f"{self.measure} upper bound must be at most 1")
@@ -213,35 +213,41 @@ def tau2_ci_qprofile(data: MetaDataset, alpha: float = 0.05) -> IntervalEstimate
 
 
 # ---------------------------------------------------------------------------
-# pooled-effect intervals
-
-def beta_ci(fit: PooledFit, alpha: float = 0.05) -> IntervalEstimate:
-    """Wald interval for the pooled effect under the fitted weights."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
-    half = norm_quantile(1.0 - alpha / 2.0) * math.sqrt(fit.var_beta_hat)
-    return IntervalEstimate(
-        fit.beta_hat - half, fit.beta_hat + half, "BETA", "WALD", 0.0, alpha
-    )
-
+# the (tau, |beta|) box corners
 
 def _fold_abs(lo, hi):
-    """Elementwise |beta| bounds from signed bounds, by the rule of :func:`abs_beta_ci`."""
-    a = np.where(lo >= 0.0, lo, np.where(hi <= 0.0, -hi, 0.0))
-    b = np.where(lo >= 0.0, hi, np.where(hi <= 0.0, -lo, np.maximum(-lo, hi)))
-    return a, b
-
-
-def abs_beta_ci(beta_interval: IntervalEstimate) -> IntervalEstimate:
-    """Fold a signed-effect interval onto the magnitude scale.
+    """Elementwise |beta| bounds from signed bounds.
 
     Three cases: both bounds positive keep their order under | . |;
     both negative swap; an interval straddling zero becomes
     [0, max of the folded endpoints], the conservative choice.  A zero
     endpoint is grouped with the sign of the other endpoint.
     """
-    a, b = _fold_abs(beta_interval.lower, beta_interval.upper)
-    return replace(beta_interval, lower=float(a), upper=float(b), measure="ABS_BETA")
+    a = np.where(lo >= 0.0, lo, np.where(hi <= 0.0, -hi, 0.0))
+    b = np.where(lo >= 0.0, hi, np.where(hi <= 0.0, -lo, np.maximum(-lo, hi)))
+    return a, b
+
+
+_UPPER = np.array([[False], [True]])  # row 0: lower corner, row 1: upper corner
+
+
+def _corners_m1(data: MetaDataset, fit: PooledFit, c_tau, p_lo, p_up, c_beta) -> np.ndarray:
+    """m1 at the corners of the (tau, |beta|) box, the lower in row 0 and the upper in row 1.
+
+    tau spans the profile roots at chi-square probabilities ``p_lo``
+    (lower corner) and ``p_up`` (upper corner); |beta| spans the fold of
+    beta_hat -/+ c_beta se(beta_hat), its upper end in the lower corner.
+    A critical value of exactly 0 pins its component at the point
+    estimate.  Arguments broadcast, so an array of n splits gives (2, n).
+    """
+    roots = _qprofile_roots(
+        data.effects, data.within_vars, chisq_quantile(np.where(_UPPER, p_up, p_lo), data.k - 1)
+    )
+    tau = np.where(c_tau == 0.0, math.sqrt(fit.tau2_hat), np.sqrt(roots))
+    half = c_beta * math.sqrt(fit.var_beta_hat)
+    b_lo, b_up = _fold_abs(fit.beta_hat - half, fit.beta_hat + half)
+    b = np.where(c_beta == 0.0, abs(fit.beta_hat), np.where(_UPPER, b_lo, b_up))
+    return _m1_corner(tau, b)
 
 
 # ---------------------------------------------------------------------------
@@ -340,67 +346,49 @@ def wald_logit_intervals(fit: PooledFit, alpha: float = 0.05) -> dict[str, Inter
 # ---------------------------------------------------------------------------
 # fixed-parameter and simultaneous combinations
 
-def combine_fixed(
-    fit: PooledFit,
-    tau_interval: IntervalEstimate,
-    abs_beta_interval: IntervalEstimate,
-    mode: str,
+def _box_intervals(
+    data: MetaDataset, fit: PooledFit | None, method: str, a_tau: float, a_beta: float
+) -> dict[str, IntervalEstimate]:
+    """Measure intervals from the box of component intervals at miscoverage a_tau, a_beta.
+
+    A level of 0 pins that component at its point estimate.
+    """
+    if fit is None:
+        fit = fit_rem(data)
+    if fit.tau2_hat == 0.0:
+        return _maximal_all(method, a_tau, a_beta)
+    c_tau = norm_quantile(1.0 - a_tau / 2.0) if a_tau else 0.0
+    c_beta = norm_quantile(1.0 - a_beta / 2.0) if a_beta else 0.0
+    # a pinned tau ignores its roots, so any valid pivot probability serves
+    p_lo, p_up = (1.0 - a_tau / 2.0, a_tau / 2.0) if a_tau else (0.5, 0.5)
+    m1_lo, m1_hi = _corners_m1(data, fit, c_tau, p_lo, p_up, c_beta).ravel().tolist()
+    return _linked_intervals(m1_lo, m1_hi, method, a_tau, a_beta)
+
+
+def fixed_intervals(
+    data: MetaDataset, method: str, alpha: float = 0.05, fit: PooledFit | None = None
 ) -> dict[str, IntervalEstimate]:
     """Combine component intervals into measure intervals by monotonicity.
 
     The measure rises in tau and falls in |beta|, so each bound is the
     measure at a corner of the (tau, |beta|) box:
 
-    * FIX_TAU: tau pinned at its estimate, |beta| spans its interval;
-    * FIX_BETA: |beta| pinned, tau spans the profile interval (square
-      roots of the variance-scale bounds);
-    * BOTH: both parameters at opposite corners.
+    * FIXED_TAU: tau pinned at its estimate, |beta| spans the folded
+      Wald interval;
+    * FIXED_BETA: |beta| pinned, tau spans the profile interval;
+    * BOTH95: both parameters at opposite corners of their intervals.
 
-    Parameters
-    ----------
-    fit : PooledFit
-    tau_interval : IntervalEstimate
-        measure "TAU2" (variance scale; square roots are taken here).
-    abs_beta_interval : IntervalEstimate
-        measure "ABS_BETA".
-    mode : {"FIX_TAU", "FIX_BETA", "BOTH"}
-
-    Returns
-    -------
-    dict mapping "CV_B", "M1", "M2" to IntervalEstimate
-        Method tags "FIXED_TAU", "FIXED_BETA", "BOTH95".  Infinite cv
-        upper bounds are legal values (zero lower |beta| bound).
+    Each spanning component takes its own level-alpha interval.  An
+    infinite cv upper bound is a legal value (zero lower |beta| bound).
     """
-    if tau_interval.measure != "TAU2":
-        raise DomainError(f"tau_interval must be a TAU2 interval, got {tau_interval.measure!r}")
-    if abs_beta_interval.measure != "ABS_BETA":
-        raise DomainError(
-            f"abs_beta_interval must be an ABS_BETA interval, got {abs_beta_interval.measure!r}"
-        )
-    modes = {
-        "FIX_TAU": ("FIXED_TAU", 0.0, abs_beta_interval.alpha_beta),
-        "FIX_BETA": ("FIXED_BETA", tau_interval.alpha_tau, 0.0),
-        "BOTH": ("BOTH95", tau_interval.alpha_tau, abs_beta_interval.alpha_beta),
-    }
-    if mode not in modes:
-        raise DomainError(f"mode must be one of {sorted(modes)}, got {mode!r}")
-    method, a_tau, a_beta = modes[mode]
-
-    tau_hat = math.sqrt(fit.tau2_hat)
-    if tau_hat == 0.0:
-        return _maximal_all(method, a_tau, a_beta)
-    beta_abs = abs(fit.beta_hat)
-    tau_lo = math.sqrt(tau_interval.lower)
-    tau_hi = math.sqrt(tau_interval.upper)
-    b_lo, b_hi = abs_beta_interval.lower, abs_beta_interval.upper
-
-    taus, betas = {
-        "FIX_TAU": ((tau_hat, tau_hat), (b_hi, b_lo)),
-        "FIX_BETA": ((tau_lo, tau_hi), (beta_abs, beta_abs)),
-        "BOTH": ((tau_lo, tau_hi), (b_hi, b_lo)),
-    }[mode]
-    m1_lo, m1_hi = _m1_corner(np.array(taus), np.array(betas)).tolist()
-    return _linked_intervals(m1_lo, m1_hi, method, a_tau, a_beta)
+    methods = ("FIXED_TAU", "FIXED_BETA", "BOTH95")
+    if method not in methods:
+        raise DomainError(f"method must be one of {methods}, got {method!r}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
+    a_tau = 0.0 if method == "FIXED_TAU" else alpha
+    a_beta = 0.0 if method == "FIXED_BETA" else alpha
+    return _box_intervals(data, fit, method, a_tau, a_beta)
 
 
 def alpha_adjusted_level(alpha: float = 0.05) -> float:
@@ -419,17 +407,10 @@ def alpha_adjusted_intervals(
     data: MetaDataset, alpha: float = 0.05, fit: PooledFit | None = None
 ) -> dict[str, IntervalEstimate]:
     """Both-varying combination at the reduced component level."""
-    if fit is None:
-        fit = fit_rem(data)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
     a_eff = alpha_adjusted_level(alpha)
-    if fit.tau2_hat == 0.0:
-        return _maximal_all("ALPHA_ADJ", a_eff, a_eff)
-    tau_iv = tau2_ci_qprofile(data, a_eff)
-    absb_iv = abs_beta_ci(beta_ci(fit, a_eff))
-    combined = combine_fixed(fit, tau_iv, absb_iv, "BOTH")
-    return {
-        m: replace(iv, method="ALPHA_ADJ") for m, iv in combined.items()
-    }
+    return _box_intervals(data, fit, "ALPHA_ADJ", a_eff, a_eff)
 
 
 # ---------------------------------------------------------------------------
@@ -472,25 +453,12 @@ def propimp_intervals(
     if fit.tau2_hat == 0.0:
         return _maximal_all("PROPIMP", alpha, alpha), PropImpTrace(0.0, 0.0, 0)
 
-    y, v, df = data.effects, data.within_vars, data.k - 1
     z = norm_quantile(1.0 - alpha / 2.0)
-    tau_hat = math.sqrt(fit.tau2_hat)
-    beta_hat = fit.beta_hat
-    se_beta = math.sqrt(fit.var_beta_hat)
-    upper = np.array([[False], [True]])  # row 0: lower corner, row 1: upper corner
 
     def corners_m1(theta: np.ndarray) -> np.ndarray:
-        """m1 at angles theta, the lower corner in row 0 and the upper in row 1."""
-        c_tau, c_beta = z * np.sin(theta), z * np.cos(theta)
-        # component level for critical value c, then of the matching pivot:
-        # the lower bound inverts the profile at the upper chi-square tail
-        p_tail = norm_cdf(c_tau)  # = 1 - alpha_c / 2
-        roots = _qprofile_roots(y, v, chisq_quantile(np.where(upper, 1.0 - p_tail, p_tail), df))
-        tau = np.where(c_tau == 0.0, tau_hat, np.sqrt(roots))
-        half = c_beta * se_beta
-        b_lo, b_up = _fold_abs(beta_hat - half, beta_hat + half)
-        b = np.where(c_beta == 0.0, abs(beta_hat), np.where(upper, b_lo, b_up))
-        return _m1_corner(tau, b)
+        c_tau = z * np.sin(theta)
+        p_tail = norm_cdf(c_tau)  # the lower corner's pivot probability, 1 - alpha_c / 2
+        return _corners_m1(data, fit, c_tau, p_tail, 1.0 - p_tail, z * np.cos(theta))
 
     (theta_lo, m1_lo, n_lo), (theta_hi, m1_hi, n_hi) = optimize_1d(
         corners_m1, 0.0, _HALF_PI, modes=("min", "max"), tol=1e-7

@@ -174,7 +174,8 @@ def logit_m1_moments(fit: PooledFit) -> LogitMoments:
     The squared-scale measure gets 4x the variance and 2x the bias.
     Where T2^2 or B^2 underflows to 0 (T2 or |B| below about 1e-154),
     its ratio and the variance are infinite; the bias is then infinite
-    too, or nan if both underflow.
+    too.  If both ratios are infinite, the bias takes the sign of
+    2 T2^2 bias = Var(B) (T2/B)^2 - Var(T2)/2, which cannot be nan.
 
     Raises
     ------
@@ -191,7 +192,11 @@ def logit_m1_moments(fit: PooledFit) -> LogitMoments:
     var_ratio_t = _over_square(fit.var_tau2_hat, t2)
     var_ratio_b = _over_square(fit.var_beta_hat, b)
     var1 = var_ratio_t / 4.0 + var_ratio_b
-    bias1 = 0.5 * (var_ratio_b - var_ratio_t / 2.0)
+    if math.isinf(var_ratio_t) and math.isinf(var_ratio_b):
+        r = t2 / b
+        bias1 = math.copysign(math.inf, fit.var_beta_hat * r * r - fit.var_tau2_hat / 2.0)
+    else:
+        bias1 = 0.5 * (var_ratio_b - var_ratio_t / 2.0)
     return LogitMoments(var1, bias1, 4.0 * var1, 2.0 * bias1)
 
 

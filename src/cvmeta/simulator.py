@@ -101,6 +101,7 @@ class Scenario:
     reps : int
     methods : tuple of str
         Subset of SIM_METHODS; any name :func:`normalize_method` accepts.
+        Stored as canonical tags, duplicates dropped, first occurrence kept.
     alpha : float
     seed : int
         Master seed in [0, 2**64).
@@ -148,7 +149,8 @@ class Scenario:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be inside (0, 1), got {self.alpha!r}")
-        methods = tuple(normalize_method(m) for m in self.methods)
+        # a method named twice, under any alias, is scored once
+        methods = tuple(dict.fromkeys(normalize_method(m) for m in self.methods))
         if not methods:
             raise ConfigError("at least one method is required")
         object.__setattr__(self, "methods", methods)

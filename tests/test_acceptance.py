@@ -21,10 +21,8 @@ from cvmeta.core import fit_rem
 from cvmeta.datasets import data_path, expand_config, load_config
 from cvmeta.intervals import (
     RATIO_MEASURES,
-    abs_beta_ci,
     alpha_adjusted_intervals,
-    beta_ci,
-    combine_fixed,
+    fixed_intervals,
     propimp_intervals,
     tau2_ci_qprofile,
     wald_logit_intervals,
@@ -211,10 +209,8 @@ def test_criterion_04_propimp_against_grid_oracle():
         assert abs(ivs["M1"].upper - oracle_hi) <= 1e-6
 
         adj = alpha_adjusted_intervals(data, fit=fit)
-        absb = abs_beta_ci(beta_ci(fit, 0.05))
-        tau_iv = tau2_ci_qprofile(data, 0.05)
-        fix_beta = combine_fixed(fit, tau_iv, absb, "FIX_BETA")
-        fix_tau = combine_fixed(fit, tau_iv, absb, "FIX_TAU")
+        fix_beta = fixed_intervals(data, "FIXED_BETA", 0.05, fit)
+        fix_tau = fixed_intervals(data, "FIXED_TAU", 0.05, fit)
         for other in (adj, fix_beta, fix_tau):
             for m in RATIO_MEASURES:
                 assert ivs[m].lower <= other[m].lower + 1e-9

@@ -11,18 +11,19 @@ from cvmeta.errors import DomainError
 from cvmeta.intervals import (
     RATIO_MEASURES,
     IntervalEstimate,
+    _corners_m1,
+    _fold_abs,
     _qprofile_roots,
-    abs_beta_ci,
     alpha_adjusted_intervals,
     alpha_adjusted_level,
-    beta_ci,
-    combine_fixed,
+    fixed_intervals,
     maximal_interval,
     propimp_intervals,
     tau2_ci_qprofile,
     wald_logit_intervals,
 )
 from cvmeta.measures import inv_logit, logit
+from cvmeta.numerics import norm_quantile
 
 from conftest import qgen_reference, random_dataset
 
@@ -40,12 +41,55 @@ def synthetic_fit(beta_hat, tau2_hat, var_beta_hat=0.01, var_tau2_hat=0.04):
     )
 
 
-def tau2_iv(lo, hi, alpha=0.05):
-    return IntervalEstimate(lo, hi, "TAU2", "QPROFILE", alpha, 0.0)
+def reference_fold(lo, hi):
+    """|beta| bounds from signed ones: keep, swap, or (0, max) across zero."""
+    if lo >= 0.0:
+        return lo, hi
+    if hi <= 0.0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
 
 
-def absb_iv(lo, hi, alpha=0.05):
-    return IntervalEstimate(lo, hi, "ABS_BETA", "WALD", 0.0, alpha)
+def reference_m1(data, fit, a_tau, a_beta):
+    """M1 bounds of the (tau, |beta|) box composed by hand, one step at a time.
+
+    Profile roots at (1 - a/2, a/2), then beta_hat -/+ c se, then the
+    three-case fold, then t / (t + b) at opposite corners.  A level of
+    0 pins that component at its estimate.
+    """
+    if a_tau:
+        iv = tau2_ci_qprofile(data, a_tau)
+        t_lo, t_hi = math.sqrt(iv.lower), math.sqrt(iv.upper)
+    else:
+        t_lo = t_hi = math.sqrt(fit.tau2_hat)
+    if a_beta:
+        half = norm_quantile(1.0 - a_beta / 2.0) * math.sqrt(fit.var_beta_hat)
+        b_lo, b_hi = reference_fold(fit.beta_hat - half, fit.beta_hat + half)
+    else:
+        b_lo = b_hi = abs(fit.beta_hat)
+
+    def corner(t, b):
+        return 0.0 if t == 0.0 else t / (t + b)
+
+    return corner(t_lo, b_hi), corner(t_hi, b_lo)
+
+
+FIXED_LEVELS = {  # method -> (a_tau, a_beta) at overall alpha
+    "FIXED_TAU": lambda a: (0.0, a),
+    "FIXED_BETA": lambda a: (a, 0.0),
+    "BOTH95": lambda a: (a, a),
+}
+
+
+def reference_datasets():
+    """Seeded datasets: K from 4 to 15, K = 2, and within-study variances over eight decades."""
+    rng = np.random.default_rng(11)
+    out = [random_dataset(rng) for _ in range(30)]
+    out += [random_dataset(rng, k=2) for _ in range(15)]
+    out += [
+        MetaDataset(rng.normal(0.5, 1.0, k), np.logspace(-4.0, 4.0, k)) for k in (2, 3, 9, 20)
+    ]
+    return out
 
 
 class TestIntervalEstimate:
@@ -78,9 +122,13 @@ class TestIntervalEstimate:
         with pytest.raises(DomainError):
             IntervalEstimate(0.1, 1.2, "M2", "WALD", 0.05, 0.05)
 
-    def test_beta_may_be_negative(self):
-        iv = IntervalEstimate(-2.0, -0.5, "BETA", "WALD", 0.0, 0.05)
-        assert iv.lower == -2.0
+    def test_rejects_negative_lower(self):
+        for measure in ("CV_B", "M1", "TAU2"):
+            with pytest.raises(DomainError):
+                IntervalEstimate(-0.5, 0.5, measure, "WALD", 0.05, 0.05)
+        for measure in ("BETA", "ABS_BETA"):
+            with pytest.raises(DomainError):
+                IntervalEstimate(0.5, 1.0, measure, "WALD", 0.0, 0.05)
 
     def test_alpha_levels_validated(self):
         with pytest.raises(DomainError):
@@ -152,12 +200,12 @@ class TestTau2Qprofile:
 
 
 class TestBetaIntervals:
-    def test_wald_half_width(self):
+    def test_wald_half_width(self, hssp):
+        # tau pinned at 1: the M1 corners are 1 / (1 + beta_hat +/- z se)
         fit = synthetic_fit(1.0, 1.0, var_beta_hat=0.25)
-        iv = beta_ci(fit)
-        assert abs(iv.lower - (1.0 - Z975 * 0.5)) < 1e-9
-        assert abs(iv.upper - (1.0 + Z975 * 0.5)) < 1e-9
-        assert iv.measure == "BETA"
+        m1_lo, m1_hi = _corners_m1(hssp, fit, 0.0, 0.5, 0.5, Z975).ravel()
+        assert abs((1.0 / m1_lo - 1.0) - (1.0 + Z975 * 0.5)) < 1e-9
+        assert abs((1.0 / m1_hi - 1.0) - (1.0 - Z975 * 0.5)) < 1e-9
 
     def test_adjusted_level_value(self):
         a = alpha_adjusted_level()
@@ -166,28 +214,28 @@ class TestBetaIntervals:
         assert abs(a - 0.16577627289570396) < 1e-12
         assert round(a, 4) == 0.1658
 
-    def test_adjusted_critical_value(self):
-        # the component critical value at the adjusted level is z / sqrt 2
+    def test_adjusted_critical_value(self, hssp):
+        # the component critical value at the adjusted level is z / sqrt 2:
+        # at beta_hat = 0 with unit se the upper |beta| bound is that value
         a = alpha_adjusted_level()
+        c = norm_quantile(1.0 - a / 2.0)
+        assert abs(c - Z975 / math.sqrt(2.0)) < 1e-9
         fit = synthetic_fit(0.0, 1.0, var_beta_hat=1.0)
-        iv = beta_ci(fit, alpha=a)
-        assert abs(iv.upper - Z975 / math.sqrt(2.0)) < 1e-9
-        assert round(iv.upper, 3) == 1.386
+        m1_lo = _corners_m1(hssp, fit, 0.0, 0.5, 0.5, c)[0, 0]
+        assert round(1.0 / m1_lo - 1.0, 3) == 1.386
 
     def test_abs_fold_positive(self):
-        iv = abs_beta_ci(IntervalEstimate(1.0, 3.0, "BETA", "WALD", 0.0, 0.05))
-        assert (iv.lower, iv.upper) == (1.0, 3.0)
-        assert iv.measure == "ABS_BETA"
+        assert _fold_abs(1.0, 3.0) == (1.0, 3.0)
 
     def test_abs_fold_negative(self):
-        iv = abs_beta_ci(IntervalEstimate(-3.0, -1.0, "BETA", "WALD", 0.0, 0.05))
-        assert (iv.lower, iv.upper) == (1.0, 3.0)
+        assert _fold_abs(-3.0, -1.0) == (1.0, 3.0)
 
     def test_abs_fold_straddling(self):
-        iv = abs_beta_ci(IntervalEstimate(-0.5, 1.0, "BETA", "WALD", 0.0, 0.05))
-        assert (iv.lower, iv.upper) == (0.0, 1.0)
-        other = abs_beta_ci(IntervalEstimate(-2.0, 1.0, "BETA", "WALD", 0.0, 0.05))
-        assert (other.lower, other.upper) == (0.0, 2.0)
+        assert _fold_abs(-0.5, 1.0) == (0.0, 1.0)
+        assert _fold_abs(-2.0, 1.0) == (0.0, 2.0)
+        # a zero endpoint groups with the other endpoint's sign
+        assert _fold_abs(0.0, 2.0) == (0.0, 2.0)
+        assert _fold_abs(-2.0, 0.0) == (0.0, 2.0)
 
 
 class TestWaldLogit:
@@ -248,52 +296,79 @@ class TestWaldLogit:
 
 
 class TestCombineFixed:
-    def test_fix_tau_corners(self):
-        fit = synthetic_fit(1.0, 1.0)
-        out = combine_fixed(fit, tau2_iv(1.0, 4.0), absb_iv(1.0, 3.0), "FIX_TAU")
-        m1 = out["M1"]
-        assert (m1.lower, m1.upper) == (0.25, 0.5)
+    """The fixed-parameter and both-varying combinations of ``fixed_intervals``."""
+
+    def test_fix_tau_corners(self, hssp):
+        fit = fit_rem(hssp)
+        m1 = fixed_intervals(hssp, "FIXED_TAU", fit=fit)["M1"]
+        t, b = math.sqrt(fit.tau2_hat), abs(fit.beta_hat)
+        half = norm_quantile(0.975) * math.sqrt(fit.var_beta_hat)
+        assert fit.beta_hat + half < 0.0  # the negative case of the fold
+        assert (m1.lower, m1.upper) == (t / (t + b + half), t / (t + b - half))
         assert m1.method == "FIXED_TAU"
         assert m1.alpha_tau == 0.0 and m1.alpha_beta == 0.05
 
-    def test_fix_beta_corners(self):
-        fit = synthetic_fit(1.0, 1.0)
-        out = combine_fixed(fit, tau2_iv(1.0, 4.0), absb_iv(1.0, 3.0), "FIX_BETA")
-        m1 = out["M1"]
-        assert (m1.lower, m1.upper) == (0.5, 2.0 / 3.0)
+    def test_fix_beta_corners(self, hssp):
+        fit = fit_rem(hssp)
+        m1 = fixed_intervals(hssp, "FIXED_BETA", fit=fit)["M1"]
+        iv = tau2_ci_qprofile(hssp)
+        t_lo, t_hi, b = math.sqrt(iv.lower), math.sqrt(iv.upper), abs(fit.beta_hat)
+        assert (m1.lower, m1.upper) == (t_lo / (t_lo + b), t_hi / (t_hi + b))
         assert m1.method == "FIXED_BETA"
         assert m1.alpha_tau == 0.05 and m1.alpha_beta == 0.0
 
-    def test_both_corners_and_links(self):
-        fit = synthetic_fit(1.0, 1.0)
-        out = combine_fixed(fit, tau2_iv(1.0, 4.0), absb_iv(1.0, 3.0), "BOTH")
-        assert (out["M1"].lower, out["M1"].upper) == (0.25, 2.0 / 3.0)
-        assert abs(out["CV_B"].lower - 1.0 / 3.0) < 1e-15
-        assert abs(out["CV_B"].upper - 2.0) < 1e-15
-        assert abs(out["M2"].lower - 0.1) < 1e-15
-        assert abs(out["M2"].upper - 0.8) < 1e-15
-        assert out["M1"].method == "BOTH95"
+    def test_both_corners_and_links(self, hssp):
+        fit = fit_rem(hssp)
+        out = fixed_intervals(hssp, "BOTH95", fit=fit)
+        fix_tau = fixed_intervals(hssp, "FIXED_TAU", fit=fit)["M1"]
+        fix_beta = fixed_intervals(hssp, "FIXED_BETA", fit=fit)["M1"]
+        m1 = out["M1"]
+        # both varying is wider than either single-component interval
+        assert m1.lower < min(fix_tau.lower, fix_beta.lower)
+        assert m1.upper > max(fix_tau.upper, fix_beta.upper)
+        assert (m1.lower, m1.upper) == reference_m1(hssp, fit, 0.05, 0.05)
+        for bound in ("lower", "upper"):
+            u = getattr(m1, bound)
+            assert getattr(out["CV_B"], bound) == u / (1.0 - u)
+            assert getattr(out["M2"], bound) == inv_logit(2.0 * logit(u))
+        assert m1.method == "BOTH95"
+        assert m1.alpha_tau == 0.05 and m1.alpha_beta == 0.05
 
-    def test_zero_beta_bound_hits_ceiling(self):
-        fit = synthetic_fit(1.0, 1.0)
-        out = combine_fixed(fit, tau2_iv(1.0, 4.0), absb_iv(0.0, 3.0), "BOTH")
-        assert out["M1"].upper == 1.0
-        assert math.isinf(out["CV_B"].upper)
-        assert out["M2"].upper == 1.0
+    def test_zero_beta_bound_hits_ceiling(self, hssp):
+        # beta_hat -/+ z se straddles 0, so the lower |beta| bound is 0
+        for method in ("FIXED_TAU", "BOTH95"):
+            out = fixed_intervals(hssp, method, fit=synthetic_fit(0.1, 1.0, var_beta_hat=1.0))
+            assert out["M1"].upper == 1.0
+            assert math.isinf(out["CV_B"].upper)
+            assert out["M2"].upper == 1.0
 
     def test_zero_tau2_hat_gives_maximal(self):
-        fit = synthetic_fit(1.0, 0.0)
-        out = combine_fixed(fit, tau2_iv(0.0, 0.0), absb_iv(1.0, 3.0), "FIX_TAU")
-        assert out["M1"].degenerate and out["M1"].upper == 1.0
+        d = MetaDataset([0.4, 0.4, 0.4, 0.4], [0.2, 0.2, 0.2, 0.2])
+        for method in FIXED_LEVELS:
+            out = fixed_intervals(d, method, alpha=0.1)
+            assert all(out[m].degenerate for m in RATIO_MEASURES)
+            assert (out["M1"].lower, out["M1"].upper) == (0.0, 1.0)
+            assert math.isinf(out["CV_B"].upper)
+            m1 = out["M1"]
+            assert (m1.alpha_tau, m1.alpha_beta) == FIXED_LEVELS[method](0.1)
 
-    def test_rejects_mismatched_inputs(self):
-        fit = synthetic_fit(1.0, 1.0)
-        with pytest.raises(DomainError):
-            combine_fixed(fit, absb_iv(1.0, 3.0), absb_iv(1.0, 3.0), "BOTH")
-        with pytest.raises(DomainError):
-            combine_fixed(fit, tau2_iv(1.0, 4.0), tau2_iv(1.0, 4.0), "BOTH")
-        with pytest.raises(DomainError):
-            combine_fixed(fit, tau2_iv(1.0, 4.0), absb_iv(1.0, 3.0), "ANY")
+    def test_rejects_unknown_method(self, hssp):
+        for method in ("ANY", "FIX_TAU", "BOTH", "ALPHA_ADJ", "fixed_tau"):
+            with pytest.raises(DomainError):
+                fixed_intervals(hssp, method)
+        for alpha in (0.0, 1.0, -0.1):
+            with pytest.raises(DomainError):
+                fixed_intervals(hssp, "BOTH95", alpha=alpha)
+
+    def test_matches_reference(self, hssp):
+        for d in [hssp] + reference_datasets():
+            fit = fit_rem(d)
+            if fit.tau2_hat == 0.0:
+                continue
+            for alpha in (0.05, 0.01, 0.2):
+                for method, levels in FIXED_LEVELS.items():
+                    m1 = fixed_intervals(d, method, alpha, fit)["M1"]
+                    assert (m1.lower, m1.upper) == reference_m1(d, fit, *levels(alpha))
 
     def test_maximal_interval_shapes(self):
         assert maximal_interval("CV_B", "WALD").upper == math.inf
@@ -305,17 +380,17 @@ class TestCombineFixed:
 
 class TestAlphaAdjusted:
     def test_matches_manual_combination(self, hssp):
-        fit = fit_rem(hssp)
-        a = alpha_adjusted_level()
-        manual = combine_fixed(
-            fit, tau2_ci_qprofile(hssp, a), abs_beta_ci(beta_ci(fit, a)), "BOTH"
-        )
-        out = alpha_adjusted_intervals(hssp)
-        for m in RATIO_MEASURES:
-            assert out[m].lower == manual[m].lower
-            assert out[m].upper == manual[m].upper
-            assert out[m].method == "ALPHA_ADJ"
-            assert abs(out[m].alpha_tau - a) < 1e-15
+        for d in [hssp] + reference_datasets():
+            fit = fit_rem(d)
+            if fit.tau2_hat == 0.0:
+                continue
+            for alpha in (0.05, 0.01, 0.2):
+                a = alpha_adjusted_level(alpha)
+                out = alpha_adjusted_intervals(d, alpha, fit)
+                assert (out["M1"].lower, out["M1"].upper) == reference_m1(d, fit, a, a)
+                for m in RATIO_MEASURES:
+                    assert out[m].method == "ALPHA_ADJ"
+                    assert out[m].alpha_tau == a and out[m].alpha_beta == a
 
     def test_hssp_values(self, hssp):
         out = alpha_adjusted_intervals(hssp)
@@ -331,7 +406,7 @@ class TestAlphaAdjusted:
 
 
 def propimp_grid(data, fit, n=201):
-    """Brute-force quarter-circle sweep built from the public components."""
+    """Brute-force quarter-circle sweep: profile intervals and a folded Wald interval per angle."""
     z = Z975
     tau_hat = math.sqrt(fit.tau2_hat)
     beta_abs = abs(fit.beta_hat)
@@ -356,9 +431,8 @@ def propimp_grid(data, fit, n=201):
         if c_beta == 0.0:
             b_lo = b_hi = beta_abs
         else:
-            a_beta = 2.0 * float(stats.norm.sf(c_beta))
-            biv = abs_beta_ci(beta_ci(fit, a_beta))
-            b_lo, b_hi = biv.lower, biv.upper
+            half = c_beta * math.sqrt(fit.var_beta_hat)
+            b_lo, b_hi = reference_fold(fit.beta_hat - half, fit.beta_hat + half)
         lows.append(corner(t_lo, b_hi))
         highs.append(corner(t_hi, b_lo))
     return min(lows), max(highs)
@@ -378,13 +452,8 @@ class TestPropImp:
         fit = fit_rem(hssp)
         ivs, _ = propimp_intervals(hssp, fit=fit)
         adj = alpha_adjusted_intervals(hssp, fit=fit)
-        a = alpha_adjusted_level()
-        fix_tau = combine_fixed(
-            fit, tau2_ci_qprofile(hssp, a), abs_beta_ci(beta_ci(fit)), "FIX_TAU"
-        )
-        fix_beta = combine_fixed(
-            fit, tau2_ci_qprofile(hssp), abs_beta_ci(beta_ci(fit)), "FIX_BETA"
-        )
+        fix_tau = fixed_intervals(hssp, "FIXED_TAU", fit=fit)
+        fix_beta = fixed_intervals(hssp, "FIXED_BETA", fit=fit)
         for other in (adj, fix_tau, fix_beta):
             assert ivs["M1"].lower <= other["M1"].lower + 1e-9
             assert ivs["M1"].upper >= other["M1"].upper - 1e-9
@@ -520,3 +589,64 @@ class TestSymmetryInvariance:
         fits = [fit_rem(near_null_dataset(np.random.default_rng(s), k)) for s in range(5)
                 for k in (2, 12)]
         assert all(0.0 < f.tau2_hat < 1e-3 for f in fits)
+
+
+def every_method(data, alpha):
+    """Method tag -> the three measure intervals, for all six constructions."""
+    fit = fit_rem(data)
+    out = {
+        "WALD": wald_logit_intervals(fit, alpha),
+        "ALPHA_ADJ": alpha_adjusted_intervals(data, alpha, fit),
+        "PROPIMP": propimp_intervals(data, alpha, fit)[0],
+    }
+    out.update((m, fixed_intervals(data, m, alpha, fit)) for m in FIXED_LEVELS)
+    return out
+
+
+def linked(u):
+    """(CV_B, M2) at M1 value u through the exact links."""
+    if u <= 0.0:
+        return 0.0, 0.0
+    if u >= 1.0:
+        return math.inf, 1.0
+    return u / (1.0 - u), inv_logit(2.0 * logit(u))
+
+
+class TestMethodProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([2, 2, 3, 5, 12, 40]),
+        alpha=st.sampled_from([0.05, 0.01, 0.2]),
+        near_null=st.booleans(),
+    )
+    def test_propimp_contains_the_box_methods(self, seed, k, alpha, near_null):
+        # ALPHA_ADJ, FIXED_TAU and FIXED_BETA are the propagating search's
+        # objective at theta = pi/4, 0 and pi/2, but the search takes its
+        # probabilities from theta, so a bound may differ from theirs in the
+        # last bits: containment is checked to 1e-9 on the M1 scale
+        rng = np.random.default_rng(seed)
+        d = near_null_dataset(rng, k) if near_null else random_dataset(rng, k=k)
+        ivs = every_method(d, alpha)
+        outer = ivs["PROPIMP"]["M1"]
+        for method in ("ALPHA_ADJ", "FIXED_TAU", "FIXED_BETA"):
+            inner = ivs[method]["M1"]
+            assert outer.lower <= inner.lower + 1e-9, method
+            assert outer.upper >= inner.upper - 1e-9, method
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([2, 2, 3, 5, 12, 40]),
+        alpha=st.sampled_from([0.05, 0.01, 0.2]),
+        near_null=st.booleans(),
+    )
+    def test_links_exact_for_every_method(self, seed, k, alpha, near_null):
+        rng = np.random.default_rng(seed)
+        d = near_null_dataset(rng, k) if near_null else random_dataset(rng, k=k)
+        for method, ivs in every_method(d, alpha).items():
+            m1 = ivs["M1"]
+            for bound in ("lower", "upper"):
+                cv, m2 = linked(getattr(m1, bound))
+                assert getattr(ivs["CV_B"], bound) == cv, method
+                assert getattr(ivs["M2"], bound) == m2, method

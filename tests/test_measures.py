@@ -156,6 +156,23 @@ class TestLogitM1Moments:
         mom = logit_m1_moments(synthetic_fit(beta, tau2, 0.01, 0.04))
         assert math.isinf(mom.var_logit_m1) and math.isinf(mom.var_logit_m2)
 
+    @pytest.mark.parametrize(
+        "beta, tau2, var_beta, var_tau2, sign",
+        [
+            (1e-170, 1e-200, 0.01, 0.04, -1.0),  # Var(T2)/(2 T2^2) dominates
+            (1e-200, 1e-170, 0.01, 0.04, 1.0),  # Var(B)/B^2 dominates
+            (-1e-200, 1e-170, 0.01, 0.04, 1.0),
+            (1e-170, 1e-170, 0.09, 0.04, 1.0),
+            (5e-324, 1e-160, 1.0, 1.0, 1.0),  # (T2/B)^2 overflows
+            (5e-324, 1e-160, 1e-300, 1e300, -1.0),
+        ],
+    )
+    def test_bias_signed_where_both_squares_underflow(self, beta, tau2, var_beta, var_tau2, sign):
+        mom = logit_m1_moments(synthetic_fit(beta, tau2, var_beta, var_tau2))
+        assert math.isinf(mom.var_logit_m1)
+        assert mom.bias_logit_m1 == sign * math.inf
+        assert mom.bias_logit_m2 == sign * math.inf
+
     def test_undefined_at_zero_tau2(self):
         with pytest.raises(UndefinedMomentsError):
             logit_m1_moments(synthetic_fit(0.5, 0.0, 0.01, 0.04))

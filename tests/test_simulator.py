@@ -86,7 +86,13 @@ class TestScenario:
 
     def test_method_aliases_as_in_the_cli(self):
         sc = Scenario(beta=0.5, tau=0.3, methods=("alpha-adj", "wt", "alpha_adj"), **SMALL)
-        assert sc.methods == ("ALPHA_ADJ", "WALD", "ALPHA_ADJ")
+        assert sc.methods == ("ALPHA_ADJ", "WALD")
+
+    def test_duplicate_methods_scored_once(self):
+        sc = Scenario(beta=0.5, tau=0.3, methods=("wald", "PROPIMP", "WALD", "wt"), **SMALL)
+        assert sc.methods == ("WALD", "PROPIMP")
+        result = run_scenario(dataclasses.replace(sc, methods=("wald", "WALD"), reps=5))
+        assert [m.method for m in result.per_method] == ["WALD"]
 
     @pytest.mark.parametrize(
         "field, value", [("reps", 2.5), ("reps", "40"), ("seed", 1.5), ("seed", -1),
