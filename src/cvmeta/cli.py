@@ -15,6 +15,7 @@ no machine-dependent fields, and results never depend on --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,7 +39,7 @@ from .intervals import (
     wald_logit_intervals,
 )
 from .measures import het_measures
-from .simulator import Scenario, measure_summary, normalize_method, run_scenario
+from .simulator import Scenario, measure_summary, normalize_methods, run_scenario
 
 __all__ = ["AnalysisReport", "analyze_dataset", "main"]
 
@@ -53,11 +54,11 @@ TABLE2_K = 10
 TABLE2_N_PER_ARM = 10
 
 
-def _fmt(x, sig=6) -> str:
-    """Fixed-significance text for report tables; inf gets a token."""
+def _fmt(x) -> str:
+    """Six-significant-digit text for report tables; inf gets a token."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    return f"{x:.{sig}g}"
+    return f"{x:.6g}"
 
 
 def _num(x):
@@ -197,11 +198,7 @@ def _report_text(report: AnalysisReport) -> str:
 def cmd_analyze(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"--alpha must be inside (0, 1), got {args.alpha}")
-    methods = tuple(
-        dict.fromkeys(normalize_method(t) for t in args.method.split(",") if t.strip())
-    )
-    if not methods:
-        raise ConfigError("--method must name at least one method")
+    methods = normalize_methods(t for t in args.method.split(",") if t.strip())
     data = read_effects_csv(args.input)
     report = analyze_dataset(data, methods, args.alpha, source=args.input)
     for w in report.warnings:
@@ -267,8 +264,6 @@ def _simulate_csv(rows, results) -> str:
 def cmd_simulate(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-    if args.reps is not None and args.reps < 1:
-        raise ConfigError(f"--reps must be at least 1, got {args.reps}")
     cfg = load_config(args.config)
     name, rows = expand_config(cfg, reps=args.reps, seed=args.seed)
     echo = dict(cfg)
@@ -298,8 +293,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    if args.reps < 1:
-        raise ConfigError(f"--reps must be at least 1, got {args.reps}")
     sizes = tuple((TABLE2_N_PER_ARM, TABLE2_N_PER_ARM) for _ in range(TABLE2_K))
     lines = ["beta,tau,measure,min,q1,median,q3,max"]
     for beta in TABLE2_BETAS:
@@ -317,6 +310,9 @@ def cmd_table2(args) -> int:
     return 0
 
 
+# built once per process: in-process callers run main many times, and
+# parse_args leaves the parser unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvmeta",

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import MetaDataset
 from .errors import ConfigError, DataFormatError
-from .simulator import Scenario, normalize_method
+from .simulator import Scenario
 
 __all__ = [
     "cohen_smd",
@@ -176,41 +176,32 @@ def load_hssp() -> MetaDataset:
     return read_effects_csv(data_path("hssp.csv"))
 
 
-def _cfg_err(field: str, message: str):
-    raise ConfigError(f"{field}: {message}")
+def _number(x, field, integer):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"{field}: expected a number, got {x!r}")
+    # a float's is_integer() is False for inf and nan
+    if integer and not (isinstance(x, int) or x.is_integer()):
+        raise ConfigError(f"{field}: expected an integer, got {x!r}")
+    return int(x) if integer else float(x)
 
 
-def _as_number(cfg, field, default=None, minimum=None, integer=False):
+def _as_number(cfg, field, default=None, integer=False):
     if field not in cfg:
         if default is None:
-            _cfg_err(field, "is required")
+            raise ConfigError(f"{field}: is required")
         return default
-    value = cfg[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _cfg_err(field, f"expected a number, got {value!r}")
-    if integer and int(value) != value:
-        _cfg_err(field, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _cfg_err(field, f"must be at least {minimum}, got {value!r}")
-    return int(value) if integer else float(value)
+    return _number(cfg[field], field, integer)
 
 
-def _as_number_list(cfg, field, minimum=None, integer=False):
+def _as_number_list(cfg, field, integer=False):
+    if field not in cfg:
+        raise ConfigError(f"{field}: is required")
     value = cfg[field]
     if not isinstance(value, list):
         value = [value]
     if not value:
-        _cfg_err(field, "must not be empty")
-    out = []
-    for i, x in enumerate(value):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            _cfg_err(f"{field}[{i}]", f"expected a number, got {x!r}")
-        if integer and int(x) != x:
-            _cfg_err(f"{field}[{i}]", f"expected an integer, got {x!r}")
-        if minimum is not None and x < minimum:
-            _cfg_err(f"{field}[{i}]", f"must be at least {minimum}, got {x!r}")
-        out.append(int(x) if integer else float(x))
-    return out
+        raise ConfigError(f"{field}: must not be empty")
+    return [_number(x, f"{field}[{i}]", integer) for i, x in enumerate(value)]
 
 
 def load_config(source) -> dict:
@@ -242,6 +233,14 @@ def load_config(source) -> dict:
 def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
     """Expand a config dict into concrete scenarios.
 
+    Only the config's JSON shapes and types are checked here: unknown
+    fields, the mode and the size fields it requires or forbids, numbers,
+    integers, lists and ``arm_sizes`` pairs (each arm at least 2).  The
+    range of every setting (reps, seed, tau, beta, alpha, the study count,
+    arm sizes, within-study variances and the method list) is checked by
+    :class:`Scenario` as each row is built, and each entry of
+    ``arm_totals`` by :func:`split_arms`.
+
     ``tau`` (and, with ``n_per_arm``, ``k``) may be lists; the cross
     product defines one scenario per setting.  ``reps``/``seed``
     override the config when given.  Returns (name, rows) with rows a
@@ -253,79 +252,61 @@ def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
     }
     for key in cfg:
         if key not in known:
-            _cfg_err(key, "unknown field")
+            raise ConfigError(f"{key}: unknown field")
 
     name = str(cfg.get("name", "scenario"))
     mode = cfg.get("mode")
     if mode not in ("smd", "normal"):
-        _cfg_err("mode", f"expected 'smd' or 'normal', got {mode!r}")
+        raise ConfigError(f"mode: expected 'smd' or 'normal', got {mode!r}")
     beta = _as_number(cfg, "beta")
-    if "tau" not in cfg:
-        _cfg_err("tau", "is required")
-    taus = _as_number_list(cfg, "tau", minimum=0.0)
-    reps_val = int(reps) if reps is not None else _as_number(cfg, "reps", 2000, 1, integer=True)
-    if reps_val < 1:
-        _cfg_err("reps", f"must be at least 1, got {reps_val}")
-    alpha = _as_number(cfg, "alpha", 0.05)
-    seed_val = int(seed) if seed is not None else _as_number(cfg, "seed", 0, 0, integer=True)
+    taus = _as_number_list(cfg, "tau")
     methods = cfg.get("methods", ["propimp", "alpha-adj", "wald"])
-    if not isinstance(methods, list) or not methods:
-        _cfg_err("methods", "expected a non-empty list")
-    try:
-        method_tags = tuple(dict.fromkeys(normalize_method(m) for m in methods))
-    except ConfigError as exc:
-        raise ConfigError(f"methods: {exc}") from None
+    if not isinstance(methods, list):
+        raise ConfigError(f"methods: expected a list, got {methods!r}")
+    common = dict(
+        beta=beta,
+        reps=_as_number(cfg, "reps", 2000, integer=True) if reps is None else reps,
+        methods=methods,
+        alpha=_as_number(cfg, "alpha", 0.05),
+        seed=_as_number(cfg, "seed", 0, integer=True) if seed is None else seed,
+    )
 
-    common = dict(beta=beta, reps=reps_val, methods=method_tags, alpha=alpha, seed=seed_val)
-    rows = []
+    smd_fields = ("k", "n_per_arm", "arm_totals", "arm_sizes")
+    for field in ("within_vars",) if mode == "smd" else smd_fields:
+        if field in cfg:
+            raise ConfigError(f"{field}: not allowed in {mode} mode")
+    # specs: the per-study data of each setting, crossed with every tau below
     if mode == "normal":
-        for field in ("k", "n_per_arm", "arm_totals", "arm_sizes"):
-            if field in cfg:
-                _cfg_err(field, "not allowed in normal mode")
-        if "within_vars" not in cfg:
-            _cfg_err("within_vars", "is required in normal mode")
-        vs = tuple(_as_number_list(cfg, "within_vars"))
-        for tau in taus:
-            label = {"k": len(vs), "beta": beta, "tau": tau}
-            rows.append((label, Scenario(within_vars=vs, tau=tau, **common)))
-        return name, rows
-
-    if "within_vars" in cfg:
-        _cfg_err("within_vars", "not allowed in smd mode")
-    size_fields = [f for f in ("n_per_arm", "arm_totals", "arm_sizes") if f in cfg]
-    if len(size_fields) != 1:
-        _cfg_err("mode", "smd mode needs exactly one of n_per_arm, arm_totals, arm_sizes")
-    if size_fields[0] == "n_per_arm":
-        n = _as_number(cfg, "n_per_arm", minimum=2, integer=True)
-        if "k" not in cfg:
-            _cfg_err("k", "is required with n_per_arm")
-        ks = _as_number_list(cfg, "k", minimum=2, integer=True)
-        for k in ks:
-            sizes = tuple((n, n) for _ in range(k))
-            for tau in taus:
-                label = {"k": k, "beta": beta, "tau": tau}
-                rows.append((label, Scenario(arm_sizes=sizes, tau=tau, **common)))
-        return name, rows
-
-    if "k" in cfg:
-        _cfg_err("k", "only allowed with n_per_arm")
-    if size_fields[0] == "arm_totals":
-        totals = _as_number_list(cfg, "arm_totals", minimum=3, integer=True)
-        sizes = tuple(split_arms(t) for t in totals)
+        specs = [{"within_vars": tuple(_as_number_list(cfg, "within_vars"))}]
     else:
-        raw = cfg["arm_sizes"]
-        if not isinstance(raw, list) or not raw:
-            _cfg_err("arm_sizes", "expected a non-empty list of [n1, n2] pairs")
-        sizes = []
-        for i, pair in enumerate(raw):
-            if (not isinstance(pair, list)) or len(pair) != 2:
-                _cfg_err(f"arm_sizes[{i}]", f"expected an [n1, n2] pair, got {pair!r}")
-            for j, x in enumerate(pair):
-                if isinstance(x, bool) or not isinstance(x, int) or x < 2:
-                    _cfg_err(f"arm_sizes[{i}][{j}]", f"expected an integer arm size >= 2, got {x!r}")
-            sizes.append((pair[0], pair[1]))
-        sizes = tuple(sizes)
-    for tau in taus:
-        label = {"k": len(sizes), "beta": beta, "tau": tau}
-        rows.append((label, Scenario(arm_sizes=sizes, tau=tau, **common)))
+        size_fields = [f for f in ("n_per_arm", "arm_totals", "arm_sizes") if f in cfg]
+        if len(size_fields) != 1:
+            raise ConfigError(
+                "mode: smd mode needs exactly one of n_per_arm, arm_totals, arm_sizes")
+        if size_fields[0] == "n_per_arm":
+            n = _as_number(cfg, "n_per_arm", integer=True)
+            specs = [{"arm_sizes": ((n, n),) * k} for k in _as_number_list(cfg, "k", integer=True)]
+        elif "k" in cfg:
+            raise ConfigError("k: only allowed with n_per_arm")
+        elif size_fields[0] == "arm_totals":
+            totals = _as_number_list(cfg, "arm_totals", integer=True)
+            specs = [{"arm_sizes": tuple(split_arms(t) for t in totals)}]
+        else:
+            raw = cfg["arm_sizes"]
+            if not isinstance(raw, list) or not raw:
+                raise ConfigError("arm_sizes: expected a non-empty list of [n1, n2] pairs")
+            for i, pair in enumerate(raw):
+                if (not isinstance(pair, list)) or len(pair) != 2:
+                    raise ConfigError(f"arm_sizes[{i}]: expected an [n1, n2] pair, got {pair!r}")
+                for j, x in enumerate(pair):
+                    if isinstance(x, bool) or not isinstance(x, int) or x < 2:
+                        raise ConfigError(
+                            f"arm_sizes[{i}][{j}]: expected an integer arm size >= 2, got {x!r}")
+            specs = [{"arm_sizes": tuple((n1, n2) for n1, n2 in raw)}]
+
+    rows = []
+    for spec in specs:
+        for tau in taus:
+            scenario = Scenario(tau=tau, **spec, **common)
+            rows.append(({"k": scenario.k, "beta": beta, "tau": tau}, scenario))
     return name, rows

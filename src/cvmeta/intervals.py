@@ -279,7 +279,6 @@ def _linked_intervals(
     method: str,
     alpha_tau: float,
     alpha_beta: float,
-    degenerate: bool = False,
 ) -> dict[str, IntervalEstimate]:
     """All three measure intervals from the m1-scale bounds.
 
@@ -293,9 +292,7 @@ def _linked_intervals(
         ("M1", m1_lo, m1_hi),
         ("M2", _m2_from_m1(m1_lo), _m2_from_m1(m1_hi)),
     ):
-        out[measure] = IntervalEstimate(
-            lo, hi, measure, method, alpha_tau, alpha_beta, degenerate
-        )
+        out[measure] = IntervalEstimate(lo, hi, measure, method, alpha_tau, alpha_beta)
     return out
 
 

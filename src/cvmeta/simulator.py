@@ -43,6 +43,7 @@ __all__ = [
     "SIM_METHODS",
     "METHOD_ALIASES",
     "normalize_method",
+    "normalize_methods",
     "Scenario",
     "WidthSummary",
     "MethodCoverage",
@@ -79,13 +80,26 @@ def normalize_method(token: str) -> str:
     return tag
 
 
+def normalize_methods(tokens: Iterable) -> tuple:
+    """Canonical tags of a method list, each named once, first occurrence kept.
+
+    Raises ConfigError for an unknown method or an empty list.
+    """
+    methods = tuple(dict.fromkeys(map(normalize_method, tokens)))
+    if not methods:
+        raise ConfigError("at least one method is required")
+    return methods
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One simulation setting.
 
     Exactly one of ``arm_sizes`` (standardized-mean-difference mode) and
     ``within_vars`` (normal mode) must be present; its length is the
-    study count :attr:`k`.
+    study count :attr:`k`.  This is the one place that checks the range
+    of every field below; a value out of range raises ConfigError when
+    the scenario is built.
 
     Attributes
     ----------
@@ -101,7 +115,7 @@ class Scenario:
     reps : int
     methods : tuple of str
         Subset of SIM_METHODS; any name :func:`normalize_method` accepts.
-        Stored as canonical tags, duplicates dropped, first occurrence kept.
+        Stored as :func:`normalize_methods` returns them.
     alpha : float
     seed : int
         Master seed in [0, 2**64).
@@ -149,11 +163,7 @@ class Scenario:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be inside (0, 1), got {self.alpha!r}")
-        # a method named twice, under any alias, is scored once
-        methods = tuple(dict.fromkeys(normalize_method(m) for m in self.methods))
-        if not methods:
-            raise ConfigError("at least one method is required")
-        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "methods", normalize_methods(self.methods))
 
     @property
     def mode(self) -> str:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cvmeta
-from cvmeta.cli import main
+from cvmeta.cli import build_parser, main
 from cvmeta.datasets import cohen_smd, data_path
 from cvmeta.errors import NumericFailureError
 
@@ -275,6 +275,10 @@ class TestSimulate:
         assert code == 2
 
 
+def no_run(*args, **kwargs):
+    raise AssertionError("bad input must stop the run before any scenario or analysis")
+
+
 def _non_utf8(tmp_path, name, head):
     p = tmp_path / name
     p.write_bytes(head + b"\xff\xfe\n")
@@ -294,13 +298,72 @@ def _non_utf8(tmp_path, name, head):
     ids=["non_utf8_csv", "config_is_directory", "non_utf8_config", "out_is_a_file"],
 )
 def test_unreadable_or_unwritable_files_exit_2(capsys, tmp_path, monkeypatch, argv):
-    def no_run(*args, **kwargs):
-        raise AssertionError("a file error must stop the run before any scenario")
-
     monkeypatch.setattr("cvmeta.cli.run_scenario", no_run)
     code, out, err = run(capsys, *argv(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+SMD_CONFIG = {"name": "bad", "mode": "smd", "beta": 0.5, "tau": 0.3, "k": 3, "n_per_arm": 5,
+              "reps": 2, "seed": 3, "methods": ["wald"]}
+
+
+def simulate_with(**changes):
+    """argv of a simulate run on a small smd config with some fields replaced.
+
+    An ``arm_totals`` change replaces ``k`` and ``n_per_arm``.
+    """
+    def argv(tmp_path):
+        cfg = dict(SMD_CONFIG)
+        if "arm_totals" in changes:
+            del cfg["k"], cfg["n_per_arm"]
+        cfg.update(changes)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))  # inf and nan are written as Infinity and NaN
+        return ["simulate", "--config", str(path)]
+
+    return argv
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("field", ["reps", "seed", "k", "n_per_arm", "arm_totals"])
+def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, value):
+    monkeypatch.setattr("cvmeta.cli.run_scenario", no_run)
+    listed = field in ("k", "arm_totals")
+    argv = simulate_with(**{field: [value] if listed else value})(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    where = f"{field}[0]" if listed else field
+    assert err.startswith(f"error: {where}: expected an integer, got ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (simulate_with(reps=0), "reps must be at least 1, got 0"),
+        (simulate_with(seed=-1), "seed must fit in 64 unsigned bits, got -1"),
+        (simulate_with(tau=-0.1), "tau must be nonnegative and finite, got -0.1"),
+        (simulate_with(k=1), "a scenario needs at least 2 studies, got 1"),
+        (simulate_with(n_per_arm=1), "got (1, 1)"),
+        (simulate_with(arm_totals=[2]), "total sample size must exceed 2, got 2"),
+        (simulate_with(methods=[]), "at least one method is required"),
+        (simulate_with(methods=["boot"]), "unknown method 'boot'"),
+        (lambda tmp: ["simulate", "--config", "smoke", "--reps", "0"],
+         "reps must be at least 1, got 0"),
+        (lambda tmp: ["table2", "--reps", "0"], "reps must be at least 1, got 0"),
+        (lambda tmp: ["analyze", "--input", HSSP_CSV, "--method", ","],
+         "at least one method is required"),
+    ],
+    ids=["reps", "seed", "tau", "k", "n_per_arm", "arm_totals", "no_methods",
+         "unknown_method", "simulate_reps_flag", "table2_reps_flag", "analyze_no_method"],
+)
+def test_out_of_range_setting_exits_2(capsys, tmp_path, monkeypatch, argv, message):
+    # each range is checked once, by Scenario, split_arms or normalize_methods
+    for runner in ("run_scenario", "measure_summary", "analyze_dataset"):
+        monkeypatch.setattr(f"cvmeta.cli.{runner}", no_run)
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 class TestTable2:
@@ -321,6 +384,13 @@ class TestTable2:
     def test_bad_reps_exits_2(self, capsys):
         code, _, _ = run(capsys, "table2", "--reps", "0")
         assert code == 2
+
+
+def test_parser_built_once_keeps_its_defaults(capsys):
+    assert build_parser() is build_parser()
+    assert run(capsys, "table2", "--reps", "2", "--seed", "4")[0] == 0
+    args = build_parser().parse_args(["table2"])
+    assert (args.reps, args.seed) == (1000, 9)
 
 
 IMPORT_COST_SCRIPT = """

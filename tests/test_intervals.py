@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cvmeta.cli import analyze_dataset
 from cvmeta.core import MetaDataset, PooledFit, fit_rem
 from cvmeta.errors import DomainError
 from cvmeta.intervals import (
@@ -650,3 +652,37 @@ class TestMethodProperties:
                 cv, m2 = linked(getattr(m1, bound))
                 assert getattr(ivs["CV_B"], bound) == cv, method
                 assert getattr(ivs["M2"], bound) == m2, method
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([2, 2, 3, 5, 12, 40]),
+        near_null=st.booleans(),
+    )
+    def test_nested_in_alpha(self, seed, k, near_null):
+        # a smaller alpha widens every component interval, so each M1
+        # interval lies inside the one at the next smaller alpha, exactly
+        rng = np.random.default_rng(seed)
+        d = near_null_dataset(rng, k) if near_null else random_dataset(rng, k=k)
+        by_alpha = [every_method(d, alpha) for alpha in (0.2, 0.05, 0.01)]
+        for method in ("WALD", "ALPHA_ADJ", "BOTH95", "PROPIMP"):
+            for narrow, wide in zip(by_alpha, by_alpha[1:]):
+                inner, outer = narrow[method]["M1"], wide[method]["M1"]
+                assert outer.lower <= inner.lower, method
+                assert inner.upper <= outer.upper, method
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 2, 3, 5, 12, 40]))
+    def test_pooled_effect_near_zero(self, seed, k):
+        # shifting every effect leaves the residuals and moves beta_hat to
+        # delta up to rounding: exactly 0 on some datasets, near 1e-17 on
+        # most, and 1e-6 at the largest delta
+        d = random_dataset(np.random.default_rng(seed), k=k)
+        beta_hat = fit_rem(d).beta_hat
+        for delta in (0.0, 1e-300, 1e-160, 1e-30, 1e-6):
+            shifted = MetaDataset(d.effects - beta_hat + delta, d.within_vars)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                report = analyze_dataset(shifted, ("WALD", "ALPHA_ADJ", "PROPIMP"), 0.05)
+            for iv in report.intervals:
+                assert 0.0 <= iv.lower <= iv.upper, (delta, iv)
