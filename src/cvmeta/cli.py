@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     NumericFailureError,
 )
+# the three method functions are unused here; bench/tracing.py wraps them at cli
 from .intervals import (
     RATIO_MEASURES,
     alpha_adjusted_intervals,
@@ -39,7 +40,9 @@ from .intervals import (
     wald_logit_intervals,
 )
 from .measures import het_measures
-from .simulator import Scenario, measure_summary, normalize_methods, run_scenario
+from .simulator import (
+    METHODS, SIM_METHODS, Scenario, measure_summary, normalize_methods, run_scenario,
+)
 
 __all__ = ["AnalysisReport", "analyze_dataset", "main"]
 
@@ -108,19 +111,16 @@ class AnalysisReport:
 
 
 def analyze_dataset(data, methods, alpha, source="<memory>") -> AnalysisReport:
-    """Fit, measure, and compute intervals for one dataset."""
+    """Fit, measure, and compute intervals for one dataset.
+
+    ``methods`` is any method list :func:`normalize_methods` accepts.
+    """
+    methods = normalize_methods(methods)
     fit = fit_rem(data)
     hm = het_measures(data, fit)
     intervals = []
     for tag in methods:
-        if tag == "WALD":
-            per = wald_logit_intervals(fit, alpha)
-        elif tag == "ALPHA_ADJ":
-            per = alpha_adjusted_intervals(data, alpha, fit)
-        elif tag == "PROPIMP":
-            per = propimp_intervals(data, alpha, fit)[0]
-        else:
-            raise ConfigError(f"unknown method tag {tag!r}")
+        per = METHODS[tag](data, fit, alpha)
         intervals.extend(per[m] for m in RATIO_MEASURES)
 
     warnings = (DEGENERATE_WARNING,) if fit.tau2_hat == 0.0 else ()
@@ -136,14 +136,7 @@ def analyze_dataset(data, methods, alpha, source="<memory>") -> AnalysisReport:
             "var_tau2_hat": fit.var_tau2_hat,
             "q": fit.q,
         },
-        measures={
-            "i2": hm.i2,
-            "dr": hm.dr,
-            "rb": hm.rb,
-            "cv_b": hm.cv_b,
-            "m1": hm.m1,
-            "m2": hm.m2,
-        },
+        measures=asdict(hm),
         intervals=tuple(intervals),
         warnings=warnings,
         provenance={
@@ -324,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--input", required=True, help="CSV with (yi, vi) or two-arm columns")
     p_an.add_argument(
         "--method",
-        default="propimp,alpha-adj,wald",
+        default=",".join(SIM_METHODS),
         help="comma-separated subset of propimp, alpha-adj, wald",
     )
     p_an.add_argument("--alpha", type=float, default=0.05)

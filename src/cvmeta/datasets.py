@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import MetaDataset
 from .errors import ConfigError, DataFormatError
-from .simulator import Scenario
+from .simulator import SIM_METHODS, Scenario
 
 __all__ = [
     "cohen_smd",
@@ -104,7 +104,7 @@ def read_effects_csv(path) -> MetaDataset:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
@@ -217,7 +217,7 @@ def load_config(source) -> dict:
                 + ", ".join(list_configs())
             )
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
@@ -260,7 +260,7 @@ def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
         raise ConfigError(f"mode: expected 'smd' or 'normal', got {mode!r}")
     beta = _as_number(cfg, "beta")
     taus = _as_number_list(cfg, "tau")
-    methods = cfg.get("methods", ["propimp", "alpha-adj", "wald"])
+    methods = cfg.get("methods", list(SIM_METHODS))
     if not isinstance(methods, list):
         raise ConfigError(f"methods: expected a list, got {methods!r}")
     common = dict(

@@ -40,6 +40,7 @@ from .measures import het_measures  # unused here; bench/tracing.py wraps simula
 from .numerics import RngState
 
 __all__ = [
+    "METHODS",
     "SIM_METHODS",
     "METHOD_ALIASES",
     "normalize_method",
@@ -55,7 +56,16 @@ __all__ = [
     "measure_summary",
 ]
 
-SIM_METHODS = ("WALD", "ALPHA_ADJ", "PROPIMP")
+# The interval methods of `analyze` and `simulate`, in default order: tag ->
+# entry(data, fit, alpha) -> {measure: IntervalEstimate}.  Entries look the
+# functions up at call time: bench/tracing.py wraps these module globals, and
+# a stored function object would bypass its wrapper.
+METHODS = {
+    "PROPIMP": lambda data, fit, alpha: propimp_intervals(data, alpha, fit)[0],
+    "ALPHA_ADJ": lambda data, fit, alpha: alpha_adjusted_intervals(data, alpha, fit),
+    "WALD": lambda data, fit, alpha: wald_logit_intervals(fit, alpha),
+}
+SIM_METHODS = tuple(METHODS)
 SUMMARY_MEASURES = ("I2", "CV_B", "M1", "M2")
 
 METHOD_ALIASES = {
@@ -72,7 +82,7 @@ def normalize_method(token: str) -> str:
     """Map a user-facing method token to its canonical tag."""
     key = str(token).strip().lower()
     tag = METHOD_ALIASES.get(key, key.upper().replace("-", "_"))
-    if tag not in SIM_METHODS:
+    if tag not in METHODS:
         raise ConfigError(
             f"unknown method {token!r}; choose from "
             + ", ".join(sorted(set(METHOD_ALIASES)))
@@ -106,7 +116,8 @@ class Scenario:
     beta : float
         True pooled effect, finite.
     tau : float
-        True between-study standard deviation, nonnegative and finite.
+        True between-study standard deviation, nonnegative and finite;
+        -0.0 is refused.
     arm_sizes : tuple of (int, int) or None
         Per-study two-arm sample sizes, each arm at least 1 and
         n1 + n2 > 2.
@@ -114,8 +125,9 @@ class Scenario:
         Per-study within-study variances.
     reps : int
     methods : tuple of str
-        Subset of SIM_METHODS; any name :func:`normalize_method` accepts.
-        Stored as :func:`normalize_methods` returns them.
+        Tags of :data:`METHODS`; any name :func:`normalize_method` accepts.
+        Stored as :func:`normalize_methods` returns them.  The default is
+        every method, in the table's order.
     alpha : float
     seed : int
         Master seed in [0, 2**64).
@@ -149,7 +161,8 @@ class Scenario:
             raise ConfigError(f"a scenario needs at least 2 studies, got {self.k}")
         if not math.isfinite(self.beta):
             raise ConfigError(f"beta must be finite, got {self.beta!r}")
-        if not (math.isfinite(self.tau) and self.tau >= 0):
+        # copysign refuses -0.0, which numpy's normal rejects as a scale
+        if not (math.isfinite(self.tau) and math.copysign(1.0, self.tau) > 0):
             raise ConfigError(f"tau must be nonnegative and finite, got {self.tau!r}")
         for field in ("reps", "seed"):
             value = getattr(self, field)
@@ -279,16 +292,6 @@ def _draws(scenario: Scenario, rngs: Iterable[np.random.Generator]) -> tuple:
     return y, inv_n + y * y / two_n
 
 
-def _intervals_for(method: str, data, fit, alpha):
-    if method == "WALD":
-        return wald_logit_intervals(fit, alpha)
-    if method == "ALPHA_ADJ":
-        return alpha_adjusted_intervals(data, alpha, fit)
-    if method == "PROPIMP":
-        return propimp_intervals(data, alpha, fit)[0]
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def _run_range(scenario: Scenario, start: int, stop: int):
     """Score replications [start, stop); returns per-rep arrays.
 
@@ -311,7 +314,7 @@ def _run_range(scenario: Scenario, start: int, stop: int):
         if fit.tau2_hat == 0.0:
             truncated[j] = 1
         for mi, method in enumerate(scenario.methods):
-            ivs = _intervals_for(method, data, fit, scenario.alpha)
+            ivs = METHODS[method](data, fit, scenario.alpha)
             covered[mi, j] = 1 if ivs["M1"].contains(true_m1) else 0
             for qi, measure in enumerate(RATIO_MEASURES):
                 widths[mi, qi, j] = ivs[measure].width

@@ -47,6 +47,19 @@ class TestAnalyze:
         assert abs(adj_cv["lower"] - 0.733) < 2e-3
         assert abs(adj_cv["upper"] - 8.358) < 2e-3
 
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        bom_csv = tmp_path / "hssp_bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + Path(HSSP_CSV).read_bytes())
+        code, plain, _ = run(capsys, "analyze", "--input", HSSP_CSV)
+        assert code == 0
+        code, with_bom, err = run(capsys, "analyze", "--input", str(bom_csv))
+        assert code == 0 and err == ""
+        plain, with_bom = json.loads(plain), json.loads(with_bom)
+        assert with_bom["provenance"].pop("input") == str(bom_csv)
+        del plain["provenance"]["input"]
+        assert with_bom == plain
+
     def test_two_arm_matches_precomputed(self, capsys, tmp_path):
         arms = [
             (12, 1.2, 0.9, 14, 0.4, 1.1),
@@ -343,6 +356,8 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
         (simulate_with(reps=0), "reps must be at least 1, got 0"),
         (simulate_with(seed=-1), "seed must fit in 64 unsigned bits, got -1"),
         (simulate_with(tau=-0.1), "tau must be nonnegative and finite, got -0.1"),
+        (simulate_with(tau=-0.0), "tau must be nonnegative and finite, got -0.0"),
+        (simulate_with(tau=[0.2, -0.0]), "tau must be nonnegative and finite, got -0.0"),
         (simulate_with(k=1), "a scenario needs at least 2 studies, got 1"),
         (simulate_with(n_per_arm=1), "got (1, 1)"),
         (simulate_with(arm_totals=[2]), "total sample size must exceed 2, got 2"),
@@ -354,7 +369,7 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
         (lambda tmp: ["analyze", "--input", HSSP_CSV, "--method", ","],
          "at least one method is required"),
     ],
-    ids=["reps", "seed", "tau", "k", "n_per_arm", "arm_totals", "no_methods",
+    ids=["reps", "seed", "tau", "tau_negative_zero", "tau_list_negative_zero", "k", "n_per_arm", "arm_totals", "no_methods",
          "unknown_method", "simulate_reps_flag", "table2_reps_flag", "analyze_no_method"],
 )
 def test_out_of_range_setting_exits_2(capsys, tmp_path, monkeypatch, argv, message):

@@ -146,6 +146,11 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="smoke.json"):
             load_config("missing_config")
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        p = tmp_path / "smoke_bom.json"
+        p.write_bytes(b"\xef\xbb\xbf" + config_path("smoke").read_bytes())
+        assert load_config(p) == load_config("smoke")
+
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

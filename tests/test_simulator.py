@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from cvmeta import simulator
+from cvmeta.cli import analyze_dataset
 from cvmeta.core import MetaDataset, _check_studies, fit_rem
+from cvmeta.datasets import load_hssp
 from cvmeta.errors import ConfigError, DataFormatError
 from cvmeta.intervals import (
     RATIO_MEASURES,
@@ -16,6 +19,7 @@ from cvmeta.intervals import (
 from cvmeta.measures import cv_measures, het_measures
 from cvmeta.numerics import RngState
 from cvmeta.simulator import (
+    METHODS,
     SIM_METHODS,
     Scenario,
     _draws,
@@ -48,6 +52,10 @@ class TestScenario:
     def test_validation(self):
         with pytest.raises(ConfigError):
             Scenario(beta=0.5, tau=-0.1, **SMALL)
+        # numpy's normal refuses a scale of -0.0
+        with pytest.raises(ConfigError, match="got -0.0"):
+            Scenario(beta=0.5, tau=-0.0, **SMALL)
+        assert Scenario(beta=0.5, tau=0.0, **SMALL).tau == 0.0
         with pytest.raises(ConfigError):
             Scenario(beta=0.5, tau=0.3, arm_sizes=((1, 1),) * 3)
         with pytest.raises(ConfigError):
@@ -107,6 +115,46 @@ class TestScenario:
                       reps=np.int64(3), seed=np.uint64(2**64 - 1))
         assert (sc.reps, sc.seed) == (3, 2**64 - 1)
         assert type(sc.reps) is int and type(sc.seed) is int
+
+
+class TestMethodTable:
+    FUNCTIONS = ("wald_logit_intervals", "alpha_adjusted_intervals", "propimp_intervals")
+
+    def count_calls(self, monkeypatch):
+        """Wrap the method functions where the table looks them up."""
+        calls = dict.fromkeys(self.FUNCTIONS, 0)
+        for name in self.FUNCTIONS:
+            def counted(*args, _name=name, _orig=getattr(simulator, name)):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(simulator, name, counted)
+        return calls
+
+    def test_order_is_the_default(self):
+        assert SIM_METHODS == tuple(METHODS) == ("PROPIMP", "ALPHA_ADJ", "WALD")
+        assert Scenario(beta=0.5, tau=0.3, **SMALL).methods == SIM_METHODS
+
+    def test_analyze_looks_functions_up_at_call_time(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        analyze_dataset(load_hssp(), SIM_METHODS, 0.05)
+        assert calls == dict.fromkeys(self.FUNCTIONS, 1)
+
+    def test_simulate_looks_functions_up_at_call_time(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        run_scenario(Scenario(beta=0.5, tau=0.3, **{**SMALL, "reps": 3}), threads=1)
+        assert calls == dict.fromkeys(self.FUNCTIONS, 3)
+
+    def test_analyze_normalizes_and_dedupes(self):
+        report = analyze_dataset(load_hssp(), ["wald", "WALD", "alpha-adj"], 0.05)
+        tags = [iv.method for iv in report.intervals]
+        assert tags == ["WALD"] * len(RATIO_MEASURES) + ["ALPHA_ADJ"] * len(RATIO_MEASURES)
+        assert report.provenance["methods"] == ["WALD", "ALPHA_ADJ"]
+
+    @pytest.mark.parametrize("methods", [["boot"], []])
+    def test_analyze_rejects_unknown_or_no_method(self, methods):
+        with pytest.raises(ConfigError):
+            analyze_dataset(load_hssp(), methods, 0.05)
 
 
 class TestGenerators:
