@@ -27,7 +27,6 @@ from .intervals import (
     alpha_adjusted_intervals,
     alpha_adjusted_level,
     fixed_intervals,
-    maximal_interval,
     propimp_intervals,
     tau2_ci_qprofile,
     wald_logit_intervals,
@@ -74,8 +73,8 @@ __all__ = [
     "DomainError", "NumericFailureError", "UndefinedMomentsError",
     # intervals
     "IntervalEstimate", "PropImpTrace", "alpha_adjusted_intervals",
-    "alpha_adjusted_level", "fixed_intervals", "maximal_interval",
-    "propimp_intervals", "tau2_ci_qprofile", "wald_logit_intervals",
+    "alpha_adjusted_level", "fixed_intervals", "propimp_intervals",
+    "tau2_ci_qprofile", "wald_logit_intervals",
     # measures
     "CvMeasure", "HetMeasures", "LogitMoments", "cv_measures", "het_measures",
     "inv_logit", "logit", "logit_m1_moments", "measures_from_cv",

@@ -124,8 +124,9 @@ def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
     Raises
     ------
     DegenerateWeightsError
-        If any normalization S1 - S2/S1 or estimate is not a positive,
-        finite float (weights out of the float range at extreme scales).
+        If any normalization S1 - S2/S1 is not a positive, finite float
+        (weights out of the float range at extreme scales) or Q or the
+        estimate overflows.
     """
     with np.errstate(all="ignore"):
         w = 1.0 / v
@@ -134,10 +135,16 @@ def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
         q = (w * (y - beta_fem[..., None]) ** 2).sum(axis=-1)
         denom = 2.0 * (w[..., 1:] * np.cumsum(w[..., :-1], axis=-1)).sum(axis=-1) / s1
         untrunc = (q - (y.shape[-1] - 1)) / denom
-    if not ((denom > 0) & (denom < np.inf) & np.isfinite(untrunc)).all():
+    if not ((denom > 0) & (denom < np.inf)).all():
         raise DegenerateWeightsError(
             f"S1 - S2/S1 = {float(np.min(denom))!r} is not positive and finite, or the"
             " estimate overflows; moment estimator undefined"
+        )
+    if not np.isfinite(untrunc).all():
+        bad = np.argmin(np.isfinite(untrunc))  # the first row that overflows
+        raise DegenerateWeightsError(
+            f"the tau2 estimate overflows (Q = {float(q.flat[bad])!r}, S1 - S2/S1 ="
+            f" {float(denom.flat[bad])!r}); moment estimator undefined"
         )
     tau2 = np.where(untrunc > 0.0, untrunc, 0.0)
     beta, var_beta = _pooled(y, v, tau2[..., None])

@@ -100,19 +100,23 @@ def read_effects_csv(path) -> MetaDataset:
     precomputed effects and within-study variances; columns
     (m1, sd1, n1, m2, sd2, n2) are two-arm summaries converted through
     cohen_smd.  Other columns, such as a study label, are ignored; lines
-    starting with '#' are comments.
+    starting with '#' are comments.  Column names must not repeat, and
+    errors name the row by its line in the file.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
+    # blank and comment lines read as empty rows, so line_num stays the file line
+    reader = csv.reader("" if ln.strip()[:1] in ("", "#") else ln for ln in text.splitlines())
+    header = next((row for row in reader if row), None)
+    if header is None:
         raise DataFormatError(f"{path}: no data rows")
-    reader = csv.DictReader(lines)
-    fields = [f.strip().lower() for f in reader.fieldnames or []]
-    rename = dict(zip(reader.fieldnames or [], fields))
+    fields = [f.strip().lower() for f in header]
+    repeated = sorted({f for f in fields if f and fields.count(f) > 1})
+    if repeated:
+        raise DataFormatError(f"{path}: repeated column names {repeated}")
 
     if all(c in fields for c in _EFFECT_COLS):
         schema = _EFFECT_COLS
@@ -125,12 +129,11 @@ def read_effects_csv(path) -> MetaDataset:
         )
 
     effects, variances = [], []
-    for row_num, raw_row in enumerate(reader, start=2):
-        # DictReader files surplus fields under the key None and pads a short row with None
-        if None in raw_row or None in raw_row.values():
+    for row in filter(None, reader):
+        row_num = reader.line_num
+        if len(row) != len(fields):
             raise DataFormatError(f"row {row_num}: wrong number of fields")
-        row = {rename[k]: v for k, v in raw_row.items()}
-        vals = {c: _parse_float(row.get(c), row_num, c) for c in schema}
+        vals = {c: _parse_float(row[fields.index(c)], row_num, c) for c in schema}
         if schema is _EFFECT_COLS:
             y, v = vals["yi"], vals["vi"]
             if v <= 0:

@@ -28,8 +28,8 @@ consistent bound-by-bound by construction.
 
 When the between-study variance estimate is truncated to zero the data
 carry no usable signal about the ratio measures, and every construction
-returns the maximal interval with a degenerate flag: (0, 1) for the
-unit-scale measures and (0, inf) for the coefficient of variation.
+returns the whole m1 range (0, 1) with a degenerate flag; the links
+carry it to (0, 1) for m2 and (0, inf) for the coefficient of variation.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "alpha_adjusted_intervals",
     "alpha_adjusted_level",
     "propimp_intervals",
-    "maximal_interval",
 ]
 
 RATIO_MEASURES = ("CV_B", "M1", "M2")
@@ -91,7 +90,7 @@ class IntervalEstimate:
         fixed at its point estimate; for the propagating construction
         both fields record the overall target level.
     degenerate : bool
-        True when the interval is the maximal fallback produced by a
+        True when the interval is the whole-range fallback produced by a
         zero heterogeneity estimate (or a zero pooled effect for the
         logit construction); such intervals carry no data information.
     """
@@ -279,12 +278,14 @@ def _linked_intervals(
     method: str,
     alpha_tau: float,
     alpha_beta: float,
+    degenerate: bool = False,
 ) -> dict[str, IntervalEstimate]:
     """All three measure intervals from the m1-scale bounds.
 
     The cv and squared-scale bounds are exact transforms of the m1
     bounds, so link consistency across the three reported intervals
-    holds to the last bit.
+    holds to the last bit.  The degenerate fallback is the whole m1
+    range (0, 1), which the links carry to (0, inf) and (0, 1).
     """
     out = {}
     for measure, lo, hi in (
@@ -292,22 +293,8 @@ def _linked_intervals(
         ("M1", m1_lo, m1_hi),
         ("M2", _m2_from_m1(m1_lo), _m2_from_m1(m1_hi)),
     ):
-        out[measure] = IntervalEstimate(lo, hi, measure, method, alpha_tau, alpha_beta)
+        out[measure] = IntervalEstimate(lo, hi, measure, method, alpha_tau, alpha_beta, degenerate)
     return out
-
-
-def maximal_interval(
-    measure: str, method: str, alpha_tau: float = 0.0, alpha_beta: float = 0.0
-) -> IntervalEstimate:
-    """The degenerate fallback interval: (0, 1) on the unit scale, (0, inf) for cv."""
-    if measure not in RATIO_MEASURES:
-        raise DomainError(f"maximal_interval applies to {RATIO_MEASURES}, got {measure!r}")
-    upper = math.inf if measure == "CV_B" else 1.0
-    return IntervalEstimate(0.0, upper, measure, method, alpha_tau, alpha_beta, True)
-
-
-def _maximal_all(method: str, alpha_tau: float, alpha_beta: float) -> dict[str, IntervalEstimate]:
-    return {m: maximal_interval(m, method, alpha_tau, alpha_beta) for m in RATIO_MEASURES}
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +307,7 @@ def wald_logit_intervals(fit: PooledFit, alpha: float = 0.05) -> dict[str, Inter
     variance; the other two scales follow through the exact links, so a
     single construction serves cv, m1, and m2 with bound-by-bound
     consistency.  A zero heterogeneity estimate (or zero pooled effect)
-    has no usable logit moments and yields the degenerate maximal
+    has no usable logit moments and yields the degenerate whole-range
     intervals instead; an infinite delta-method variance gives the
     whole range (0, 1) for M1, not marked degenerate.
     """
@@ -329,7 +316,7 @@ def wald_logit_intervals(fit: PooledFit, alpha: float = 0.05) -> dict[str, Inter
     try:
         moments = logit_m1_moments(fit)
     except UndefinedMomentsError:
-        return _maximal_all("WALD", alpha, alpha)
+        return _linked_intervals(0.0, 1.0, "WALD", alpha, alpha, degenerate=True)
     half = norm_quantile(1.0 - alpha / 2.0) * math.sqrt(moments.var_logit_m1)
     if math.isinf(half):
         # the center can be infinite too where |beta_hat| is near the float minimum
@@ -353,7 +340,7 @@ def _box_intervals(
     if fit is None:
         fit = fit_rem(data)
     if fit.tau2_hat == 0.0:
-        return _maximal_all(method, a_tau, a_beta)
+        return _linked_intervals(0.0, 1.0, method, a_tau, a_beta, degenerate=True)
     c_tau = norm_quantile(1.0 - a_tau / 2.0) if a_tau else 0.0
     c_beta = norm_quantile(1.0 - a_beta / 2.0) if a_beta else 0.0
     # a pinned tau ignores its roots, so any valid pivot probability serves
@@ -448,7 +435,8 @@ def propimp_intervals(
     if fit is None:
         fit = fit_rem(data)
     if fit.tau2_hat == 0.0:
-        return _maximal_all("PROPIMP", alpha, alpha), PropImpTrace(0.0, 0.0, 0)
+        whole = _linked_intervals(0.0, 1.0, "PROPIMP", alpha, alpha, degenerate=True)
+        return whole, PropImpTrace(0.0, 0.0, 0)
 
     z = norm_quantile(1.0 - alpha / 2.0)
 

@@ -114,13 +114,13 @@ def _ratio_measures(tau, beta) -> tuple:
     """
     tau = np.asarray(tau, dtype=float)
     b = np.abs(beta)
-    t2 = tau * tau
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t2 = tau * tau
         sq_sum = t2 + b * b
         cv, m1, m2 = tau / b, tau / (tau + b), t2 / sq_sum
-        # tau^2 + beta^2 underflows to 0 when both are below about 1e-154;
+        # m2 is 0/0 where tau^2 + beta^2 underflows and inf/inf where tau^2 overflows;
         # there m2 = cv^2 / (1 + cv^2), in a form that cannot overflow
-        m2 = np.where((sq_sum == 0.0) & (tau > 0.0), 1.0 / (1.0 + (b / tau) ** 2), m2)
+        m2 = np.where(np.isnan(m2), 1.0 / (1.0 + (b / tau) ** 2), m2)
     zero, inf = tau == 0.0, b == 0.0
     return (
         np.where(zero, 0.0, np.where(inf, np.inf, cv)),
@@ -130,12 +130,12 @@ def _ratio_measures(tau, beta) -> tuple:
 
 
 def measures_from_cv(cv_b: float) -> CvMeasure:
-    """Rebuild the measure triple from a coefficient-of-variation value."""
+    """The measure triple of tau = cv_b at beta = 1; cv_b = inf gives (inf, 1, 1)."""
     if cv_b < 0:
         raise DomainError(f"cv_b must be nonnegative, got {cv_b!r}")
     if math.isinf(cv_b):
         return CvMeasure(math.inf, 1.0, 1.0)
-    return CvMeasure(cv_b, cv_b / (1.0 + cv_b), cv_b * cv_b / (1.0 + cv_b * cv_b))
+    return cv_measures(cv_b, 1.0)
 
 
 def logit(u: float) -> float:

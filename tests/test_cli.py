@@ -22,6 +22,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's cvmeta, with output captured."""
+    src = str(Path(cvmeta.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def write_csv(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -107,6 +117,12 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--input", bad)
         assert code == 2
         assert "row" in err and "yi" in err
+
+    def test_repeated_column_exits_2(self, capsys, tmp_path):
+        bad = write_csv(tmp_path, "bad.csv", "yi,vi,yi\n0.5,0.2,0.1\n0.7,0.3,0.2\n")
+        code, out, err = run(capsys, "analyze", "--input", bad)
+        assert code == 2 and out == ""
+        assert "repeated column names ['yi']" in err
 
     def test_nonpositive_variance_exits_2(self, capsys, tmp_path):
         bad = write_csv(tmp_path, "bad.csv", "yi,vi\n0.5,0.2\n0.7,0\n")
@@ -258,6 +274,16 @@ class TestSimulate:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "smoke.json" in err
+
+    def test_overflowing_tau_exits_3_without_a_warning(self, tmp_path):
+        cfg = tmp_path / "big_tau.json"
+        cfg.write_text(json.dumps({"mode": "normal", "beta": 0.5, "tau": 1e160,
+                                   "within_vars": [0.1, 0.2, 0.3], "reps": 3}))
+        proc = run_python("-c", "import sys; from cvmeta.cli import main; sys.exit(main())",
+                          "simulate", "--config", str(cfg))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.startswith("numeric failure: the tau2 estimate overflows (Q = inf,")
 
     def test_unknown_config_exits_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--config", "no_such_config")
@@ -422,12 +448,6 @@ print(repr(norm_quantile(0.975)))
 
 
 def test_cli_import_and_table2_leave_scipy_special_unloaded():
-    src = str(Path(cvmeta.__file__).parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_COST_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-c", IMPORT_COST_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert abs(float(proc.stdout) - 1.959963984540054) < 1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvmeta.core import MetaDataset, PooledFit, _dl_pass, _pooled, _var_tau2, fit_rem
-from cvmeta.errors import DataFormatError
+from cvmeta.errors import DataFormatError, DegenerateWeightsError
 from cvmeta.measures import _i_squared, het_measures
 
 from conftest import random_dataset
@@ -284,6 +284,12 @@ class TestDiamondRatio:
 
 
 class TestFits:
+    def test_overflow_messages_name_the_cause(self):
+        with pytest.raises(DegenerateWeightsError, match=r"^the tau2 estimate overflows \(Q = inf, S1"):
+            fit_rem(MetaDataset([1e200, -1e200, 0.0], [1.0, 1.0, 1.0]))
+        with pytest.raises(DegenerateWeightsError, match=r"^S1 - S2/S1 = nan is not positive"):
+            fit_rem(MetaDataset([1.0, 0.0], [1e-320, 1.0]))
+
     def test_rem_consistency(self):
         rng = np.random.default_rng(8)
         d = random_dataset(rng)

@@ -88,6 +88,35 @@ class TestReadEffectsCsv:
         with pytest.raises(DataFormatError, match="row 3.*'vi'"):
             read_effects_csv(p)
 
+    @pytest.mark.parametrize(
+        "text", ["# c\n# c\nyi,vi\n0.1,0.2\n0.3,abc\n", "yi,vi\n\n0.1,0.2\n\n0.3,abc\n"],
+        ids=["comments", "blank_lines"],
+    )
+    def test_row_number_is_the_file_line(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match="^row 5, column 'vi'"):
+            read_effects_csv(p)
+
+    def test_short_row_names_its_file_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("# c\nyi,vi\n0.1,0.2\n0.3\n")
+        with pytest.raises(DataFormatError, match="^row 4: wrong number of fields"):
+            read_effects_csv(p)
+
+    @pytest.mark.parametrize("header", ["yi,vi,yi", "yi,vi, YI ", "n1,m1,sd1,n2,m2,sd2,N1"])
+    def test_repeated_column_rejected(self, tmp_path, header):
+        p = tmp_path / "d.csv"
+        width = header.count(",") + 1
+        p.write_text(header + "\n" + ",".join(["10"] * width) + "\n")
+        with pytest.raises(DataFormatError, match="repeated column names"):
+            read_effects_csv(p)
+
+    def test_unnamed_columns_may_repeat(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("yi,vi,,\n0.5,0.2,,\n0.7,0.3,,\n")
+        assert read_effects_csv(p).effects.tolist() == [0.5, 0.7]
+
     def test_surplus_field_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("yi,vi\n0.5,0.2\n0.7,0.2,9\n0.1,0.3\n")

@@ -15,7 +15,8 @@ DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 def run_demo(path):
     src = str(Path(cvmeta.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
+    # a numpy warning in a demo fails it, as it fails an in-process test
+    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONWARNINGS="error::RuntimeWarning")
     return subprocess.run(
         [sys.executable, str(path)], env=env, capture_output=True, text=True, timeout=300
     )

@@ -19,7 +19,6 @@ from cvmeta.intervals import (
     alpha_adjusted_intervals,
     alpha_adjusted_level,
     fixed_intervals,
-    maximal_interval,
     propimp_intervals,
     tau2_ci_qprofile,
     wald_logit_intervals,
@@ -75,6 +74,8 @@ def reference_m1(data, fit, a_tau, a_beta):
 
     return corner(t_lo, b_hi), corner(t_hi, b_lo)
 
+
+WHOLE_RANGE = {"CV_B": (0.0, math.inf), "M1": (0.0, 1.0), "M2": (0.0, 1.0)}
 
 FIXED_LEVELS = {  # method -> (a_tau, a_beta) at overall alpha
     "FIXED_TAU": lambda a: (0.0, a),
@@ -283,10 +284,10 @@ class TestWaldLogit:
 
     @pytest.mark.parametrize("beta", [1e-160, 1e-200, 5e-324])
     def test_tiny_pooled_effect_gives_whole_range(self, beta):
+        # the whole range of an infinite half-width, not the degenerate fallback
         ivs = wald_logit_intervals(synthetic_fit(beta, 1.0))
-        assert (ivs["M1"].lower, ivs["M1"].upper, ivs["M1"].degenerate) == (0.0, 1.0, False)
-        assert (ivs["M2"].lower, ivs["M2"].upper) == (0.0, 1.0)
-        assert ivs["CV_B"].lower == 0.0 and math.isinf(ivs["CV_B"].upper)
+        for m, iv in ivs.items():
+            assert (iv.lower, iv.upper, iv.degenerate) == (*WHOLE_RANGE[m], False)
 
     def test_degenerate_fit_gives_maximal(self):
         fit = synthetic_fit(0.5, 0.0)
@@ -372,12 +373,28 @@ class TestCombineFixed:
                     m1 = fixed_intervals(d, method, alpha, fit)["M1"]
                     assert (m1.lower, m1.upper) == reference_m1(d, fit, *levels(alpha))
 
-    def test_maximal_interval_shapes(self):
-        assert maximal_interval("CV_B", "WALD").upper == math.inf
-        assert maximal_interval("M1", "PROPIMP").upper == 1.0
-        assert maximal_interval("M2", "ALPHA_ADJ").degenerate
-        with pytest.raises(DomainError):
-            maximal_interval("TAU2", "QPROFILE")
+
+class TestWholeRange:
+    def test_zero_tau2_is_the_whole_range_link(self):
+        d = MetaDataset([0.4, 0.4, 0.4, 0.4], [0.2, 0.2, 0.2, 0.2])
+        fit = fit_rem(d)
+        assert fit.tau2_hat == 0.0
+        for alpha in (0.05, 0.01):
+            a_eff = alpha_adjusted_level(alpha)
+            cases = {
+                "WALD": (wald_logit_intervals(fit, alpha), (alpha, alpha)),
+                "PROPIMP": (propimp_intervals(d, alpha, fit)[0], (alpha, alpha)),
+                "ALPHA_ADJ": (alpha_adjusted_intervals(d, alpha, fit), (a_eff, a_eff)),
+            }
+            for method, levels in FIXED_LEVELS.items():
+                cases[method] = (fixed_intervals(d, method, alpha, fit), levels(alpha))
+            assert len(cases) == 6
+            for method, (ivs, levels) in cases.items():
+                assert set(ivs) == set(RATIO_MEASURES)
+                for m, iv in ivs.items():
+                    assert (iv.lower, iv.upper) == WHOLE_RANGE[m], (method, m)
+                    assert (iv.measure, iv.method, iv.degenerate) == (m, method, True)
+                    assert (iv.alpha_tau, iv.alpha_beta) == levels, (method, m)
 
 
 class TestAlphaAdjusted:

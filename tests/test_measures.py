@@ -6,6 +6,7 @@ import pytest
 from cvmeta.core import PooledFit, fit_rem
 from cvmeta.errors import DomainError, UndefinedMomentsError
 from cvmeta.measures import (
+    CvMeasure,
     _ratio_measures,
     cv_measures,
     het_measures,
@@ -96,6 +97,23 @@ class TestCvMeasures:
             assert float(m2_array[i]) == m2
             assert abs(m2 - want) <= 1e-15
         assert cv_measures(1e-300, 1e-300).m2 == 0.5
+
+    def test_m2_when_tau_squared_overflows(self):
+        # tau^2 overflows above about 1e154; m2 takes the cv form there, without a warning
+        pairs = [(1e200, 0.5, 1.0), (1e160, 1e159, 1 / 1.01)]
+        m2_array = _ratio_measures(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))[2]
+        for i, (tau, beta, want) in enumerate(pairs):
+            assert cv_measures(tau, beta).m2 == want
+            assert float(m2_array[i]) == want
+
+    @pytest.mark.parametrize("cv", [0.0, 5e-324, 1.384, 1e154, 1e200])
+    def test_from_cv_is_the_measure_at_unit_beta(self, cv):
+        assert measures_from_cv(cv) == cv_measures(cv, 1.0)
+
+    def test_from_cv_edges(self):
+        assert measures_from_cv(math.inf) == CvMeasure(math.inf, 1.0, 1.0)
+        with pytest.raises(DomainError, match=r"cv_b must be nonnegative, got -0\.5"):
+            measures_from_cv(-0.5)
 
     def test_monotone_in_tau_and_beta(self):
         taus = np.linspace(0.1, 3.0, 30)
