@@ -4,8 +4,9 @@ Three subcommands: ``analyze`` fits a random-effects model to a CSV of
 study effects and reports the heterogeneity measures with the requested
 interval constructions; ``simulate`` runs a coverage study from a JSON
 config (shipped configs can be named without a path); ``table2`` prints
-five-number summaries of the fitted measures over a 3x3 grid of
-(effect, heterogeneity) settings.
+five-number summaries of the fitted measures over the (effect,
+heterogeneity) grid of the shipped ``table2`` config.  Both expand their
+config into scenarios with :func:`expand_config`.
 
 Exit codes: 0 success, 2 input or config error, 3 numeric failure.
 All output is deterministic for fixed inputs and seed: no timestamps,
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import fit_rem
-from .datasets import expand_config, load_config, read_effects_csv
+from .datasets import config_path, expand_config, load_config, read_effects_csv
 from .errors import (
     ConfigError,
     CvMetaError,
@@ -41,7 +42,7 @@ from .intervals import (
 )
 from .measures import het_measures
 from .simulator import (
-    METHODS, SIM_METHODS, Scenario, measure_summary, normalize_methods, run_scenario,
+    METHODS, SIM_METHODS, measure_summary, normalize_methods, run_scenario,
 )
 
 __all__ = ["AnalysisReport", "analyze_dataset", "main"]
@@ -50,11 +51,6 @@ DEGENERATE_WARNING = (
     "between-study variance estimate is zero; reported intervals are the "
     "maximal degenerate intervals"
 )
-
-TABLE2_BETAS = (0.2, 0.5, 0.8)
-TABLE2_TAUS = (0.0, 0.4, 0.8)
-TABLE2_K = 10
-TABLE2_N_PER_ARM = 10
 
 
 def _fmt(x) -> str:
@@ -286,19 +282,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    sizes = tuple((TABLE2_N_PER_ARM, TABLE2_N_PER_ARM) for _ in range(TABLE2_K))
+    # config_path, not the bare name: load_config looks in the working directory first
+    _, rows = expand_config(load_config(config_path("table2")), reps=args.reps, seed=args.seed)
     lines = ["beta,tau,measure,min,q1,median,q3,max"]
-    for beta in TABLE2_BETAS:
-        for tau in TABLE2_TAUS:
-            scenario = Scenario(
-                beta=beta, tau=tau, arm_sizes=sizes, reps=args.reps, seed=args.seed
-            )
-            summary = measure_summary(scenario)
-            for measure, fn in summary.items():
-                lines.append(
-                    f"{_fmt(beta)},{_fmt(tau)},{measure},{_fmt(fn.minimum)},"
-                    f"{_fmt(fn.q1)},{_fmt(fn.median)},{_fmt(fn.q3)},{_fmt(fn.maximum)}"
-                )
+    for label, scenario in rows:
+        beta, tau = _fmt(label["beta"]), _fmt(label["tau"])
+        for measure, fn in measure_summary(scenario).items():
+            stats = map(_fmt, (fn.minimum, fn.q1, fn.median, fn.q3, fn.maximum))
+            lines.append(",".join((beta, tau, measure, *stats)))
     print("\n".join(lines))
     return 0
 
@@ -332,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=None, help="directory for CSV/JSON results")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_t2 = sub.add_parser("table2", help="measure summaries over a 3x3 settings grid")
-    p_t2.add_argument("--reps", type=int, default=1000)
-    p_t2.add_argument("--seed", type=int, default=9)
+    p_t2 = sub.add_parser("table2", help="measure summaries over the table2 config's grid")
+    p_t2.add_argument("--reps", type=int, default=None, help="override config reps")
+    p_t2.add_argument("--seed", type=int, default=None, help="override config seed")
     p_t2.set_defaults(func=cmd_table2)
     return parser
 

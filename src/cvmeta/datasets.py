@@ -13,9 +13,9 @@ dat.bangertdrowns2004.
 The pooled effects, sample sizes and within-study variances of those
 analyses are published settings, and the shipped configs
 ``table4_hssp``, ``table4_wli`` and ``table4_zhu`` under
-``data/configs`` are their one source: load them with
-:func:`load_config` and turn them into scenarios with
-:func:`expand_config`.
+``data/configs`` are their one source, as ``table2`` is of the summary
+table's grid: load them with :func:`load_config` and turn them into
+scenarios with :func:`expand_config`.
 
 CSV ingestion accepts either precomputed effects (columns yi, vi) or
 two-arm summaries (m1, sd1, n1, m2, sd2, n2), from which pooled-SD
@@ -26,6 +26,7 @@ formula the simulator uses.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from importlib import resources
@@ -238,16 +239,17 @@ def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
 
     Only the config's JSON shapes and types are checked here: unknown
     fields, the mode and the size fields it requires or forbids, numbers,
-    integers, lists and ``arm_sizes`` pairs (each arm at least 2).  The
-    range of every setting (reps, seed, tau, beta, alpha, the study count,
-    arm sizes, within-study variances and the method list) is checked by
+    integers, lists and ``arm_sizes`` pairs.  The range of every setting
+    (reps, seed, tau, beta, alpha, the study count, arm sizes,
+    within-study variances and the method list) is checked by
     :class:`Scenario` as each row is built, and each entry of
     ``arm_totals`` by :func:`split_arms`.
 
-    ``tau`` (and, with ``n_per_arm``, ``k``) may be lists; the cross
-    product defines one scenario per setting.  ``reps``/``seed``
-    override the config when given.  Returns (name, rows) with rows a
-    list of (setting_label_dict, Scenario).
+    ``beta``, ``tau`` and, with ``n_per_arm``, ``k`` may be lists; their
+    cross product, beta outermost and tau innermost, defines one
+    scenario per setting.  ``reps``/``seed`` override the config when
+    given.  Returns (name, rows) with rows a list of
+    (setting_label_dict, Scenario).
     """
     known = {
         "name", "mode", "beta", "tau", "k", "n_per_arm", "arm_totals",
@@ -261,13 +263,12 @@ def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
     mode = cfg.get("mode")
     if mode not in ("smd", "normal"):
         raise ConfigError(f"mode: expected 'smd' or 'normal', got {mode!r}")
-    beta = _as_number(cfg, "beta")
+    betas = _as_number_list(cfg, "beta")
     taus = _as_number_list(cfg, "tau")
     methods = cfg.get("methods", list(SIM_METHODS))
     if not isinstance(methods, list):
         raise ConfigError(f"methods: expected a list, got {methods!r}")
     common = dict(
-        beta=beta,
         reps=_as_number(cfg, "reps", 2000, integer=True) if reps is None else reps,
         methods=methods,
         alpha=_as_number(cfg, "alpha", 0.05),
@@ -278,7 +279,7 @@ def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
     for field in ("within_vars",) if mode == "smd" else smd_fields:
         if field in cfg:
             raise ConfigError(f"{field}: not allowed in {mode} mode")
-    # specs: the per-study data of each setting, crossed with every tau below
+    # specs: the per-study data of each setting, crossed with every beta and tau below
     if mode == "normal":
         specs = [{"within_vars": tuple(_as_number_list(cfg, "within_vars"))}]
     else:
@@ -298,18 +299,16 @@ def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
             raw = cfg["arm_sizes"]
             if not isinstance(raw, list) or not raw:
                 raise ConfigError("arm_sizes: expected a non-empty list of [n1, n2] pairs")
+            pairs = []
             for i, pair in enumerate(raw):
                 if (not isinstance(pair, list)) or len(pair) != 2:
                     raise ConfigError(f"arm_sizes[{i}]: expected an [n1, n2] pair, got {pair!r}")
-                for j, x in enumerate(pair):
-                    if isinstance(x, bool) or not isinstance(x, int) or x < 2:
-                        raise ConfigError(
-                            f"arm_sizes[{i}][{j}]: expected an integer arm size >= 2, got {x!r}")
-            specs = [{"arm_sizes": tuple((n1, n2) for n1, n2 in raw)}]
+                pairs.append(tuple(
+                    _number(x, f"arm_sizes[{i}][{j}]", True) for j, x in enumerate(pair)))
+            specs = [{"arm_sizes": tuple(pairs)}]
 
     rows = []
-    for spec in specs:
-        for tau in taus:
-            scenario = Scenario(tau=tau, **spec, **common)
-            rows.append(({"k": scenario.k, "beta": beta, "tau": tau}, scenario))
+    for beta, spec, tau in itertools.product(betas, specs, taus):
+        scenario = Scenario(beta=beta, tau=tau, **spec, **common)
+        rows.append(({"k": scenario.k, "beta": beta, "tau": tau}, scenario))
     return name, rows

@@ -91,18 +91,20 @@ def cv_measures(tau: float, beta: float) -> CvMeasure:
     Parameters
     ----------
     tau : float
-        Between-study standard deviation, nonnegative.
+        Between-study standard deviation, nonnegative and finite.
     beta : float
-        Pooled effect; only |beta| matters.
+        Pooled effect, not nan; only |beta| matters.
 
     Returns
     -------
     CvMeasure
         tau = 0 gives the all-zero measure (whatever beta, including 0).
-        beta = 0 with tau > 0 gives cv_b = inf and m1 = m2 = 1.
+        beta = 0 with tau > 0 gives cv_b = inf and m1 = m2 = 1, and an
+        infinite beta gives the all-zero measure.  Other inputs raise
+        DomainError.
     """
-    if tau < 0:
-        raise DomainError(f"tau must be nonnegative, got {tau!r}")
+    if not 0 <= tau < math.inf or math.isnan(beta):
+        raise DomainError(f"tau must be nonnegative and finite, beta not nan; got {(tau, beta)!r}")
     return CvMeasure(*(float(x) for x in _ratio_measures(tau, beta)))
 
 
@@ -118,6 +120,8 @@ def _ratio_measures(tau, beta) -> tuple:
         t2 = tau * tau
         sq_sum = t2 + b * b
         cv, m1, m2 = tau / b, tau / (tau + b), t2 / sq_sum
+        # tau + |beta| overflows near the float maximum; there m1 = 1 / (1 + |beta|/tau)
+        m1 = np.where(np.isinf(tau + b), 1.0 / (1.0 + b / tau), m1)
         # m2 is 0/0 where tau^2 + beta^2 underflows and inf/inf where tau^2 overflows;
         # there m2 = cv^2 / (1 + cv^2), in a form that cannot overflow
         m2 = np.where(np.isnan(m2), 1.0 / (1.0 + (b / tau) ** 2), m2)
@@ -131,7 +135,7 @@ def _ratio_measures(tau, beta) -> tuple:
 
 def measures_from_cv(cv_b: float) -> CvMeasure:
     """The measure triple of tau = cv_b at beta = 1; cv_b = inf gives (inf, 1, 1)."""
-    if cv_b < 0:
+    if not cv_b >= 0:
         raise DomainError(f"cv_b must be nonnegative, got {cv_b!r}")
     if math.isinf(cv_b):
         return CvMeasure(math.inf, 1.0, 1.0)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -328,9 +329,9 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
     ----------
     scenario : Scenario
     threads : int
-        Worker processes.  Replications are partitioned into contiguous
-        chunks and reassembled by index, so the output is identical for
-        any thread count.
+        Contiguous chunks of replications, run in at most ``os.cpu_count()``
+        worker processes and reassembled by index, so the output is
+        identical for any thread count.
 
     Returns
     -------
@@ -345,7 +346,8 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        workers = min(len(starts), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [scenario] * len(starts), starts, stops))
     covered, widths, truncated = (np.concatenate(p, axis=-1) for p in zip(*parts))
 

@@ -350,11 +350,11 @@ SMD_CONFIG = {"name": "bad", "mode": "smd", "beta": 0.5, "tau": 0.3, "k": 3, "n_
 def simulate_with(**changes):
     """argv of a simulate run on a small smd config with some fields replaced.
 
-    An ``arm_totals`` change replaces ``k`` and ``n_per_arm``.
+    An ``arm_totals`` or ``arm_sizes`` change replaces ``k`` and ``n_per_arm``.
     """
     def argv(tmp_path):
         cfg = dict(SMD_CONFIG)
-        if "arm_totals" in changes:
+        if changes.keys() & {"arm_totals", "arm_sizes"}:
             del cfg["k"], cfg["n_per_arm"]
         cfg.update(changes)
         path = tmp_path / "bad.json"
@@ -387,6 +387,7 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
         (simulate_with(k=1), "a scenario needs at least 2 studies, got 1"),
         (simulate_with(n_per_arm=1), "got (1, 1)"),
         (simulate_with(arm_totals=[2]), "total sample size must exceed 2, got 2"),
+        (simulate_with(arm_sizes=[[1, 1], [10, 10]]), "got (1, 1)"),
         (simulate_with(methods=[]), "at least one method is required"),
         (simulate_with(methods=["boot"]), "unknown method 'boot'"),
         (lambda tmp: ["simulate", "--config", "smoke", "--reps", "0"],
@@ -395,7 +396,7 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
         (lambda tmp: ["analyze", "--input", HSSP_CSV, "--method", ","],
          "at least one method is required"),
     ],
-    ids=["reps", "seed", "tau", "tau_negative_zero", "tau_list_negative_zero", "k", "n_per_arm", "arm_totals", "no_methods",
+    ids=["reps", "seed", "tau", "tau_negative_zero", "tau_list_negative_zero", "k", "n_per_arm", "arm_totals", "arm_sizes", "no_methods",
          "unknown_method", "simulate_reps_flag", "table2_reps_flag", "analyze_no_method"],
 )
 def test_out_of_range_setting_exits_2(capsys, tmp_path, monkeypatch, argv, message):
@@ -426,12 +427,31 @@ class TestTable2:
         code, _, _ = run(capsys, "table2", "--reps", "0")
         assert code == 2
 
+    def test_defaults_come_from_the_shipped_config(self, capsys):
+        code, out, _ = run(capsys, "table2")
+        assert code == 0
+        assert run(capsys, "table2", "--reps", "1000", "--seed", "9")[1] == out
+
+    def test_reads_the_shipped_config_whatever_the_working_directory(
+            self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "table2").mkdir()
+        (tmp_path / "table2.json").write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "table2", "--reps", "2", "--seed", "4")
+        assert code == 0 and len(out.splitlines()) == 1 + 9 * 4
+
+
+def test_simulate_accepts_arm_pairs_that_arm_totals_give(capsys, tmp_path):
+    # arm_totals [3] splits into (2, 1); the same pair given directly runs too
+    code, _, err = run(capsys, *simulate_with(arm_sizes=[[2, 1], [10, 10]])(tmp_path))
+    assert code == 0, err
+
 
 def test_parser_built_once_keeps_its_defaults(capsys):
     assert build_parser() is build_parser()
     assert run(capsys, "table2", "--reps", "2", "--seed", "4")[0] == 0
     args = build_parser().parse_args(["table2"])
-    assert (args.reps, args.seed) == (1000, 9)
+    assert (args.reps, args.seed) == (None, None)
 
 
 IMPORT_COST_SCRIPT = """

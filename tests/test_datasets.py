@@ -205,6 +205,23 @@ class TestConfigs:
         assert sc.arm_sizes == ((30, 30),) * label["k"]
         assert sc.methods == ("PROPIMP",)
 
+    def test_expand_table2_grid(self):
+        name, rows = expand_config(load_config("table2"))
+        assert name == "table2"
+        assert [(label["beta"], label["tau"]) for label, _ in rows] == [
+            (b, t) for b in (0.2, 0.5, 0.8) for t in (0.0, 0.4, 0.8)]
+        for label, sc in rows:
+            assert label["k"] == 10 and sc.arm_sizes == ((10, 10),) * 10
+            assert (sc.beta, sc.tau) == (label["beta"], label["tau"])
+            assert (sc.reps, sc.seed) == (1000, 9)
+
+    def test_beta_list_crosses_outermost(self):
+        cfg = {"mode": "smd", "beta": [0.1, 0.9], "k": [3, 4], "n_per_arm": 5, "tau": [0.0, 0.5]}
+        _, rows = expand_config(cfg)
+        assert [(lb["beta"], lb["k"], lb["tau"]) for lb, _ in rows] == [
+            (b, k, t) for b in (0.1, 0.9) for k in (3, 4) for t in (0.0, 0.5)]
+        assert [sc.beta for _, sc in rows] == [0.1] * 4 + [0.9] * 4
+
     def test_expand_arm_totals(self):
         cfg = load_config("table4_hssp")
         name, rows = expand_config(cfg)

@@ -106,6 +106,27 @@ class TestCvMeasures:
             assert cv_measures(tau, beta).m2 == want
             assert float(m2_array[i]) == want
 
+    def test_m1_when_tau_plus_beta_overflows(self):
+        # tau + |beta| overflows near the float maximum; m1 takes the form 1/(1 + |beta|/tau)
+        pairs = [(1e308, 1e308, 0.5), (1e308, -1.5e308, 0.4), (1.7e308, 0.5e308, 1 / (1 + 0.5 / 1.7))]
+        m1_array = _ratio_measures(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))[1]
+        for i, (tau, beta, want) in enumerate(pairs):
+            assert abs(cv_measures(tau, beta).m1 - want) <= 1e-15
+            assert float(m1_array[i]) == cv_measures(tau, beta).m1
+
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf])
+    def test_infinite_beta_gives_zeros(self, beta):
+        assert cv_measures(0.7, beta) == CvMeasure(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "tau, beta, message",
+        [(math.inf, 1.0, "tau must be nonnegative"), (math.nan, 1.0, "tau must be nonnegative"),
+         (-0.5, 1.0, "tau must be nonnegative"), (1.0, math.nan, "beta not nan")],
+    )
+    def test_undefined_inputs_raise(self, tau, beta, message):
+        with pytest.raises(DomainError, match=message):
+            cv_measures(tau, beta)
+
     @pytest.mark.parametrize("cv", [0.0, 5e-324, 1.384, 1e154, 1e200])
     def test_from_cv_is_the_measure_at_unit_beta(self, cv):
         assert measures_from_cv(cv) == cv_measures(cv, 1.0)
@@ -114,6 +135,8 @@ class TestCvMeasures:
         assert measures_from_cv(math.inf) == CvMeasure(math.inf, 1.0, 1.0)
         with pytest.raises(DomainError, match=r"cv_b must be nonnegative, got -0\.5"):
             measures_from_cv(-0.5)
+        with pytest.raises(DomainError, match=r"cv_b must be nonnegative, got nan"):
+            measures_from_cv(math.nan)
 
     def test_monotone_in_tau_and_beta(self):
         taus = np.linspace(0.1, 3.0, 30)

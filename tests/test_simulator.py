@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -243,6 +244,28 @@ class TestRunScenario:
         serial = run_scenario(sc, threads=1)
         parallel = run_scenario(sc, threads=3)
         assert serial == parallel
+
+    def test_pool_size_capped_by_chunks_and_cpus(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        sc = Scenario(beta=0.5, tau=0.3, methods=("WALD",), **{**SMALL, "reps": 5})
+        assert run_scenario(sc, threads=10_000) == run_scenario(sc, threads=1)
+        assert len(asked) == 1 and 1 <= asked[0] <= min(5, os.cpu_count() or 1)
 
     def test_repeat_runs_agree(self):
         sc = Scenario(beta=0.5, tau=0.3, methods=("WALD",), **SMALL)
