@@ -209,13 +209,13 @@ def _width_block(ws) -> dict:
     }
 
 
-def _simulate_doc(name, cfg, rows, results) -> dict:
+def _simulate_doc(name, echo, results) -> dict:
     return {
         "name": name,
-        "config": cfg,
+        "config": echo,
         "results": [
             {
-                "setting": label,
+                "setting": {f: getattr(res.scenario, f) for f in ("k", "beta", "tau")},
                 "truncation_rate": res.truncation_rate,
                 "methods": [
                     {
@@ -226,21 +226,22 @@ def _simulate_doc(name, cfg, rows, results) -> dict:
                     for mc in res.per_method
                 ],
             }
-            for (label, _), res in zip(rows, results)
+            for res in results
         ],
     }
 
 
-def _simulate_csv(rows, results) -> str:
+def _simulate_csv(results) -> str:
     cols = ["k", "beta", "tau", "method", "coverage", "truncation_rate"]
     for measure in RATIO_MEASURES:
         tag = measure.lower()
         cols += [f"{tag}_width_mean", f"{tag}_width_median", f"{tag}_width_inf"]
     lines = [",".join(cols)]
-    for (label, _), res in zip(rows, results):
+    for res in results:
+        sc = res.scenario
         for mc in res.per_method:
             cells = [
-                str(label["k"]), _fmt(label["beta"]), _fmt(label["tau"]),
+                str(sc.k), _fmt(sc.beta), _fmt(sc.tau),
                 mc.method, _fmt(mc.coverage), _fmt(res.truncation_rate),
             ]
             for measure in RATIO_MEASURES:
@@ -254,11 +255,10 @@ def cmd_simulate(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg = load_config(args.config)
-    name, rows = expand_config(cfg, reps=args.reps, seed=args.seed)
-    echo = dict(cfg)
-    echo["reps"] = rows[0][1].reps
-    echo["seed"] = rows[0][1].seed
-    echo["methods"] = list(rows[0][1].methods)
+    scenarios = expand_config(cfg, reps=args.reps, seed=args.seed)
+    first = scenarios[0]
+    name = str(cfg["name"])
+    echo = dict(cfg, reps=first.reps, seed=first.seed, methods=list(first.methods))
     if args.out:
         out_dir = Path(args.out)
         try:
@@ -266,13 +266,13 @@ def cmd_simulate(args) -> int:
         except OSError as exc:
             raise ConfigError(f"--out {args.out}: cannot create directory ({exc})") from exc
 
-    results = [run_scenario(scenario, threads=args.threads) for _, scenario in rows]
-    doc = _simulate_doc(name, echo, rows, results)
+    results = [run_scenario(scenario, threads=args.threads) for scenario in scenarios]
+    doc = _simulate_doc(name, echo, results)
     text_json = json.dumps(doc, indent=2)
     if args.out:
         try:
             (out_dir / f"{name}.json").write_text(text_json + "\n", encoding="utf-8")
-            (out_dir / f"{name}.csv").write_text(_simulate_csv(rows, results) + "\n", encoding="utf-8")
+            (out_dir / f"{name}.csv").write_text(_simulate_csv(results) + "\n", encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"--out {args.out}: cannot write results ({exc})") from exc
         print(f"wrote {out_dir / f'{name}.json'} and {out_dir / f'{name}.csv'}", file=sys.stderr)
@@ -283,10 +283,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_table2(args) -> int:
     # config_path, not the bare name: load_config looks in the working directory first
-    _, rows = expand_config(load_config(config_path("table2")), reps=args.reps, seed=args.seed)
+    scenarios = expand_config(load_config(config_path("table2")), reps=args.reps, seed=args.seed)
     lines = ["beta,tau,measure,min,q1,median,q3,max"]
-    for label, scenario in rows:
-        beta, tau = _fmt(label["beta"]), _fmt(label["tau"])
+    for scenario in scenarios:
+        beta, tau = _fmt(scenario.beta), _fmt(scenario.tau)
         for measure, fn in measure_summary(scenario).items():
             stats = map(_fmt, (fn.minimum, fn.q1, fn.median, fn.q3, fn.maximum))
             lines.append(",".join((beta, tau, measure, *stats)))

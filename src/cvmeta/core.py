@@ -171,7 +171,7 @@ def _var_tau2(v: np.ndarray, denom, tau2) -> np.ndarray:
     spread = (p2 * rest * rest).sum(axis=-1) + 2.0 * (
         p2[..., 1:] * np.cumsum(p2[..., :-1], axis=-1)
     ).sum(axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = s1 * tau2
         q_var = 2.0 * (v.shape[-1] - 1) + 4.0 * denom * tau2 + 2.0 * u * u * spread
         return q_var / (denom * denom)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import MetaDataset
 from .errors import ConfigError, DataFormatError
-from .simulator import SIM_METHODS, Scenario
+from .simulator import Scenario
 
 __all__ = [
     "cohen_smd",
@@ -189,14 +189,6 @@ def _number(x, field, integer):
     return int(x) if integer else float(x)
 
 
-def _as_number(cfg, field, default=None, integer=False):
-    if field not in cfg:
-        if default is None:
-            raise ConfigError(f"{field}: is required")
-        return default
-    return _number(cfg[field], field, integer)
-
-
 def _as_number_list(cfg, field, integer=False):
     if field not in cfg:
         raise ConfigError(f"{field}: is required")
@@ -209,11 +201,11 @@ def _as_number_list(cfg, field, integer=False):
 
 
 def load_config(source) -> dict:
-    """Load a simulation config from a path or shipped-config name."""
+    """Load a simulation config from a file path or shipped-config name."""
     path = Path(source)
-    if not path.exists():
+    if not path.is_file():
         shipped = config_path(str(source))
-        if shipped.exists():
+        if shipped.is_file():
             path = shipped
         else:
             raise ConfigError(
@@ -234,22 +226,23 @@ def load_config(source) -> dict:
     return cfg
 
 
-def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
-    """Expand a config dict into concrete scenarios.
+def expand_config(cfg: dict, reps=None, seed=None) -> list:
+    """Expand a config dict into a list of :class:`Scenario`.
 
     Only the config's JSON shapes and types are checked here: unknown
     fields, the mode and the size fields it requires or forbids, numbers,
     integers, lists and ``arm_sizes`` pairs.  The range of every setting
     (reps, seed, tau, beta, alpha, the study count, arm sizes,
     within-study variances and the method list) is checked by
-    :class:`Scenario` as each row is built, and each entry of
+    :class:`Scenario` as each one is built, and each entry of
     ``arm_totals`` by :func:`split_arms`.
 
     ``beta``, ``tau`` and, with ``n_per_arm``, ``k`` may be lists; their
     cross product, beta outermost and tau innermost, defines one
     scenario per setting.  ``reps``/``seed`` override the config when
-    given.  Returns (name, rows) with rows a list of
-    (setting_label_dict, Scenario).
+    given, and the config field an override replaces is not read.  A
+    field that neither the config nor an override gives takes the
+    :class:`Scenario` default.
     """
     known = {
         "name", "mode", "beta", "tau", "k", "n_per_arm", "arm_totals",
@@ -259,21 +252,19 @@ def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
 
-    name = str(cfg.get("name", "scenario"))
     mode = cfg.get("mode")
     if mode not in ("smd", "normal"):
         raise ConfigError(f"mode: expected 'smd' or 'normal', got {mode!r}")
     betas = _as_number_list(cfg, "beta")
     taus = _as_number_list(cfg, "tau")
-    methods = cfg.get("methods", list(SIM_METHODS))
-    if not isinstance(methods, list):
-        raise ConfigError(f"methods: expected a list, got {methods!r}")
-    common = dict(
-        reps=_as_number(cfg, "reps", 2000, integer=True) if reps is None else reps,
-        methods=methods,
-        alpha=_as_number(cfg, "alpha", 0.05),
-        seed=_as_number(cfg, "seed", 0, integer=True) if seed is None else seed,
-    )
+    common = {f: v for f, v in (("reps", reps), ("seed", seed)) if v is not None}
+    if "methods" in cfg:
+        if not isinstance(cfg["methods"], list):
+            raise ConfigError(f"methods: expected a list, got {cfg['methods']!r}")
+        common["methods"] = cfg["methods"]
+    for field, integer in (("reps", True), ("alpha", False), ("seed", True)):
+        if field in cfg and field not in common:
+            common[field] = _number(cfg[field], field, integer)
 
     smd_fields = ("k", "n_per_arm", "arm_totals", "arm_sizes")
     for field in ("within_vars",) if mode == "smd" else smd_fields:
@@ -288,7 +279,7 @@ def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
             raise ConfigError(
                 "mode: smd mode needs exactly one of n_per_arm, arm_totals, arm_sizes")
         if size_fields[0] == "n_per_arm":
-            n = _as_number(cfg, "n_per_arm", integer=True)
+            n = _number(cfg["n_per_arm"], "n_per_arm", True)
             specs = [{"arm_sizes": ((n, n),) * k} for k in _as_number_list(cfg, "k", integer=True)]
         elif "k" in cfg:
             raise ConfigError("k: only allowed with n_per_arm")
@@ -307,8 +298,5 @@ def expand_config(cfg: dict, reps=None, seed=None) -> tuple:
                     _number(x, f"arm_sizes[{i}][{j}]", True) for j, x in enumerate(pair)))
             specs = [{"arm_sizes": tuple(pairs)}]
 
-    rows = []
-    for beta, spec, tau in itertools.product(betas, specs, taus):
-        scenario = Scenario(beta=beta, tau=tau, **spec, **common)
-        rows.append(({"k": scenario.k, "beta": beta, "tau": tau}, scenario))
-    return name, rows
+    return [Scenario(beta=beta, tau=tau, **spec, **common)
+            for beta, spec, tau in itertools.product(betas, specs, taus)]

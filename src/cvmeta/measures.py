@@ -211,7 +211,7 @@ def _i_squared(q, k: int) -> np.ndarray:
     at Q = 0 mapped to 0.
     """
     q = np.asarray(q, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         share = (q - (k - 1)) / q
     return np.where((q > 0.0) & (share > 0.0), share, 0.0)
 

@@ -226,8 +226,7 @@ def test_criterion_04_propimp_against_grid_oracle():
 @pytest.mark.slow
 def test_criterion_05_coverage_reproduction_incidence_settings():
     start = time.perf_counter()
-    _, rows = expand_config(load_config("table4_zhu"), reps=5000)
-    by_tau = {label["tau"]: sc for label, sc in rows}
+    by_tau = {sc.tau: sc for sc in expand_config(load_config("table4_zhu"), reps=5000)}
     low_tau = run_scenario(by_tau[0.2], threads=THREADS)
     high_tau = run_scenario(replace(by_tau[0.8], methods=("PROPIMP",)), threads=THREADS)
     elapsed = time.perf_counter() - start
@@ -256,8 +255,8 @@ def test_criterion_05_coverage_reproduction_incidence_settings():
 def test_criterion_06_small_effect_coverage_band():
     start = time.perf_counter()
     results = {}
-    for label, scenario in expand_config(load_config("figure3_beta02"))[1]:
-        k, tau = label["k"], label["tau"]
+    for scenario in expand_config(load_config("figure3_beta02")):
+        k, tau = scenario.k, scenario.tau
         if k not in (10, 30, 50) or tau not in (0.4, 0.8):
             continue
         cov = run_scenario(scenario, threads=THREADS).method("PROPIMP").coverage

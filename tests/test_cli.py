@@ -190,6 +190,24 @@ class TestAnalyze:
             if abs(e) <= 70 or got is not None:
                 assert got == pytest.approx(base, rel=1e-12, abs=0.0), e
 
+    def test_subnormal_q_gives_zero_i2_without_a_warning(self, capsys, tmp_path):
+        # Q is about 5e-321 here, so (Q - (K-1))/Q overflows
+        csv = write_csv(tmp_path, "tiny_q.csv", "yi,vi\n0,1\n1e-160,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "analyze", "--input", csv)
+        assert code == 0
+        assert json.loads(out)["measures"]["i2"]["value"] == 0.0
+
+    def test_var_tau2_out_of_range_exits_3_without_a_warning(self, capsys, tmp_path):
+        # S1 - S2/S1 is 2e-163 here, so its square underflows to 0
+        csv = write_csv(tmp_path, "wide.csv", "yi,vi\n0,1e100\n1e82,1e163\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "analyze", "--input", csv)
+        assert code == 3 and out == ""
+        assert "var(tau2_hat) = inf is out of the float range" in err
+
     def test_csv_format(self, capsys, tmp_path):
         same = write_csv(
             tmp_path, "same.csv", "yi,vi\n0.4,0.2\n0.4,0.2\n0.4,0.2\n0.4,0.2\n"
@@ -284,6 +302,12 @@ class TestSimulate:
         assert proc.returncode == 3 and proc.stdout == ""
         assert "Warning" not in proc.stderr
         assert proc.stderr.startswith("numeric failure: the tau2 estimate overflows (Q = inf,")
+
+    def test_directory_named_like_a_config_is_passed_over(self, capsys, tmp_path, monkeypatch):
+        expected = run(capsys, "simulate", "--config", "smoke", "--reps", "2")
+        (tmp_path / "smoke").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "simulate", "--config", "smoke", "--reps", "2") == expected
 
     def test_unknown_config_exits_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--config", "no_such_config")

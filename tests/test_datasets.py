@@ -16,7 +16,7 @@ from cvmeta.datasets import (
     split_arms,
 )
 from cvmeta.errors import ConfigError, DataFormatError
-from cvmeta.simulator import normalize_method
+from cvmeta.simulator import Scenario, normalize_method
 
 
 class TestCohenSmd:
@@ -188,50 +188,59 @@ class TestConfigs:
 
     def test_expand_zhu_grid(self):
         cfg = load_config("table4_zhu")
-        name, rows = expand_config(cfg)
-        assert name == "table4_zhu"
-        assert len(rows) == 4
-        taus = [label["tau"] for label, _ in rows]
+        scenarios = expand_config(cfg)
+        assert len(scenarios) == 4
+        taus = [sc.tau for sc in scenarios]
         assert taus == [0.2, 0.4, 0.6, 0.8]
-        for label, sc in rows:
-            assert label["k"] == 35 and sc.mode == "normal"
+        for sc in scenarios:
+            assert sc.k == 35 and sc.mode == "normal"
             assert sc.within_vars == tuple(cfg["within_vars"])
 
     def test_expand_figure3_grid(self):
-        name, rows = expand_config(load_config("figure3_beta02"))
-        assert len(rows) == 5 * 4
-        label, sc = rows[0]
+        scenarios = expand_config(load_config("figure3_beta02"))
+        assert len(scenarios) == 5 * 4
+        sc = scenarios[0]
         assert sc.mode == "smd"
-        assert sc.arm_sizes == ((30, 30),) * label["k"]
+        assert sc.arm_sizes == ((30, 30),) * sc.k
         assert sc.methods == ("PROPIMP",)
 
     def test_expand_table2_grid(self):
-        name, rows = expand_config(load_config("table2"))
-        assert name == "table2"
-        assert [(label["beta"], label["tau"]) for label, _ in rows] == [
+        scenarios = expand_config(load_config("table2"))
+        assert [(sc.beta, sc.tau) for sc in scenarios] == [
             (b, t) for b in (0.2, 0.5, 0.8) for t in (0.0, 0.4, 0.8)]
-        for label, sc in rows:
-            assert label["k"] == 10 and sc.arm_sizes == ((10, 10),) * 10
-            assert (sc.beta, sc.tau) == (label["beta"], label["tau"])
+        for sc in scenarios:
+            assert sc.k == 10 and sc.arm_sizes == ((10, 10),) * 10
             assert (sc.reps, sc.seed) == (1000, 9)
 
     def test_beta_list_crosses_outermost(self):
         cfg = {"mode": "smd", "beta": [0.1, 0.9], "k": [3, 4], "n_per_arm": 5, "tau": [0.0, 0.5]}
-        _, rows = expand_config(cfg)
-        assert [(lb["beta"], lb["k"], lb["tau"]) for lb, _ in rows] == [
+        scenarios = expand_config(cfg)
+        assert [(sc.beta, sc.k, sc.tau) for sc in scenarios] == [
             (b, k, t) for b in (0.1, 0.9) for k in (3, 4) for t in (0.0, 0.5)]
-        assert [sc.beta for _, sc in rows] == [0.1] * 4 + [0.9] * 4
+        assert [sc.beta for sc in scenarios] == [0.1] * 4 + [0.9] * 4
 
     def test_expand_arm_totals(self):
         cfg = load_config("table4_hssp")
-        name, rows = expand_config(cfg)
-        _, sc = rows[0]
+        sc = expand_config(cfg)[0]
         assert sc.arm_sizes == tuple(split_arms(t) for t in cfg["arm_totals"])
 
     def test_overrides(self):
-        _, rows = expand_config(load_config("smoke"), reps=33, seed=77)
-        _, sc = rows[0]
+        sc = expand_config(load_config("smoke"), reps=33, seed=77)[0]
         assert sc.reps == 33 and sc.seed == 77
+
+    def test_override_skips_the_field_it_replaces(self):
+        cfg = dict(load_config("smoke"), reps="x", seed="x")
+        sc = expand_config(cfg, reps=5, seed=3)[0]
+        assert (sc.reps, sc.seed) == (5, 3)
+        with pytest.raises(ConfigError, match="reps: expected a number"):
+            expand_config(cfg, seed=3)
+
+    def test_absent_fields_take_the_scenario_defaults(self):
+        cfg = {"mode": "normal", "beta": 0.5, "tau": 0.3, "within_vars": [0.1, 0.2]}
+        sc = expand_config(cfg)[0]
+        assert sc == Scenario(beta=0.5, tau=0.3, within_vars=(0.1, 0.2))
+        assert (sc.reps, sc.alpha, sc.seed) == (2000, 0.05, 0)
+        assert sc.methods == ("PROPIMP", "ALPHA_ADJ", "WALD")
 
     def test_unknown_field_rejected(self):
         cfg = load_config("smoke")
@@ -268,5 +277,4 @@ class TestConfigs:
     def test_methods_deduped_and_normalized(self):
         cfg = load_config("smoke")
         cfg["methods"] = ["wald", "WT", "propimp"]
-        _, rows = expand_config(cfg)
-        assert rows[0][1].methods == ("WALD", "PROPIMP")
+        assert expand_config(cfg)[0].methods == ("WALD", "PROPIMP")
