@@ -260,6 +260,9 @@ def cmd_simulate(args) -> int:
     name = str(cfg["name"])
     echo = dict(cfg, reps=first.reps, seed=first.seed, methods=list(first.methods))
     if args.out:
+        # the name is the file stem, so it must not leave the --out directory
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ConfigError(f"name {name!r} cannot be a file name under --out")
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

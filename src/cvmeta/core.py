@@ -133,6 +133,9 @@ def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
         s1 = w.sum(axis=-1)
         beta_fem = (w * y).sum(axis=-1) / s1
         q = (w * (y - beta_fem[..., None]) ** 2).sum(axis=-1)
+        # identical effects: the rounded fixed-effect mean can miss their
+        # common value by ulps, which 1/v scales into a huge Q
+        q = np.where((y == y[..., :1]).all(axis=-1), 0.0, q)
         denom = 2.0 * (w[..., 1:] * np.cumsum(w[..., :-1], axis=-1)).sum(axis=-1) / s1
         untrunc = (q - (y.shape[-1] - 1)) / denom
     if not ((denom > 0) & (denom < np.inf)).all():

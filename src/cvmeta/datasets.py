@@ -167,12 +167,11 @@ def config_path(name: str) -> Path:
     """Path of a shipped simulation config; accepts bare names."""
     if not name.endswith(".json"):
         name = name + ".json"
-    return Path(str(resources.files("cvmeta") / "data" / "configs" / name))
+    return data_path("configs") / name
 
 
 def list_configs() -> tuple:
-    root = resources.files("cvmeta") / "data" / "configs"
-    return tuple(sorted(p.name for p in Path(str(root)).glob("*.json")))
+    return tuple(sorted(p.name for p in data_path("configs").glob("*.json")))
 
 
 def load_hssp() -> MetaDataset:

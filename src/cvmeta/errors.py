@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CvMetaError",
+    "DomainError",
+    "DegenerateWeightsError",
+    "UndefinedMomentsError",
+    "DataFormatError",
+    "ConfigError",
+    "NumericFailureError",
+]
+
 
 class CvMetaError(Exception):
     """Base class for all package-specific errors."""

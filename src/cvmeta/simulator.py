@@ -81,12 +81,11 @@ METHOD_ALIASES = {
 
 def normalize_method(token: str) -> str:
     """Map a user-facing method token to its canonical tag."""
-    key = str(token).strip().lower()
-    tag = METHOD_ALIASES.get(key, key.upper().replace("-", "_"))
-    if tag not in METHODS:
+    tag = METHOD_ALIASES.get(str(token).strip().lower())
+    if tag is None:
         raise ConfigError(
             f"unknown method {token!r}; choose from "
-            + ", ".join(sorted(set(METHOD_ALIASES)))
+            + ", ".join(sorted(METHOD_ALIASES))
         )
     return tag
 
@@ -147,7 +146,10 @@ class Scenario:
         if (self.arm_sizes is None) == (self.within_vars is None):
             raise ConfigError("exactly one of arm_sizes/within_vars must be given")
         if self.arm_sizes is not None:
-            sizes = tuple((int(a), int(b)) for a, b in self.arm_sizes)
+            try:
+                sizes = tuple((operator.index(a), operator.index(b)) for a, b in self.arm_sizes)
+            except TypeError:
+                raise ConfigError(f"arm sizes must be integers, got {self.arm_sizes!r}") from None
             for n1, n2 in sizes:
                 if min(n1, n2) < 1 or n1 + n2 <= 2:
                     raise ConfigError(

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cvmeta
@@ -199,6 +200,21 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["measures"]["i2"]["value"] == 0.0
 
+    def test_identical_effects_give_zero_q(self, capsys, tmp_path):
+        # |y|/sqrt(v) is far above 1/eps, so the fixed-effect mean can miss the
+        # common value by ulps and the residuals alone would give a huge Q
+        v = np.logspace(np.log10(6e-72), np.log10(8e-60), 7)
+        rows = "".join(f"8.082e37,{float(x)!r}\n" for x in v)
+        csv = write_csv(tmp_path, "same.csv", "yi,vi\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "analyze", "--input", csv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fit"]["q"] == 0.0 and doc["fit"]["tau2_hat"] == 0.0
+        assert doc["measures"]["i2"]["value"] == 0.0
+        assert all(iv["degenerate"] for iv in doc["intervals"])
+
     def test_var_tau2_out_of_range_exits_3_without_a_warning(self, capsys, tmp_path):
         # S1 - S2/S1 is 2e-163 here, so its square underflows to 0
         csv = write_csv(tmp_path, "wide.csv", "yi,vi\n0,1e100\n1e82,1e163\n")
@@ -386,6 +402,22 @@ def simulate_with(**changes):
         return ["simulate", "--config", str(path)]
 
     return argv
+
+
+@pytest.mark.parametrize(
+    "name",
+    [lambda tmp: "../escaped", lambda tmp: "", lambda tmp: "..", lambda tmp: "a/b",
+     lambda tmp: str(tmp / "escaped")],
+    ids=["parent", "empty", "dot_dot", "subdirectory", "absolute"],
+)
+def test_out_refuses_a_name_that_is_not_a_file_name(capsys, tmp_path, monkeypatch, name):
+    # the name is the stem of both --out files, so it must not leave the directory
+    monkeypatch.setattr("cvmeta.cli.run_scenario", no_run)
+    argv = simulate_with(name=name(tmp_path))(tmp_path)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out" / "res"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert [p.name for p in tmp_path.rglob("*")] == ["bad.json"]
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])

@@ -32,6 +32,15 @@ def test_top_level_all_has_no_duplicates():
     assert len(cvmeta.__all__) == len(set(cvmeta.__all__))
 
 
+def test_top_level_exports_each_module_all():
+    modules = [cvmeta.core, cvmeta.errors, cvmeta.intervals, cvmeta.measures,
+               cvmeta.simulator, cvmeta.datasets]
+    assert cvmeta.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(cvmeta, name) is getattr(module, name), name
+
+
 def test_names_the_benchmark_tracer_wraps_resolve():
     # bench/tracing.py wraps these names where the program imports them; a
     # missing one fails the traced benchmark run, so it fails here first
