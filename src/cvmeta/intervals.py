@@ -134,7 +134,10 @@ class PropImpTrace:
 
     theta_lower and theta_upper are the quarter-circle angles at which
     the lower and upper bounds were attained (smallest such angle on
-    ties); evaluations counts objective evaluations across both bounds.
+    ties); evaluations counts the angles the two searches used, the
+    ``evaluations`` of :func:`cvmeta.numerics.optimize_1d` summed over
+    both bounds.  The lookahead angles a search evaluates but does not
+    take are not counted.
     """
 
     theta_lower: float
@@ -420,15 +423,18 @@ def propimp_intervals(
     bounded, by one lockstep run of :func:`cvmeta.numerics.optimize_1d`:
     the minimum of the lower corner and the maximum of the upper corner
     share every profile solve, so the two 129-point grids are one
-    258-target solve and each golden-section step solves two targets.
-    Each bound takes the same steps as a search of its own.  cv and m2
-    bounds follow through the links.
+    258-target solve and each call for the golden-section stage solves
+    14 targets, the 7 lookahead angles of each bound.  Every profile
+    root is solved independently of the others in its call, so each
+    bound takes the same steps, and reaches the same bits, as a search
+    of its own with one angle per call.  cv and m2 bounds follow
+    through the links.
 
     Returns
     -------
     (intervals, trace)
         intervals maps "CV_B", "M1", "M2" to IntervalEstimate; trace
-        records the optimizing angles and objective evaluation count.
+        records the optimizing angles and the number of angles searched.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")

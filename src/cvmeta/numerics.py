@@ -9,9 +9,11 @@ module, so a program that never needs a quantile (such as
 ``cvmeta table2``) does not pay for it.  The 1-D optimizer searches
 several objectives in lockstep, each on a coarse grid evaluated in one
 array call followed by golden-section refinement, so short multi-modal
-objectives are handled without assuming unimodality.  Random streams
-are derived here; what is drawn from them, and in which order, belongs
-to the generators in :mod:`cvmeta.simulator`.
+objectives are handled without assuming unimodality.  The refinement
+evaluates the candidate points of its next three steps in one call, so
+the objective is called once per three steps, not once per step.
+Random streams are derived here; what is drawn from them, and in which
+order, belongs to the generators in :mod:`cvmeta.simulator`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN2 = (3.0 - math.sqrt(5.0)) / 2.0
 _GRID_POINTS = 129  # coarse grid of optimize_1d, endpoints included
+_LOOKAHEAD = 3  # golden-section steps of optimize_1d per call of the objective
+_SPLIT = np.array([True, False])  # the two keep-left decisions of a lookahead step
 
 
 def norm_quantile(p: float) -> float:
@@ -112,41 +116,58 @@ def optimize_1d(
     every call of ``f`` serves all objectives at once.  Each objective
     is first evaluated on a uniform grid of 129 points (including both
     endpoints), all in a single call.  A golden-section search then
-    refines inside the bracket around each objective's best grid point,
-    with one new point per objective per call.  Each objective takes
-    exactly the steps it would take if searched alone, so its result
-    does not depend on the others.  The best value ever evaluated is
-    returned, so a jump discontinuity at an endpoint cannot be lost to
-    the refinement stage.
+    refines inside the bracket around each objective's best grid point.
+    A step's point depends only on the keep-left decisions of the steps
+    before it, so each call evaluates the 7 candidate points of the next
+    three steps, one per path of decisions, and the search then takes
+    those steps, reading each one's value from the call.  Each objective
+    takes exactly the steps it would take if searched alone, one point
+    per call, so its result does not depend on the others or on the
+    lookahead.  The best value ever evaluated is returned, so a jump
+    discontinuity at an endpoint cannot be lost to the refinement stage.
 
     Parameters
     ----------
     f : callable
         Maps an (objectives x points) array of arguments to the array
         of values of the same shape; row i belongs to objective i, so an
-        elementwise function such as ``np.sin`` serves directly.  Once
-        an objective's search has finished while others go on, the
-        values in its row are ignored and not counted.  Continuous on
-        [lo, hi] except possibly at isolated points.  Non-finite values
-        are legal and simply win (max) or lose (min) ties the usual way;
-        NaN never wins.  They are not treated as failures.
+        elementwise function such as ``np.sin`` serves directly.  ``f``
+        also receives speculative arguments, inside the objective's
+        current bracket, whose paths the search does not take; their
+        values are discarded and not counted, as are the values in an
+        objective's row once its search has finished while others go
+        on.  Continuous on [lo, hi] except possibly at isolated points.
+        Non-finite values are legal and simply win (max) or lose (min)
+        ties the usual way; NaN never wins.  They are not treated as
+        failures.
     lo, hi : float
         Domain endpoints, lo < hi.
     modes : tuple of {"min", "max"}
         One entry per objective.
     tol : float
-        Width of the final bracket on the argument scale.
+        Width of the final bracket on the argument scale, nonnegative.
+        An objective's search also ends once a step no longer shrinks
+        its bracket, so a tol below the float spacing still returns.
 
     Returns
     -------
     list of (argopt, value, evaluations), one per objective
         Ties are resolved toward the smallest argument.  evaluations
-        counts the arguments at which the objective was evaluated.
+        counts the arguments the search used: the grid, the first two
+        interior points and one point per step.
+
+    Raises
+    ------
+    DomainError
+        If a mode is not "min" or "max", lo < hi fails, or tol is
+        negative or NaN.
     """
     if not modes or any(mode not in ("min", "max") for mode in modes):
         raise DomainError(f"modes must be a non-empty tuple of 'min' or 'max', got {modes!r}")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be nonnegative, got {tol!r}")
     m = len(modes)
     sign = np.array([1.0 if mode == "min" else -1.0 for mode in modes])
 
@@ -157,7 +178,8 @@ def optimize_1d(
     vals = g(np.broadcast_to(xs, (m, _GRID_POINTS)))
     # first grid point at the lowest non-NaN value; 0 when all are NaN
     best_i = np.argmax(vals == np.fmin.reduce(vals, axis=1)[:, None], axis=1)
-    best_x, best_v = xs[best_i], vals[np.arange(m), best_i]
+    rows = np.arange(m)
+    best_x, best_v = xs[best_i], vals[rows, best_i]
 
     # refine in the bracket spanning the best point's neighbors
     a = xs[np.maximum(best_i - 1, 0)]
@@ -169,24 +191,69 @@ def optimize_1d(
     evaluations = np.full(m, _GRID_POINTS + 2)
     active = h > tol
     while active.any():
-        # keep [a, d] where c is at least as good as d, else [c, b]; the kept
-        # interior point becomes the new d or c, and x fills the other slot
-        left = _better(fc, fd) | (fc == fd)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        h = b - a
-        x = np.where(left, a + _GOLDEN2 * h, a + _GOLDEN * h)
-        fx = g(x[:, None])[:, 0]
-        c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
-        d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
-        won = active & (_better(fx, best_v) | ((fx == best_v) & (x < best_x)))
-        best_x, best_v = np.where(won, x, best_x), np.where(won, fx, best_v)
-        evaluations += active
-        active &= h > tol
+        # the next _LOOKAHEAD steps' points for every keep-left path in one call;
+        # the walk below takes the real path and reads each step's value from it
+        left = _keep_left(fc, fd)
+        vals = g(_lookahead_points(a, b, c, d, left))
+        node = np.zeros(m, dtype=int)
+        for level in range(_LOOKAHEAD):
+            if level:
+                left = _keep_left(fc, fd)
+                node = 2 * node + ~left
+            # keep [a, d] where c is at least as good as d, else [c, b]; the kept
+            # interior point becomes the new d or c, and x fills the other slot
+            f_kept = np.where(left, fc, fd)
+            a, b, c, d, x = _step(a, b, c, d, left)
+            fx = vals[rows, 2**level - 1 + node]
+            fc, fd = np.where(left, fx, f_kept), np.where(left, f_kept, fx)
+            won = active & (_better(fx, best_v) | ((fx == best_v) & (x < best_x)))
+            best_x, best_v = np.where(won, x, best_x), np.where(won, fx, best_v)
+            evaluations += active
+            # a bracket at float spacing stops shrinking before it reaches a tiny tol
+            shrunk = b - a
+            active &= (shrunk > tol) & (shrunk < h)
+            h = shrunk
     return [
         (float(x), float(s * v), int(n))
         for x, s, v, n in zip(best_x, sign, best_v, evaluations)
     ]
+
+
+def _keep_left(fc: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    return _better(fc, fd) | (fc == fd)
+
+
+def _step(a, b, c, d, left):
+    """One golden-section step's bracket, interior points and new point x.
+
+    Only the keep-left decision ``left`` is needed, not the values, so
+    the same arithmetic serves the search and its lookahead.
+    """
+    kept = np.where(left, c, d)
+    a, b = np.where(left, a, c), np.where(left, d, b)
+    h = b - a
+    x = np.where(left, a + _GOLDEN2 * h, a + _GOLDEN * h)
+    return a, b, np.where(left, x, kept), np.where(left, kept, x), x
+
+
+def _lookahead_points(a, b, c, d, left) -> np.ndarray:
+    """The points of the next _LOOKAHEAD steps on every keep-left path.
+
+    Returns an (objectives x 2**_LOOKAHEAD - 1) array.  The first step's
+    decision ``left`` is known; column 2**j - 1 + n holds step j's point
+    on path n, whose children are paths 2n (keep left) and 2n + 1.
+    """
+    m = len(a)
+    state = [s[:, None] for s in (a, b, c, d)]
+    branch = left[:, None]
+    points = []
+    for _ in range(_LOOKAHEAD):
+        *state, x = (s.reshape(m, -1) for s in _step(*state, branch))
+        points.append(x)
+        # each path splits in two along a new last axis: keep left, or not
+        state = [s[:, :, None] for s in state]
+        branch = _SPLIT
+    return np.concatenate(points, axis=1)
 
 
 def _better(v: np.ndarray, ref: np.ndarray) -> np.ndarray:

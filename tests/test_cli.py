@@ -1,18 +1,16 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cvmeta
 from cvmeta.cli import build_parser, main
 from cvmeta.datasets import cohen_smd, data_path
 from cvmeta.errors import NumericFailureError
+
+from conftest import run_python
 
 HSSP_CSV = str(data_path("hssp.csv"))
 
@@ -21,16 +19,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_python(*args):
-    """A fresh interpreter that imports this checkout's cvmeta, with output captured."""
-    src = str(Path(cvmeta.__file__).parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
-    )
 
 
 def write_csv(tmp_path, name, text):

@@ -24,9 +24,9 @@ from cvmeta.intervals import (
     wald_logit_intervals,
 )
 from cvmeta.measures import inv_logit, logit
-from cvmeta.numerics import norm_quantile
+from cvmeta.numerics import norm_cdf, norm_quantile
 
-from conftest import qgen_reference, random_dataset
+from conftest import qgen_reference, random_dataset, scalar_search
 
 Z975 = 1.9599639845400545
 
@@ -501,6 +501,36 @@ class TestPropImp:
         _, trace = propimp_intervals(hssp)
         assert trace.theta_lower == 0.0
         assert trace.evaluations == 313
+
+    @pytest.mark.parametrize("k", ["hssp", 2, 9, 35, 60])
+    def test_matches_a_search_of_each_corner_alone(self, hssp, k):
+        # each bound is bit for bit a one-objective search of its own corner
+        # with one angle per call, so batching the angles changes nothing
+        if k == "hssp":
+            data = hssp
+        else:
+            rng = np.random.default_rng(k)
+            data = random_dataset(rng, k=k)
+            while fit_rem(data).tau2_hat == 0.0:
+                data = random_dataset(rng, k=k)
+        fit = fit_rem(data)
+        z = norm_quantile(0.975)
+
+        def corner(row):
+            def f(theta):
+                c_tau = z * np.sin(theta)
+                p = norm_cdf(c_tau)
+                m1 = _corners_m1(data, fit, c_tau, p, 1.0 - p, z * np.cos(theta))
+                return m1[row : row + 1]
+
+            return f
+
+        ivs, trace = propimp_intervals(data, fit=fit)
+        theta_lo, m1_lo, n_lo = scalar_search(corner(0), 0.0, math.pi / 2, "min", 1e-7)
+        theta_hi, m1_hi, n_hi = scalar_search(corner(1), 0.0, math.pi / 2, "max", 1e-7)
+        assert (trace.theta_lower, trace.theta_upper) == (theta_lo, theta_hi)
+        assert (ivs["M1"].lower, ivs["M1"].upper) == (m1_lo, m1_hi)
+        assert trace.evaluations == n_lo + n_hi
 
     def test_widens_as_alpha_shrinks(self, hssp):
         at05, _ = propimp_intervals(hssp, alpha=0.05)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,14 +9,14 @@ from scipy.special import gammainc
 
 from cvmeta.errors import DomainError
 from cvmeta.numerics import (
-    _GOLDEN,
-    _GOLDEN2,
     RngState,
     chisq_quantile,
     norm_cdf,
     norm_quantile,
     optimize_1d,
 )
+
+from conftest import run_python, scalar_search
 
 
 class TestNormQuantile:
@@ -117,56 +118,34 @@ OBJECTIVES = {
 
 
 def stacked(specs, calls=None):
-    """One objective per row; ``calls`` collects the shape of every call."""
+    """One objective per row; ``calls`` collects a copy of every argument array."""
 
     def f(x):
         if calls is not None:
-            calls.append(x.shape)
+            calls.append(np.array(x))
         return np.stack([OBJECTIVES[kind](p, row) for (kind, p, _), row in zip(specs, x)])
 
     return f
-
-
-def scalar_search(f, lo, hi, mode, tol, grid_points=129):
-    """Reference: the one-objective grid and golden-section loop, one point at a time."""
-    sign = 1.0 if mode == "min" else -1.0
-    g = lambda t: sign * float(f(np.array([[t]]))[0, 0])
-
-    def better(v, ref):
-        return not math.isnan(v) and (math.isnan(ref) or v < ref)
-
-    xs = np.linspace(lo, hi, grid_points)
-    vals = sign * f(xs[None, :])[0]
-    seen = ~np.isnan(vals)
-    best_i = int(np.flatnonzero(vals == vals[seen].min())[0]) if seen.any() else 0
-    best_x, best_v = float(xs[best_i]), float(vals[best_i])
-    a = float(xs[max(0, best_i - 1)])
-    b = float(xs[min(grid_points - 1, best_i + 1)])
-    h = b - a
-    c, d = a + _GOLDEN2 * h, a + _GOLDEN * h
-    fc, fd = g(c), g(d)
-    n = grid_points + 2
-    while h > tol:
-        if better(fc, fd) or fc == fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            x = c = a + _GOLDEN2 * h
-            fx = fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            x = d = a + _GOLDEN * h
-            fx = fd = g(d)
-        n += 1
-        if better(fx, best_v) or (fx == best_v and x < best_x):
-            best_x, best_v = x, fx
-    return best_x, sign * best_v, n
 
 
 def same(r, s):
     """Exact equality of (argopt, value, evaluations), NaN equal to NaN."""
     both_nan = math.isnan(r[1]) and math.isnan(s[1])
     return r[0] == s[0] and r[2] == s[2] and (r[1] == s[1] or both_nan)
+
+
+TOL_SCRIPT = """
+import json, math
+from cvmeta.errors import DomainError
+from cvmeta.numerics import optimize_1d
+out = {}
+for name, tol in [("tiny", 1e-17), ("zero", 0.0), ("negative", -1.0), ("nan", math.nan)]:
+    try:
+        out[name] = optimize_1d(lambda x: (x - 0.9) ** 2, 0.0, 1.0, tol=tol)[0]
+    except DomainError:
+        out[name] = "DomainError"
+print(json.dumps(out))
+"""
 
 
 class TestOptimize1dLockstep:
@@ -188,21 +167,40 @@ class TestOptimize1dLockstep:
             stacked(specs), 0.0, math.pi / 2, modes=tuple(m for _, _, m in specs), tol=tol
         )
         for spec, got in zip(specs, together):
-            calls = []
+            calls, used = [], []
             alone = optimize_1d(
                 stacked([spec], calls), 0.0, math.pi / 2, modes=(spec[2],), tol=tol
             )
             assert same(got, alone[0])
-            assert same(got, scalar_search(stacked([spec]), 0.0, math.pi / 2, spec[2], tol))
-            # alone, every argument f receives is one the search uses
-            assert alone[0][2] == sum(n for _, n in calls)
+            assert same(got, scalar_search(stacked([spec]), 0.0, math.pi / 2, spec[2], tol, used))
+            # alone, f is called once per three steps, and every argument the
+            # search used is one f received; the rest lie inside [lo, hi]
+            steps = alone[0][2] - 131
+            assert len(calls) == 2 + math.ceil(steps / 3)
+            received = np.concatenate([x.ravel() for x in calls])
+            assert set(used) <= set(received.tolist())
+            assert np.all((0.0 <= received) & (received <= math.pi / 2))
 
-    def test_one_call_per_step_for_all_objectives(self):
+    def test_one_call_per_three_steps_for_all_objectives(self):
         specs = [("smooth", 0.1, "min"), ("endpoint", 1.0, "max"), ("multimodal", 0.5, "min")]
         calls = []
-        optimize_1d(stacked(specs, calls), 0.0, math.pi / 2, modes=("min", "max", "min"))
-        assert calls[0] == (3, 129) and calls[1] == (3, 2)
-        assert all(shape == (3, 1) for shape in calls[2:])
+        got = optimize_1d(stacked(specs, calls), 0.0, math.pi / 2, modes=("min", "max", "min"))
+        assert calls[0].shape == (3, 129) and calls[1].shape == (3, 2)
+        assert all(x.shape == (3, 7) for x in calls[2:])
+        steps = max(n for _, _, n in got) - 131
+        assert len(calls) == 2 + math.ceil(steps / 3)
+
+    def test_tol_at_or_below_float_spacing_returns(self):
+        # in a fresh interpreter with a timeout, so a search that never ends
+        # fails the test instead of hanging the suite
+        proc = run_python("-c", TOL_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["negative"] == out["nan"] == "DomainError"
+        # the bracket stops shrinking at the float spacing near 0.9
+        arg, val, _ = out["tiny"]
+        assert out["zero"] == out["tiny"]
+        assert abs(arg - 0.9) <= 2.0**-52 and val <= 2.0**-100
 
     @pytest.mark.parametrize("modes", [(), ("min", "best")])
     def test_rejects_bad_modes(self, modes):
