@@ -11,7 +11,8 @@ several objectives in lockstep, each on a coarse grid evaluated in one
 array call followed by golden-section refinement, so short multi-modal
 objectives are handled without assuming unimodality.  The refinement
 evaluates the candidate points of its next three steps in one call, so
-the objective is called once per three steps, not once per step.
+the objective is called once per three steps, and steps each bracket in
+Python floats, which give float64's bits at less cost than tiny arrays.
 Random streams are derived here; what is drawn from them, and in which
 order, belongs to the generators in :mod:`cvmeta.simulator`.
 """
@@ -38,7 +39,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN2 = (3.0 - math.sqrt(5.0)) / 2.0
 _GRID_POINTS = 129  # coarse grid of optimize_1d, endpoints included
 _LOOKAHEAD = 3  # golden-section steps of optimize_1d per call of the objective
-_SPLIT = np.array([True, False])  # the two keep-left decisions of a lookahead step
 
 
 def norm_quantile(p: float) -> float:
@@ -120,11 +120,12 @@ def optimize_1d(
     A step's point depends only on the keep-left decisions of the steps
     before it, so each call evaluates the 7 candidate points of the next
     three steps, one per path of decisions, and the search then takes
-    those steps, reading each one's value from the call.  Each objective
-    takes exactly the steps it would take if searched alone, one point
-    per call, so its result does not depend on the others or on the
-    lookahead.  The best value ever evaluated is returned, so a jump
-    discontinuity at an endpoint cannot be lost to the refinement stage.
+    those steps, reading each one's value from the call.  Each bracket
+    is stepped in Python floats, whose IEEE arithmetic gives the bits of
+    float64 arrays.  Each objective takes exactly the steps it would take
+    if searched alone, one point per call, so its result does not depend
+    on the others or on the lookahead.  The best value ever evaluated is
+    returned, so a jump discontinuity at an endpoint cannot be lost.
 
     Parameters
     ----------
@@ -141,7 +142,7 @@ def optimize_1d(
         ties the usual way; NaN never wins.  They are not treated as
         failures.
     lo, hi : float
-        Domain endpoints, lo < hi.
+        Domain endpoints, finite, with lo < hi and hi - lo finite.
     modes : tuple of {"min", "max"}
         One entry per objective.
     tol : float
@@ -152,113 +153,114 @@ def optimize_1d(
     Returns
     -------
     list of (argopt, value, evaluations), one per objective
-        Ties are resolved toward the smallest argument.  evaluations
-        counts the arguments the search used: the grid, the first two
-        interior points and one point per step.
+        Python floats and an int.  Ties are resolved toward the smallest
+        argument.  evaluations counts the arguments the search used: the
+        grid, the first two interior points and one point per step.
 
     Raises
     ------
     DomainError
-        If a mode is not "min" or "max", lo < hi fails, or tol is
-        negative or NaN.
+        If a mode is not "min" or "max", lo < hi fails, lo, hi or
+        hi - lo is not finite, or tol is negative or NaN.
     """
     if not modes or any(mode not in ("min", "max") for mode in modes):
         raise DomainError(f"modes must be a non-empty tuple of 'min' or 'max', got {modes!r}")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise DomainError(f"need finite lo, hi and hi - lo, got [{lo!r}, {hi!r}]")
     if not tol >= 0.0:
         raise DomainError(f"tol must be nonnegative, got {tol!r}")
     m = len(modes)
-    sign = np.array([1.0 if mode == "min" else -1.0 for mode in modes])
+    signs = [1.0 if mode == "min" else -1.0 for mode in modes]
+    sign = np.array(signs)[:, None]
 
     def g(x: np.ndarray) -> np.ndarray:
-        return sign[:, None] * np.asarray(f(x), dtype=float)
+        return sign * np.asarray(f(x), dtype=float)
 
     xs = np.linspace(lo, hi, _GRID_POINTS)
     vals = g(np.broadcast_to(xs, (m, _GRID_POINTS)))
     # first grid point at the lowest non-NaN value; 0 when all are NaN
     best_i = np.argmax(vals == np.fmin.reduce(vals, axis=1)[:, None], axis=1)
-    rows = np.arange(m)
-    best_x, best_v = xs[best_i], vals[rows, best_i]
 
-    # refine in the bracket spanning the best point's neighbors
-    a = xs[np.maximum(best_i - 1, 0)]
-    b = xs[np.minimum(best_i + 1, _GRID_POINTS - 1)]
-    h = b - a
-    c = a + _GOLDEN2 * h
-    d = a + _GOLDEN * h
-    fc, fd = g(np.stack([c, d], axis=1)).T
-    evaluations = np.full(m, _GRID_POINTS + 2)
-    active = h > tol
-    while active.any():
+    # refine in the bracket spanning the best point's neighbors; each search
+    # is [a, b, c, d, fc, fd, best_x, best_v, evaluations] in Python floats
+    grid, searches = xs.tolist(), []
+    for i, v in zip(best_i.tolist(), vals[np.arange(m), best_i].tolist()):
+        a, b = grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)]
+        h = b - a
+        searches.append([a, b, a + _GOLDEN2 * h, a + _GOLDEN * h, grid[i], v, _GRID_POINTS + 2])
+    for s, f_cd in zip(searches, g(np.array([s[2:4] for s in searches])).tolist()):
+        s[4:4] = f_cd
+    active = [b - a > tol for a, b, *_ in searches]
+    while any(active):
         # the next _LOOKAHEAD steps' points for every keep-left path in one call;
-        # the walk below takes the real path and reads each step's value from it
-        left = _keep_left(fc, fd)
-        vals = g(_lookahead_points(a, b, c, d, left))
-        node = np.zeros(m, dtype=int)
-        for level in range(_LOOKAHEAD):
-            if level:
-                left = _keep_left(fc, fd)
-                node = 2 * node + ~left
-            # keep [a, d] where c is at least as good as d, else [c, b]; the kept
-            # interior point becomes the new d or c, and x fills the other slot
-            f_kept = np.where(left, fc, fd)
-            a, b, c, d, x = _step(a, b, c, d, left)
-            fx = vals[rows, 2**level - 1 + node]
-            fc, fd = np.where(left, fx, f_kept), np.where(left, f_kept, fx)
-            won = active & (_better(fx, best_v) | ((fx == best_v) & (x < best_x)))
-            best_x, best_v = np.where(won, x, best_x), np.where(won, fx, best_v)
-            evaluations += active
-            # a bracket at float spacing stops shrinking before it reaches a tiny tol
-            shrunk = b - a
-            active &= (shrunk > tol) & (shrunk < h)
-            h = shrunk
-    return [
-        (float(x), float(s * v), int(n))
-        for x, s, v, n in zip(best_x, sign, best_v, evaluations)
-    ]
+        # _walk takes the real path and reads each step's value from it
+        trees = [_tree(a, b, c, d, _better(fc, fd, True)) for a, b, c, d, fc, fd, *_ in searches]
+        for i, row in enumerate(g(np.array(trees)).tolist()):
+            active[i] = active[i] and _walk(searches[i], row, tol)
+    return [(x, s * v, n) for (*_, x, v, n), s in zip(searches, signs)]
 
 
-def _keep_left(fc: np.ndarray, fd: np.ndarray) -> np.ndarray:
-    return _better(fc, fd) | (fc == fd)
+def _walk(search: list, vals: list[float], tol: float) -> bool:
+    """Take one search's next _LOOKAHEAD steps, reading their values from ``vals``.
+
+    ``search`` is updated in place.  Returns False, taking and counting no
+    later step, once the bracket is no wider than ``tol`` or stops shrinking.
+    """
+    a, b, c, d, fc, fd, best_x, best_v, n = search
+    for level in range(_LOOKAHEAD):
+        # keep [a, d] where c is at least as good as d, else [c, b]; the kept
+        # interior point becomes the new d or c, and x fills the other slot
+        left = _better(fc, fd, True)
+        node = 2 * node + 1 + (not left) if level else 0  # in _tree's heap order
+        h = b - a
+        a, b, c, d, x = _step(a, b, c, d, left)
+        fx = vals[node]
+        fc, fd = (fx, fc) if left else (fd, fx)
+        if _better(fx, best_v, x < best_x):
+            best_x, best_v = x, fx
+        n += 1
+        # a bracket at float spacing stops shrinking before it reaches a tiny tol
+        going = tol < b - a < h
+        if not going:
+            break
+    search[:] = a, b, c, d, fc, fd, best_x, best_v, n
+    return going
 
 
-def _step(a, b, c, d, left):
+def _step(a: float, b: float, c: float, d: float, left: bool) -> tuple[float, ...]:
     """One golden-section step's bracket, interior points and new point x.
 
     Only the keep-left decision ``left`` is needed, not the values, so
     the same arithmetic serves the search and its lookahead.
     """
-    kept = np.where(left, c, d)
-    a, b = np.where(left, a, c), np.where(left, d, b)
-    h = b - a
-    x = np.where(left, a + _GOLDEN2 * h, a + _GOLDEN * h)
-    return a, b, np.where(left, x, kept), np.where(left, kept, x), x
+    if left:
+        b, d = d, c
+        x = c = a + _GOLDEN2 * (b - a)
+    else:
+        a, c = c, d
+        x = d = a + _GOLDEN * (b - a)
+    return a, b, c, d, x
 
 
-def _lookahead_points(a, b, c, d, left) -> np.ndarray:
+def _tree(a: float, b: float, c: float, d: float, left: bool) -> list[float]:
     """The points of the next _LOOKAHEAD steps on every keep-left path.
 
-    Returns an (objectives x 2**_LOOKAHEAD - 1) array.  The first step's
-    decision ``left`` is known; column 2**j - 1 + n holds step j's point
-    on path n, whose children are paths 2n (keep left) and 2n + 1.
+    The first step's decision ``left`` is known.  The points come in heap
+    order: point n's successors are 2n + 1 (its step kept left) and 2n + 2.
     """
-    m = len(a)
-    state = [s[:, None] for s in (a, b, c, d)]
-    branch = left[:, None]
-    points = []
+    brackets, points, choices = [(a, b, c, d)], [], (left,)
     for _ in range(_LOOKAHEAD):
-        *state, x = (s.reshape(m, -1) for s in _step(*state, branch))
-        points.append(x)
-        # each path splits in two along a new last axis: keep left, or not
-        state = [s[:, :, None] for s in state]
-        branch = _SPLIT
-    return np.concatenate(points, axis=1)
+        steps = [_step(*bracket, k) for bracket in brackets for k in choices]
+        points += [x for *_, x in steps]
+        brackets, choices = [s[:4] for s in steps], (True, False)
+    return points
 
 
-def _better(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    # NaN never improves; -inf does (minimization after sign fold)
-    return ~np.isnan(v) & (np.isnan(ref) | (v < ref))
+def _better(v: float, ref: float, tie: bool) -> bool:
+    # NaN never improves, -inf does (after the sign fold); a tie goes to v if tie
+    return not math.isnan(v) and (math.isnan(ref) or v < ref) or (tie and v == ref)
 
 
 @dataclass(frozen=True)

@@ -307,6 +307,23 @@ class TestSimulate:
         assert "Warning" not in proc.stderr
         assert proc.stderr.startswith("numeric failure: the tau2 estimate overflows (Q = inf,")
 
+    @pytest.mark.parametrize(
+        "within_vars", [[1e-12, 1e12, 1, 1e-6], [1e-300, 1e-150, 1, 1e150, 1e300]]
+    )
+    def test_extreme_within_vars_give_numbers_or_a_typed_error(
+        self, capsys, tmp_path, within_vars
+    ):
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(json.dumps({"mode": "normal", "beta": 0.5, "tau": [0.0, 0.3, 1e3],
+                                   "within_vars": within_vars, "reps": 20}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code in (0, 3)
+        assert "NaN" not in out
+        if code == 3:
+            assert "numeric failure" in err
+
     def test_directory_named_like_a_config_is_passed_over(self, capsys, tmp_path, monkeypatch):
         expected = run(capsys, "simulate", "--config", "smoke", "--reps", "2")
         (tmp_path / "smoke").mkdir()

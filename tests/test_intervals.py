@@ -24,7 +24,8 @@ from cvmeta.intervals import (
     wald_logit_intervals,
 )
 from cvmeta.measures import inv_logit, logit
-from cvmeta.numerics import norm_cdf, norm_quantile
+from cvmeta.numerics import RngState, norm_cdf, norm_quantile
+from cvmeta.simulator import Scenario, generate_smd_dataset
 
 from conftest import qgen_reference, random_dataset, scalar_search
 
@@ -457,6 +458,18 @@ def propimp_grid(data, fit, n=201):
     return min(lows), max(highs)
 
 
+def figure3_beta02_draws():
+    """Seeded SMD datasets in figure3_beta02's setting: beta = 0.2, K = 10, 30 per arm.
+
+    At tau = 0.2 the upper bound's optimum often sits at theta = 0; at
+    tau = 0.8 the lower bound's sometimes does.
+    """
+    scenarios = [Scenario(beta=0.2, tau=tau, arm_sizes=((30, 30),) * 10) for tau in (0.2, 0.8)]
+    for trial in range(100):
+        for scenario in scenarios:
+            yield generate_smd_dataset(scenario, RngState(20260815).stream(trial))
+
+
 class TestPropImp:
     def test_bounds_envelope_the_grid(self, hssp):
         fit = fit_rem(hssp)
@@ -502,35 +515,47 @@ class TestPropImp:
         assert trace.theta_lower == 0.0
         assert trace.evaluations == 313
 
-    @pytest.mark.parametrize("k", ["hssp", 2, 9, 35, 60])
+    @pytest.mark.parametrize("k", ["hssp", 2, 9, 35, 60, "figure3_beta02"])
     def test_matches_a_search_of_each_corner_alone(self, hssp, k):
         # each bound is bit for bit a one-objective search of its own corner
         # with one angle per call, so batching the angles changes nothing
         if k == "hssp":
-            data = hssp
+            datasets = [hssp]
+        elif k == "figure3_beta02":
+            datasets = figure3_beta02_draws()
         else:
             rng = np.random.default_rng(k)
-            data = random_dataset(rng, k=k)
-            while fit_rem(data).tau2_hat == 0.0:
-                data = random_dataset(rng, k=k)
-        fit = fit_rem(data)
+            datasets = iter(lambda: random_dataset(rng, k=k), None)
         z = norm_quantile(0.975)
+        seen = set()  # (bound, whether its angle sits at 0 or pi/2)
+        for data in datasets:
+            fit = fit_rem(data)
+            if fit.tau2_hat == 0.0:
+                continue
 
-        def corner(row):
-            def f(theta):
-                c_tau = z * np.sin(theta)
-                p = norm_cdf(c_tau)
-                m1 = _corners_m1(data, fit, c_tau, p, 1.0 - p, z * np.cos(theta))
-                return m1[row : row + 1]
+            def corner(row):
+                def f(theta):
+                    c_tau = z * np.sin(theta)
+                    p = norm_cdf(c_tau)
+                    m1 = _corners_m1(data, fit, c_tau, p, 1.0 - p, z * np.cos(theta))
+                    return m1[row : row + 1]
 
-            return f
+                return f
 
-        ivs, trace = propimp_intervals(data, fit=fit)
-        theta_lo, m1_lo, n_lo = scalar_search(corner(0), 0.0, math.pi / 2, "min", 1e-7)
-        theta_hi, m1_hi, n_hi = scalar_search(corner(1), 0.0, math.pi / 2, "max", 1e-7)
-        assert (trace.theta_lower, trace.theta_upper) == (theta_lo, theta_hi)
-        assert (ivs["M1"].lower, ivs["M1"].upper) == (m1_lo, m1_hi)
-        assert trace.evaluations == n_lo + n_hi
+            ivs, trace = propimp_intervals(data, fit=fit)
+            theta_lo, m1_lo, n_lo = scalar_search(corner(0), 0.0, math.pi / 2, "min", 1e-7)
+            theta_hi, m1_hi, n_hi = scalar_search(corner(1), 0.0, math.pi / 2, "max", 1e-7)
+            assert (trace.theta_lower, trace.theta_upper) == (theta_lo, theta_hi)
+            assert (ivs["M1"].lower, ivs["M1"].upper) == (m1_lo, m1_hi)
+            assert trace.evaluations == n_lo + n_hi
+            for bound, theta in enumerate((theta_lo, theta_hi)):
+                seen.add((bound, theta in (0.0, math.pi / 2)))
+            # the figure3_beta02 draws go on until each bound has had an
+            # optimum at an endpoint and one inside
+            if k != "figure3_beta02" or len(seen) == 4:
+                break
+        else:
+            pytest.fail(f"the draws showed only {sorted(seen)}")
 
     def test_widens_as_alpha_shrinks(self, hssp):
         at05, _ = propimp_intervals(hssp, alpha=0.05)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
@@ -158,14 +158,31 @@ class TestOptimize1dLockstep:
                 st.sampled_from(["min", "max"]),
             ),
             min_size=1,
-            max_size=4,
+            max_size=6,
         ),
-        tol=st.sampled_from([1e-7, 1e-9, 1e-3]),
+        tol=st.sampled_from([1e-7, 1e-9, 1e-3, 0.05]),
+    )
+    @example(
+        specs=list(zip(sorted(OBJECTIVES)[:6], [0.3] * 6, ["min", "max"] * 3)),
+        tol=0.05,
     )
     def test_matches_each_mode_alone(self, specs, tol):
+        together_calls = []
         together = optimize_1d(
-            stacked(specs), 0.0, math.pi / 2, modes=tuple(m for _, _, m in specs), tol=tol
+            stacked(specs, together_calls),
+            0.0,
+            math.pi / 2,
+            modes=tuple(m for _, _, m in specs),
+            tol=tol,
         )
+        assert all(
+            (type(x), type(v), type(n)) == (float, float, int) for x, v, n in together
+        )
+        if tol > 2 * (math.pi / 2) / 128:
+            # a tol wider than the two grid steps of a bracket leaves no
+            # golden-section step: the grid call and the first two points
+            assert len(together_calls) == 2
+            assert all(n == 131 for _, _, n in together)
         for spec, got in zip(specs, together):
             calls, used = [], []
             alone = optimize_1d(
@@ -206,6 +223,22 @@ class TestOptimize1dLockstep:
     def test_rejects_bad_modes(self, modes):
         with pytest.raises(DomainError):
             optimize_1d(np.sin, 0.0, 1.0, modes=modes)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0.0, math.inf),
+            (-math.inf, 0.0),
+            (-math.inf, math.inf),
+            (-1.7e308, 1.7e308),
+            (np.float64(-1.7e308), np.float64(1.7e308)),
+        ],
+    )
+    def test_rejects_bounds_that_are_not_finite_or_too_far_apart(self, lo, hi):
+        # a non-finite grid, or hi - lo overflowing, gave a bare RuntimeWarning
+        # (an error under this suite's filters) and garbage without one
+        with pytest.raises(DomainError):
+            optimize_1d(np.sin, lo, hi, modes=("min", "max"))
 
 
 class TestRngState:
