@@ -258,7 +258,8 @@ def cmd_simulate(args) -> int:
     scenarios = expand_config(cfg, reps=args.reps, seed=args.seed)
     first = scenarios[0]
     name = str(cfg["name"])
-    echo = dict(cfg, reps=first.reps, seed=first.seed, methods=list(first.methods))
+    echo = dict(cfg, reps=first.reps, seed=first.seed, alpha=first.alpha,
+                methods=list(first.methods))
     if args.out:
         # the name is the file stem, so it must not leave the --out directory
         if name in ("", ".", "..") or Path(name).name != name:

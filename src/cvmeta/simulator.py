@@ -347,6 +347,8 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
         parts = [_run_range(scenario, 0, reps)]
     else:
         from concurrent.futures import ProcessPoolExecutor
+        # loaded before the fork, so workers inherit it; else every pool's workers import it again
+        import scipy.special  # noqa: F401
 
         workers = min(len(starts), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:

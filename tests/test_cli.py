@@ -265,6 +265,13 @@ class TestSimulate:
         )
         assert out1 == out2 == out3
 
+    def test_normal_mode_scenarios_byte_identical_across_threads(self, capsys):
+        # four scenarios, so four pools in one call at --threads 2
+        argv = ("simulate", "--config", "table4_zhu", "--reps", "3")
+        code, serial, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--threads", "2") == (0, serial, "")
+
     def test_overrides_echoed(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--config", "smoke", "--reps", "5", "--seed", "123"
@@ -273,6 +280,12 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["config"]["reps"] == 5
         assert doc["config"]["seed"] == 123
+
+    def test_default_alpha_echoed(self, capsys):
+        # table2 sets no alpha, so its scenarios run at Scenario's default
+        code, out, _ = run(capsys, "simulate", "--config", "table2", "--reps", "1")
+        assert code == 0
+        assert json.loads(out)["config"]["alpha"] == 0.05
 
     def test_out_writes_files(self, capsys, tmp_path):
         out_dir = tmp_path / "results"
@@ -318,7 +331,11 @@ class TestSimulate:
                                    "within_vars": within_vars, "reps": 20}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code, out, err = run(capsys, "simulate", "--config", str(cfg))
+            # at --threads 2 an error is raised in a pool worker
+            runs = [run(capsys, "simulate", "--config", str(cfg), "--threads", threads)
+                    for threads in ("1", "2")]
+        code, out, err = runs[0]
+        assert runs[1] == runs[0]
         assert code in (0, 3)
         assert "NaN" not in out
         if code == 3:
@@ -532,3 +549,29 @@ def test_cli_import_and_table2_leave_scipy_special_unloaded():
     proc = run_python("-c", IMPORT_COST_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert abs(float(proc.stdout) - 1.959963984540054) < 1e-12
+
+
+POOL_IMPORT_SCRIPT = """
+import concurrent.futures, contextlib, io, sys
+from concurrent.futures.process import ProcessPoolExecutor
+from cvmeta.cli import main
+
+loaded = []
+
+class Recording(ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        loaded.append("scipy.special" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = Recording
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["simulate", "--config", "table4_zhu", "--reps", "2", "--threads", "2"]) == 0
+print(loaded)
+"""
+
+
+def test_pool_workers_fork_after_scipy_special_is_loaded():
+    # a worker forked without it imports scipy.special itself, in every pool
+    proc = run_python("-c", POOL_IMPORT_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([True] * 4)
