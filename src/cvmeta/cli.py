@@ -26,13 +26,7 @@ from pathlib import Path
 from . import __version__
 from .core import fit_rem
 from .datasets import config_path, expand_config, load_config, read_effects_csv
-from .errors import (
-    ConfigError,
-    CvMetaError,
-    DataFormatError,
-    DomainError,
-    NumericFailureError,
-)
+from .errors import ConfigError, CvMetaError, DataFormatError, DomainError
 # the three method functions are unused here; bench/tracing.py wraps them at cli
 from .intervals import (
     RATIO_MEASURES,
@@ -341,7 +335,7 @@ def main(argv=None) -> int:
     except (DataFormatError, ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailureError, CvMetaError) as exc:
+    except CvMetaError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -125,8 +125,8 @@ def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
     ------
     DegenerateWeightsError
         If any normalization S1 - S2/S1 is not a positive, finite float
-        (weights out of the float range at extreme scales) or Q or the
-        estimate overflows.
+        (weights out of the float range at extreme scales), Q or the
+        estimate overflows, or the pooled effect of unequal effects does.
     """
     with np.errstate(all="ignore"):
         w = 1.0 / v
@@ -134,10 +134,14 @@ def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
         beta_fem = (w * y).sum(axis=-1) / s1
         q = (w * (y - beta_fem[..., None]) ** 2).sum(axis=-1)
         # identical effects: the rounded fixed-effect mean can miss their
-        # common value by ulps, which 1/v scales into a huge Q
-        q = np.where((y == y[..., :1]).all(axis=-1), 0.0, q)
+        # common value by ulps, which 1/v scales into a huge Q, and w * y can
+        # overflow where their common value, the pooled effect, does not
+        identical = (y == y[..., :1]).all(axis=-1)
+        q = np.where(identical, 0.0, q)
         denom = 2.0 * (w[..., 1:] * np.cumsum(w[..., :-1], axis=-1)).sum(axis=-1) / s1
         untrunc = (q - (y.shape[-1] - 1)) / denom
+        tau2 = np.where(untrunc > 0.0, untrunc, 0.0)
+        beta, var_beta = _pooled(y, v, tau2[..., None])
     if not ((denom > 0) & (denom < np.inf)).all():
         raise DegenerateWeightsError(
             f"S1 - S2/S1 = {float(np.min(denom))!r} is not positive and finite, or the"
@@ -149,8 +153,9 @@ def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:
             f"the tau2 estimate overflows (Q = {float(q.flat[bad])!r}, S1 - S2/S1 ="
             f" {float(denom.flat[bad])!r}); moment estimator undefined"
         )
-    tau2 = np.where(untrunc > 0.0, untrunc, 0.0)
-    beta, var_beta = _pooled(y, v, tau2[..., None])
+    beta = np.where(identical, y[..., 0], beta)
+    if not np.isfinite(beta).all():
+        raise DegenerateWeightsError("the pooled effect overflows; weights out of the float range")
     return q, denom, tau2, beta, var_beta
 
 

@@ -14,8 +14,9 @@ a scenario's output is bit-identical across runs and across worker
 counts.  One draw routine serves the generators, the coverage runner
 and the summaries: it takes one stream per replication and returns the
 (reps, K) effects and variances, with the scenario's constants built
-once.  The coverage runner then fits each row as a dataset; the
-summaries fit all rows in one batched pass.
+once.  The coverage runner fits each row as a dataset and writes one
+table row per replication, whose columns :func:`run_scenario` reduces
+to the scenario's statistics; the summaries fit all rows in one batched pass.
 """
 
 from __future__ import annotations
@@ -295,33 +296,27 @@ def _draws(scenario: Scenario, rngs: Iterable[np.random.Generator]) -> tuple:
     return y, inv_n + y * y / two_n
 
 
-def _run_range(scenario: Scenario, start: int, stop: int):
-    """Score replications [start, stop); returns per-rep arrays.
+def _run_range(scenario: Scenario, start: int, stop: int) -> np.ndarray:
+    """Score replications [start, stop): one table row per replication, in index order.
 
-    Coverage is decided once per method on the m1 scale; the three
-    measures share the containment event because their intervals and
-    true values are the same monotone transforms of the same bounds.
+    A row is the truncation flag, then for each method of the scenario
+    its coverage flag on the m1 scale and its CV_B, M1 and M2 widths, as
+    floats.  The three measures share the containment event because
+    their intervals and true values are monotone transforms of the same bounds.
     """
-    n = stop - start
-    n_methods = len(scenario.methods)
-    covered = np.zeros((n_methods, n), dtype=np.uint8)
-    widths = np.zeros((n_methods, len(RATIO_MEASURES), n), dtype=float)
-    truncated = np.zeros(n, dtype=np.uint8)
     true_m1 = cv_measures(scenario.tau, scenario.beta).m1
     master = RngState(scenario.seed)
     y, v = _draws(scenario, map(master.stream, range(start, stop)))
-
-    for j in range(n):
-        data = MetaDataset(y[j], v[j])
+    rows = []
+    for yj, vj in zip(y, v):
+        data = MetaDataset(yj, vj)
         fit = fit_rem(data)
-        if fit.tau2_hat == 0.0:
-            truncated[j] = 1
-        for mi, method in enumerate(scenario.methods):
+        row = [fit.tau2_hat == 0.0]
+        for method in scenario.methods:
             ivs = METHODS[method](data, fit, scenario.alpha)
-            covered[mi, j] = 1 if ivs["M1"].contains(true_m1) else 0
-            for qi, measure in enumerate(RATIO_MEASURES):
-                widths[mi, qi, j] = ivs[measure].width
-    return covered, widths, truncated
+            row += [ivs["M1"].contains(true_m1), *(ivs[m].width for m in RATIO_MEASURES)]
+        rows.append(row)
+    return np.array(rows, dtype=float)
 
 
 def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
@@ -332,7 +327,7 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
     scenario : Scenario
     threads : int
         Contiguous chunks of replications, run in at most ``os.cpu_count()``
-        worker processes and reassembled by index, so the output is
+        worker processes and stacked in index order, so the output is
         identical for any thread count.
 
     Returns
@@ -353,31 +348,18 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
         workers = min(len(starts), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [scenario] * len(starts), starts, stops))
-    covered, widths, truncated = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    table = np.concatenate(parts)
 
+    # (methods, 1 + measures, reps): each method's coverage column, then its width columns
+    by_method = table[:, 1:].reshape(reps, len(scenario.methods), -1).transpose(1, 2, 0)
     per_method = []
-    for mi, method in enumerate(scenario.methods):
-        width_stats = {}
-        for qi, measure in enumerate(RATIO_MEASURES):
-            col = widths[mi, qi]
-            any_inf = bool(np.isinf(col).any())
-            width_stats[measure] = WidthSummary(
-                mean=float(np.mean(col)),
-                median=float(np.median(col)),
-                any_infinite=any_inf,
-            )
-        per_method.append(
-            MethodCoverage(
-                method=method,
-                coverage=float(covered[mi].sum() / reps),
-                widths=width_stats,
-            )
-        )
-    return CoverageResult(
-        scenario=scenario,
-        per_method=tuple(per_method),
-        truncation_rate=float(truncated.sum() / reps),
-    )
+    for method, (covered, *widths) in zip(scenario.methods, by_method):
+        width_stats = {
+            m: WidthSummary(float(np.mean(col)), float(np.median(col)), bool(np.isinf(col).any()))
+            for m, col in zip(RATIO_MEASURES, widths)
+        }
+        per_method.append(MethodCoverage(method, float(covered.sum() / reps), width_stats))
+    return CoverageResult(scenario, tuple(per_method), float(table[:, 0].sum() / reps))
 
 
 def measure_summary(scenario: Scenario) -> dict:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cvmeta.cli import build_parser, main
 from cvmeta.datasets import cohen_smd, data_path
@@ -25,6 +27,14 @@ def write_csv(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity tokens that json.dumps can print."""
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestAnalyze:
@@ -190,18 +200,65 @@ class TestAnalyze:
 
     def test_identical_effects_give_zero_q(self, capsys, tmp_path):
         # |y|/sqrt(v) is far above 1/eps, so the fixed-effect mean can miss the
-        # common value by ulps and the residuals alone would give a huge Q
-        v = np.logspace(np.log10(6e-72), np.log10(8e-60), 7)
-        rows = "".join(f"8.082e37,{float(x)!r}\n" for x in v)
-        csv = write_csv(tmp_path, "same.csv", "yi,vi\n" + rows)
+        # common value by ulps and the residuals alone would give a huge Q;
+        # at -1e233 with v near 1e-120, w * y overflows as well
+        v = np.logspace(np.log10(6e-72), np.log10(8e-60), 7).tolist()
+        for y, vs in ((8.082e37, v), (-1e233, [1e-120, 1e-119, 1e-118])):
+            rows = "".join(f"{y!r},{x!r}\n" for x in vs)
+            csv = write_csv(tmp_path, "same.csv", "yi,vi\n" + rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, _ = run(capsys, "analyze", "--input", csv)
+            assert code == 0
+            doc = strict_json(out)
+            assert doc["fit"]["q"] == 0.0 and doc["fit"]["tau2_hat"] == 0.0
+            assert doc["fit"]["beta_hat"] == y
+            assert doc["measures"]["i2"]["value"] == 0.0
+            assert all(iv["degenerate"] for iv in doc["intervals"])
+
+    # the same file is rewritten and the capture read for every example
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 39),
+        two_arm=st.booleans(),
+        identical=st.integers(0, 6).map(lambda i: i == 0),
+        log10_y=st.floats(-300.0, 300.0),
+        log10_v=st.floats(-300.0, 300.0),
+        spread=st.floats(0.0, 6.0),
+    )
+    def test_any_input_gives_json_or_a_typed_error(
+        self, capsys, tmp_path, seed, k, two_arm, identical, log10_y, log10_v, spread
+    ):
+        # effects at 10^log10_y and variances (two-arm: standard deviations) at
+        # an independent 10^log10_v, spread by e^N(0, spread); one input in
+        # seven repeats its first effect
+        rng = np.random.default_rng(seed)
+        y = (10.0**log10_y * rng.standard_normal(k)).tolist()
+        scale = (10.0**log10_v * np.exp(spread * rng.standard_normal(k))).tolist()
+        if two_arm:
+            n = rng.integers(2, 60, size=(k, 2)).tolist()
+            header = "m1,sd1,n1,m2,sd2,n2"
+            rows = [f"{m!r},{s!r},{n1},0.0,{s!r},{n2}" for m, s, (n1, n2) in zip(y, scale, n)]
+        else:
+            header = "yi,vi"
+            rows = [f"{m!r},{s!r}" for m, s in zip(y, scale)]
+        if identical:
+            rows = [rows[0]] * k if two_arm else [f"{y[0]!r},{s!r}" for s in scale]
+        csv = write_csv(tmp_path, "fuzz.csv", "\n".join([header, *rows]) + "\n")
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error", RuntimeWarning)
             code, out, _ = run(capsys, "analyze", "--input", csv)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["fit"]["q"] == 0.0 and doc["fit"]["tau2_hat"] == 0.0
-        assert doc["measures"]["i2"]["value"] == 0.0
-        assert all(iv["degenerate"] for iv in doc["intervals"])
+        assert code in (0, 2, 3)
+        if code == 0:
+            fit = strict_json(out)["fit"]
+            if identical:
+                common = y[0]
+                if two_arm:
+                    (n1, n2), s = n[0], scale[0]
+                    common = cohen_smd(n1, y[0], s, n2, 0.0, s)[0]
+                assert fit["tau2_hat"] == 0.0 and fit["beta_hat"] == common
 
     def test_var_tau2_out_of_range_exits_3_without_a_warning(self, capsys, tmp_path):
         # S1 - S2/S1 is 2e-163 here, so its square underflows to 0

@@ -313,6 +313,38 @@ class TestRunScenario:
                 assert len(hits) == 1
         assert checked > 20
 
+    @pytest.mark.parametrize("mode", ["smd", "normal"])
+    def test_reduction_equals_per_replication_recomputation(self, mode):
+        sc = _batch_scenario(mode, 8, 30)
+        generate = generate_smd_dataset if mode == "smd" else generate_normal_dataset
+        true_m1 = cv_measures(sc.tau, sc.beta).m1
+        master = RngState(sc.seed)
+        truncated = []
+        covered = {m: [] for m in sc.methods}
+        widths = {m: {q: [] for q in RATIO_MEASURES} for m in sc.methods}
+        for r in range(sc.reps):
+            data = generate(sc, master.stream(r))
+            fit = fit_rem(data)
+            truncated.append(fit.tau2_hat == 0.0)
+            for method in sc.methods:
+                ivs = METHODS[method](data, fit, sc.alpha)
+                covered[method].append(ivs["M1"].contains(true_m1))
+                for q in RATIO_MEASURES:
+                    widths[method][q].append(ivs[q].width)
+        assert 0 < sum(truncated) < sc.reps
+        for threads in (1, 2):
+            res = run_scenario(sc, threads=threads)
+            assert res.truncation_rate == sum(truncated) / sc.reps
+            assert tuple(mc.method for mc in res.per_method) == SIM_METHODS
+            for mc in res.per_method:
+                assert mc.coverage == sum(covered[mc.method]) / sc.reps
+                for q in RATIO_MEASURES:
+                    w = np.array(widths[mc.method][q])
+                    assert mc.widths[q].mean == float(np.mean(w))
+                    assert mc.widths[q].median == float(np.median(w))
+                    assert mc.widths[q].any_infinite == any(map(math.isinf, w))
+            assert res.method("WALD").widths["CV_B"].any_infinite
+
     def test_truncation_falls_with_tau(self):
         base = dict(arm_sizes=((10, 10),) * 10, reps=300, seed=5, methods=("WALD",))
         none = run_scenario(Scenario(beta=0.5, tau=0.0, **base))
@@ -463,11 +495,14 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("mode", ["smd", "normal"])
     def test_run_range_rows_use_their_streams(self, mode):
         sc = dataclasses.replace(_batch_scenario(mode, 10, 30), methods=("WALD",))
+        true_m1 = cv_measures(sc.tau, sc.beta).m1
         master = RngState(sc.seed)
         for s, e in [(0, 30), (11, 23)]:
-            covered, widths, truncated = _run_range(sc, s, e)
-            for j in range(e - s):
+            table = _run_range(sc, s, e)
+            assert table.shape == (e - s, 2 + len(RATIO_MEASURES))
+            for j, (truncated, covered, *widths) in enumerate(table):
                 fit = fit_rem(MetaDataset(*_reference_draw(sc, master.stream(s + j))))
                 ivs = wald_logit_intervals(fit, sc.alpha)
-                assert truncated[j] == (fit.tau2_hat == 0.0)
-                assert list(widths[0, :, j]) == [ivs[m].width for m in RATIO_MEASURES]
+                assert truncated == (fit.tau2_hat == 0.0)
+                assert covered == ivs["M1"].contains(true_m1)
+                assert widths == [ivs[m].width for m in RATIO_MEASURES]
