@@ -35,9 +35,7 @@ from .intervals import (
     wald_logit_intervals,
 )
 from .measures import het_measures
-from .simulator import (
-    METHODS, SIM_METHODS, measure_summary, normalize_methods, run_scenario,
-)
+from .simulator import METHODS, measure_summary, normalize_methods, run_scenario
 
 __all__ = ["AnalysisReport", "analyze_dataset", "main"]
 
@@ -306,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--input", required=True, help="CSV with (yi, vi) or two-arm columns")
     p_an.add_argument(
         "--method",
-        default=",".join(SIM_METHODS),
+        default=",".join(METHODS),
         help="comma-separated subset of propimp, alpha-adj, wald",
     )
     p_an.add_argument("--alpha", type=float, default=0.05)

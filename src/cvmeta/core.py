@@ -27,9 +27,9 @@ class MetaDataset:
     """Ordered collection of at least two studies.
 
     ``effects`` must be finite and ``within_vars`` (their sampling
-    variances, one per effect) positive and finite.  The arrays are
-    copied and write-protected, so a dataset can be shared freely across
-    threads.
+    variances, one per effect) positive and finite: this is the one check
+    of outside data, a DataFormatError.  The arrays are copied and
+    write-protected, so a dataset can be shared freely across threads.
     """
 
     __slots__ = ("_effects", "_within_vars")
@@ -42,7 +42,12 @@ class MetaDataset:
                 f"effects and variances must be equal-length 1-D arrays, "
                 f"got shapes {y.shape} and {v.shape}"
             )
-        _check_studies(y, v)
+        if y.size < 2:
+            raise DataFormatError(f"a meta-analysis needs at least 2 studies, got {y.size}")
+        if not np.isfinite(y).all():
+            raise DataFormatError("all effects must be finite")
+        if not (np.isfinite(v).all() and (v > 0).all()):
+            raise DataFormatError("all within-study variances must be positive and finite")
         self._effects = y.copy()
         self._within_vars = v.copy()
         self._effects.setflags(write=False)
@@ -94,16 +99,6 @@ class PooledFit:
     var_beta_hat: float
     var_tau2_hat: float
     k: int
-
-
-def _check_studies(y: np.ndarray, v: np.ndarray) -> None:
-    """The study checks of :class:`MetaDataset`, for K along the last axis."""
-    if y.shape[-1] < 2:
-        raise DataFormatError(f"a meta-analysis needs at least 2 studies, got {y.shape[-1]}")
-    if not np.isfinite(y).all():
-        raise DataFormatError("all effects must be finite")
-    if not (np.isfinite(v).all() and (v > 0).all()):
-        raise DataFormatError("all within-study variances must be positive and finite")
 
 
 def _dl_pass(y: np.ndarray, v: np.ndarray) -> tuple:

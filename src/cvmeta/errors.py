@@ -40,4 +40,4 @@ class ConfigError(CvMetaError, ValueError):
 
 
 class NumericFailureError(CvMetaError, RuntimeError):
-    """An internal numeric routine failed to converge."""
+    """An internal numeric routine failed to converge or left the float range."""

@@ -73,6 +73,11 @@ METHOD_TAGS = (
 _HALF_PI = math.pi / 2.0
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class IntervalEstimate:
     """A confidence interval for one quantity under one construction.
@@ -145,10 +150,9 @@ class PropImpTrace:
     evaluations: int
 
     def __post_init__(self):
-        if not (0.0 <= self.theta_lower <= _HALF_PI + 1e-12):
-            raise DomainError(f"theta_lower outside [0, pi/2]: {self.theta_lower!r}")
-        if not (0.0 <= self.theta_upper <= _HALF_PI + 1e-12):
-            raise DomainError(f"theta_upper outside [0, pi/2]: {self.theta_upper!r}")
+        for name in ("theta_lower", "theta_upper"):
+            if not 0.0 <= getattr(self, name) <= _HALF_PI + 1e-12:
+                raise DomainError(f"{name} outside [0, pi/2]: {getattr(self, name)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +211,7 @@ def tau2_ci_qprofile(data: MetaDataset, alpha: float = 0.05) -> IntervalEstimate
     IntervalEstimate
         measure "TAU2", method "QPROFILE".
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     pivots = chisq_quantile(np.array([1.0 - alpha / 2.0, alpha / 2.0]), data.k - 1)
     lower, upper = _qprofile_roots(data.effects, data.within_vars, pivots).tolist()
     return IntervalEstimate(lower, upper, "TAU2", "QPROFILE", alpha, 0.0)
@@ -314,8 +317,7 @@ def wald_logit_intervals(fit: PooledFit, alpha: float = 0.05) -> dict[str, Inter
     intervals instead; an infinite delta-method variance gives the
     whole range (0, 1) for M1, not marked degenerate.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     try:
         moments = logit_m1_moments(fit)
     except UndefinedMomentsError:
@@ -371,8 +373,7 @@ def fixed_intervals(
     methods = ("FIXED_TAU", "FIXED_BETA", "BOTH95")
     if method not in methods:
         raise DomainError(f"method must be one of {methods}, got {method!r}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     a_tau = 0.0 if method == "FIXED_TAU" else alpha
     a_beta = 0.0 if method == "FIXED_BETA" else alpha
     return _box_intervals(data, fit, method, a_tau, a_beta)
@@ -386,6 +387,7 @@ def alpha_adjusted_level(alpha: float = 0.05) -> float:
     the diagonal of the propagating construction's quarter circle.
     About 0.16578 for a 95% target, i.e. 83.42% component intervals.
     """
+    _check_alpha(alpha)
     z = norm_quantile(1.0 - alpha / 2.0)
     return 2.0 * (1.0 - norm_cdf(z / math.sqrt(2.0)))
 
@@ -394,8 +396,6 @@ def alpha_adjusted_intervals(
     data: MetaDataset, alpha: float = 0.05, fit: PooledFit | None = None
 ) -> dict[str, IntervalEstimate]:
     """Both-varying combination at the reduced component level."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
     a_eff = alpha_adjusted_level(alpha)
     return _box_intervals(data, fit, "ALPHA_ADJ", a_eff, a_eff)
 
@@ -436,8 +436,7 @@ def propimp_intervals(
         intervals maps "CV_B", "M1", "M2" to IntervalEstimate; trace
         records the optimizing angles and the number of angles searched.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     if fit is None:
         fit = fit_rem(data)
     if fit.tau2_hat == 0.0:

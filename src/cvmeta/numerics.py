@@ -20,6 +20,7 @@ order, belongs to the generators in :mod:`cvmeta.simulator`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -275,18 +276,25 @@ class RngState:
     Attributes
     ----------
     seed : int
-        Master seed, interpreted as a 64-bit unsigned value.
+        Master seed, an integer read as a 64-bit unsigned value.
     """
 
     seed: int
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= _index(self.seed, "seed") < 2**64:
             raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
 
     def stream(self, trial: int = 0) -> np.random.Generator:
-        """Independent generator for one trial index."""
-        if trial < 0:
+        """Independent generator for one integer trial index (1.5 is a DomainError)."""
+        if _index(trial, "trial index") < 0:
             raise DomainError(f"trial index must be nonnegative, got {trial!r}")
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(trial),))
         return np.random.Generator(np.random.Philox(seq))
+
+
+def _index(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None

@@ -14,9 +14,10 @@ a scenario's output is bit-identical across runs and across worker
 counts.  One draw routine serves the generators, the coverage runner
 and the summaries: it takes one stream per replication and returns the
 (reps, K) effects and variances, with the scenario's constants built
-once.  The coverage runner fits each row as a dataset and writes one
-table row per replication, whose columns :func:`run_scenario` reduces
-to the scenario's statistics; the summaries fit all rows in one batched pass.
+once, and is the one check of simulated data.  The coverage runner fits
+each row as a dataset and writes one table row per replication, whose
+columns :func:`run_scenario` reduces to the scenario's statistics; the
+summaries fit all rows in one batched pass.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import MetaDataset, _check_studies, _dl_pass, fit_rem
-from .errors import ConfigError
+from .core import MetaDataset, _dl_pass, fit_rem
+from .errors import ConfigError, NumericFailureError
 from .intervals import (
     RATIO_MEASURES,
     alpha_adjusted_intervals,
@@ -43,7 +44,6 @@ from .numerics import RngState
 
 __all__ = [
     "METHODS",
-    "SIM_METHODS",
     "METHOD_ALIASES",
     "normalize_method",
     "normalize_methods",
@@ -67,7 +67,6 @@ METHODS = {
     "ALPHA_ADJ": lambda data, fit, alpha: alpha_adjusted_intervals(data, alpha, fit),
     "WALD": lambda data, fit, alpha: wald_logit_intervals(fit, alpha),
 }
-SIM_METHODS = tuple(METHODS)
 SUMMARY_MEASURES = ("I2", "CV_B", "M1", "M2")
 
 METHOD_ALIASES = {
@@ -139,7 +138,7 @@ class Scenario:
     arm_sizes: tuple | None = None
     within_vars: tuple | None = None
     reps: int = 2000
-    methods: tuple = SIM_METHODS
+    methods: tuple = tuple(METHODS)
     alpha: float = 0.05
     seed: int = 0
 
@@ -181,10 +180,6 @@ class Scenario:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be inside (0, 1), got {self.alpha!r}")
         object.__setattr__(self, "methods", normalize_methods(self.methods))
-
-    @property
-    def mode(self) -> str:
-        return "smd" if self.arm_sizes is not None else "normal"
 
     @property
     def k(self) -> int:
@@ -268,7 +263,7 @@ def generate_normal_dataset(scenario: Scenario, rng: np.random.Generator) -> Met
 
 
 def _draws(scenario: Scenario, rngs: Iterable[np.random.Generator]) -> tuple:
-    """Effects and within-study variances of N replications, unvalidated.
+    """Effects and within-study variances of N replications, checked.
 
     The draw code of both generators and of the scenario runners.  Row i
     of the (N, K) arrays comes from the i-th generator of ``rngs``: the
@@ -276,24 +271,30 @@ def _draws(scenario: Scenario, rngs: Iterable[np.random.Generator]) -> tuple:
     the same stream.  The scenario constants are built once per call and
     the arithmetic runs once over all rows; elementwise operations do
     not depend on the array shape, so each row equals the draw of its
-    replication alone.
+    replication alone.  A draw beyond the float range (SMD at a beta or
+    tau near 1e154, normal at a tau near 1.8e308) is a NumericFailureError.
     """
-    k, tau = scenario.k, scenario.tau
-    if scenario.arm_sizes is None:
-        v = np.asarray(scenario.within_vars, dtype=float)
-        sd = np.sqrt(v)
-        y = np.array([rng.normal(scenario.beta + rng.normal(0.0, tau, k), sd) for rng in rngs])
-        return y, np.broadcast_to(v, y.shape)
-    n1, n2 = np.array(scenario.arm_sizes, dtype=float).T
-    inv_n = 1.0 / n1 + 1.0 / n2
-    m = np.sqrt(inv_n)
-    df = n1 + n2 - 2.0
-    two_n = 2.0 * (n1 + n2)
-    rows = [(rng.normal(0.0, tau, k), rng.standard_normal(k), rng.chisquare(df, k))
-            for rng in rngs]
-    dev, z, chi2 = np.array(rows).transpose(1, 0, 2)
-    y = (z + (scenario.beta + dev) / m) / np.sqrt(chi2 / df) * m
-    return y, inv_n + y * y / two_n
+    k, beta, tau = scenario.k, scenario.beta, scenario.tau
+    with np.errstate(all="ignore"):
+        if scenario.arm_sizes is None:
+            v = np.asarray(scenario.within_vars, dtype=float)
+            sd = np.sqrt(v)
+            y = np.array([rng.normal(beta + rng.normal(0.0, tau, k), sd) for rng in rngs])
+            v = np.broadcast_to(v, y.shape)
+        else:
+            n1, n2 = np.array(scenario.arm_sizes, dtype=float).T
+            inv_n = 1.0 / n1 + 1.0 / n2
+            m = np.sqrt(inv_n)
+            df = n1 + n2 - 2.0
+            two_n = 2.0 * (n1 + n2)
+            rows = [(rng.normal(0.0, tau, k), rng.standard_normal(k), rng.chisquare(df, k))
+                    for rng in rngs]
+            dev, z, chi2 = np.array(rows).transpose(1, 0, 2)
+            y = (z + (beta + dev) / m) / np.sqrt(chi2 / df) * m
+            v = inv_n + y * y / two_n
+    if not (np.isfinite(y).all() and np.isfinite(v).all()):
+        raise NumericFailureError(f"draws overflow the float range at beta {beta!r}, tau {tau!r}")
+    return y, v
 
 
 def _run_range(scenario: Scenario, start: int, stop: int) -> np.ndarray:
@@ -380,13 +381,11 @@ def _replication_measures(scenario: Scenario) -> tuple:
     """(tau2, beta, Q, I2, CV_B, M1, M2) per replication, each of shape (reps,).
 
     Each replication draws from its own stream exactly as the generators
-    do.  The draws are stacked into (reps, K) arrays, validated as
-    :class:`MetaDataset` validates one dataset, and fitted in
-    one DerSimonian-Laird pass, so row r equals ``fit_rem`` and
-    ``het_measures`` on the dataset of replication r.
+    do.  The draws, which :func:`_draws` has checked, are stacked into
+    (reps, K) arrays and fitted in one DerSimonian-Laird pass, so row r
+    equals ``fit_rem`` and ``het_measures`` on the dataset of replication r.
     """
     master = RngState(scenario.seed)
     y, v = _draws(scenario, map(master.stream, range(scenario.reps)))
-    _check_studies(y, v)
     q, _, tau2, beta, _ = _dl_pass(y, v)
     return (tau2, beta, q, _i_squared(q, scenario.k), *_ratio_measures(np.sqrt(tau2), beta))

@@ -37,6 +37,15 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def fuzz_number(rng):
+    """+-10^U(-300, 300), 0, -0.0 or an ordinary value in [0, 3); negative one time in ten."""
+    kind = rng.integers(8)
+    if kind == 0:
+        return [0.0, -0.0][rng.integers(2)]
+    x = float(rng.uniform(0.0, 3.0) if kind < 3 else 10.0 ** rng.uniform(-300.0, 300.0))
+    return -x if rng.random() < 0.1 else x
+
+
 class TestAnalyze:
     def test_hssp_json_values(self, capsys):
         code, out, err = run(capsys, "analyze", "--input", HSSP_CSV)
@@ -377,6 +386,24 @@ class TestSimulate:
         assert "Warning" not in proc.stderr
         assert proc.stderr.startswith("numeric failure: the tau2 estimate overflows (Q = inf,")
 
+    @pytest.mark.parametrize("setting", [
+        {"mode": "smd", "beta": 1e200, "tau": 0.5, "k": 3, "n_per_arm": 10},
+        {"mode": "smd", "beta": 0.5, "tau": 1e200, "k": 3, "n_per_arm": 10},
+        {"mode": "normal", "beta": 0.5, "tau": 1.7e308, "within_vars": [0.1] * 35},
+    ], ids=["smd_beta", "smd_tau", "normal_tau"])
+    def test_overflowing_draws_exit_3_without_a_warning(self, capsys, tmp_path, setting):
+        # the SMD settings once printed a bare RuntimeWarning and exited 2,
+        # blaming the input; every replication overflows here (at tau = 1.7e308
+        # about 3 normal deviations in 10 do), so each chunk fails its draws
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({**setting, "reps": 2}))
+        for threads in ("1", "2"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out, err = run(capsys, "simulate", "--config", str(cfg), "--threads", threads)
+            assert code == 3 and out == ""
+            assert err.startswith("numeric failure: draws overflow the float range at beta ")
+
     @pytest.mark.parametrize(
         "within_vars", [[1e-12, 1e12, 1, 1e-6], [1e-300, 1e-150, 1, 1e150, 1e300]]
     )
@@ -397,6 +424,47 @@ class TestSimulate:
         assert "NaN" not in out
         if code == 3:
             assert "numeric failure" in err
+
+    # the same file is rewritten and the capture read for every example
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 7),
+        smd=st.booleans(),
+        reps=st.integers(1, 2),
+        methods=st.lists(st.sampled_from(["PROPIMP", "ALPHA_ADJ", "WALD"]),
+                         min_size=1, max_size=3, unique=True),
+    )
+    def test_any_config_gives_json_or_a_typed_error(
+        self, capsys, tmp_path, seed, k, smd, reps, methods
+    ):
+        # beta and tau are fuzz_numbers, arm sizes integers from 1 to 59 and
+        # within-study variances absolute fuzz_numbers; one config in four
+        # has a fuzz_number as its first arm size or variance
+        rng = np.random.default_rng(seed)
+        cfg = {"beta": fuzz_number(rng), "tau": fuzz_number(rng), "reps": reps,
+               "methods": methods}
+        if smd:
+            cfg.update(mode="smd", arm_sizes=rng.integers(1, 60, (k, 2)).tolist())
+            first = cfg["arm_sizes"][0]
+        else:
+            cfg.update(mode="normal", within_vars=[abs(fuzz_number(rng)) for _ in range(k)])
+            first = cfg["within_vars"]
+        if rng.random() < 0.25:
+            first[0] = fuzz_number(rng)
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code in (0, 2, 3)
+        if code == 0:
+            strict_json(out)
+        else:
+            assert out == ""
+        if code == 3:
+            assert err.startswith("numeric failure: ")
 
     def test_directory_named_like_a_config_is_passed_over(self, capsys, tmp_path, monkeypatch):
         expected = run(capsys, "simulate", "--config", "smoke", "--reps", "2")

@@ -59,17 +59,17 @@ def exact_var_tau2(v, tau2):
 
 class TestMetaDataset:
     def test_needs_two_studies(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="^a meta-analysis needs at least 2 studies, got 1$"):
             dataset([1.0], [1.0])
 
     @pytest.mark.parametrize("v", [0.0, -1.0, math.inf, math.nan])
     def test_bad_variance(self, v):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="^all within-study variances must be positive and finite$"):
             MetaDataset([0.0, 0.1], [1.0, v])
 
     @pytest.mark.parametrize("y", [math.inf, math.nan])
     def test_bad_effect(self, y):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="^all effects must be finite$"):
             MetaDataset([0.0, y], [1.0, 1.0])
 
     def test_from_arrays_round_trip(self):

@@ -193,14 +193,14 @@ class TestConfigs:
         taus = [sc.tau for sc in scenarios]
         assert taus == [0.2, 0.4, 0.6, 0.8]
         for sc in scenarios:
-            assert sc.k == 35 and sc.mode == "normal"
+            assert sc.k == 35 and sc.arm_sizes is None
             assert sc.within_vars == tuple(cfg["within_vars"])
 
     def test_expand_figure3_grid(self):
         scenarios = expand_config(load_config("figure3_beta02"))
         assert len(scenarios) == 5 * 4
         sc = scenarios[0]
-        assert sc.mode == "smd"
+        assert sc.within_vars is None
         assert sc.arm_sizes == ((30, 30),) * sc.k
         assert sc.methods == ("PROPIMP",)
 

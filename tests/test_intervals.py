@@ -218,6 +218,12 @@ class TestBetaIntervals:
         assert abs(a - 0.16577627289570396) < 1e-12
         assert round(a, 4) == 0.1658
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0])
+    def test_adjusted_level_alpha_domain(self, alpha):
+        # 1.5 once gave a component level of 1.37, and 1.0 a level of 1.0
+        with pytest.raises(DomainError, match="alpha must be inside"):
+            alpha_adjusted_level(alpha)
+
     def test_adjusted_critical_value(self, hssp):
         # the component critical value at the adjusted level is z / sqrt 2:
         # at beta_hat = 0 with unit se the upper |beta| bound is that value

@@ -257,3 +257,20 @@ class TestRngState:
             RngState(-1)
         with pytest.raises(DomainError):
             RngState(2**64)
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "2", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # 2.5 once gave seed 2's streams
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            RngState(seed)
+
+    @pytest.mark.parametrize("trial", [1.5, 1.0, "1"])
+    def test_trial_must_be_an_integer(self, trial):
+        # 1.5 once gave trial 1's stream
+        with pytest.raises(DomainError, match="trial index must be an integer"):
+            RngState(42).stream(trial)
+
+    def test_integer_types_keep_their_streams(self):
+        expected = RngState(42).stream(7).standard_normal(3)
+        for seed, trial in [(np.uint64(42), np.int64(7)), (np.int32(42), np.uint8(7))]:
+            assert np.array_equal(RngState(seed).stream(trial).standard_normal(3), expected)

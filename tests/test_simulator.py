@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from scipy.stats import kstest
 
 from cvmeta import simulator
 from cvmeta.cli import analyze_dataset
-from cvmeta.core import MetaDataset, _check_studies, fit_rem
+from cvmeta.core import MetaDataset, fit_rem
 from cvmeta.datasets import load_hssp
-from cvmeta.errors import ConfigError, DataFormatError
+from cvmeta.errors import ConfigError, NumericFailureError
 from cvmeta.intervals import (
     RATIO_MEASURES,
     alpha_adjusted_intervals,
@@ -21,7 +22,6 @@ from cvmeta.measures import cv_measures, het_measures
 from cvmeta.numerics import RngState
 from cvmeta.simulator import (
     METHODS,
-    SIM_METHODS,
     Scenario,
     _draws,
     _replication_measures,
@@ -38,9 +38,9 @@ SMALL = dict(arm_sizes=((20, 20),) * 5, reps=40, seed=7)
 class TestScenario:
     def test_mode_detection(self):
         smd = Scenario(beta=0.5, tau=0.3, **SMALL)
-        assert smd.mode == "smd" and smd.k == 5
+        assert smd.within_vars is None and smd.k == 5
         norm = Scenario(beta=0.5, tau=0.3, within_vars=(0.1, 0.2, 0.3))
-        assert norm.mode == "normal" and norm.k == 3
+        assert norm.arm_sizes is None and norm.k == 3
 
     def test_exactly_one_data_spec(self):
         with pytest.raises(ConfigError):
@@ -133,12 +133,12 @@ class TestMethodTable:
         return calls
 
     def test_order_is_the_default(self):
-        assert SIM_METHODS == tuple(METHODS) == ("PROPIMP", "ALPHA_ADJ", "WALD")
-        assert Scenario(beta=0.5, tau=0.3, **SMALL).methods == SIM_METHODS
+        assert tuple(METHODS) == ("PROPIMP", "ALPHA_ADJ", "WALD")
+        assert Scenario(beta=0.5, tau=0.3, **SMALL).methods == tuple(METHODS)
 
     def test_analyze_looks_functions_up_at_call_time(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
-        analyze_dataset(load_hssp(), SIM_METHODS, 0.05)
+        analyze_dataset(load_hssp(), tuple(METHODS), 0.05)
         assert calls == dict.fromkeys(self.FUNCTIONS, 1)
 
     def test_simulate_looks_functions_up_at_call_time(self, monkeypatch):
@@ -274,7 +274,7 @@ class TestRunScenario:
     def test_method_lookup_and_tags(self):
         sc = Scenario(beta=0.5, tau=0.3, **SMALL)
         res = run_scenario(sc)
-        assert tuple(mc.method for mc in res.per_method) == SIM_METHODS
+        assert tuple(mc.method for mc in res.per_method) == tuple(METHODS)
         assert res.method("propimp").method == "PROPIMP"
         assert res.method("alpha-adj").method == "ALPHA_ADJ"
         assert res.method("wt").method == "WALD"
@@ -335,7 +335,7 @@ class TestRunScenario:
         for threads in (1, 2):
             res = run_scenario(sc, threads=threads)
             assert res.truncation_rate == sum(truncated) / sc.reps
-            assert tuple(mc.method for mc in res.per_method) == SIM_METHODS
+            assert tuple(mc.method for mc in res.per_method) == tuple(METHODS)
             for mc in res.per_method:
                 assert mc.coverage == sum(covered[mc.method]) / sc.reps
                 for q in RATIO_MEASURES:
@@ -417,22 +417,6 @@ class TestBatchedPass:
         tau2 = _replication_measures(_batch_scenario("smd", 10, 200))[0]
         assert 0 < np.count_nonzero(tau2 == 0.0) < tau2.size
 
-    @pytest.mark.parametrize(
-        "y, v",
-        [
-            (np.array([[0.1, 0.2], [np.nan, 0.3]]), np.ones((2, 2))),
-            (np.zeros((2, 3)), np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])),
-            (np.zeros((3, 1)), np.ones((3, 1))),
-        ],
-    )
-    def test_stacked_checks_match_from_arrays(self, y, v):
-        # the last row is bad in every case
-        with pytest.raises(DataFormatError) as batched:
-            _check_studies(y, v)
-        with pytest.raises(DataFormatError) as single:
-            MetaDataset(y[-1], v[-1])
-        assert str(batched.value) == str(single.value)
-
 
 def _reference_draw(scenario, rng):
     """One replication drawn as the generators drew it before batching.
@@ -506,3 +490,28 @@ class TestBatchedDraws:
                 assert truncated == (fit.tau2_hat == 0.0)
                 assert covered == ivs["M1"].contains(true_m1)
                 assert widths == [ivs[m].width for m in RATIO_MEASURES]
+
+
+# draws beyond the float range: at beta = 1e200, y * y overflows in every SMD
+# variance; at tau = 1.7e308, about 3 normal deviations in 10 overflow, so
+# each replication of 35 studies has one
+OVERFLOWING = {
+    "smd_beta": Scenario(beta=1e200, tau=0.5, arm_sizes=((10, 10),) * 3, reps=4, seed=5),
+    "normal_tau": Scenario(beta=0.5, tau=1.7e308, within_vars=(0.1,) * 35, reps=4, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING)
+@pytest.mark.parametrize("path", [
+    lambda sc: (generate_smd_dataset if sc.arm_sizes else generate_normal_dataset)(
+        sc, RngState(sc.seed).stream(0)),
+    measure_summary,
+    lambda sc: run_scenario(dataclasses.replace(sc, methods=("WALD",)), threads=1),
+    lambda sc: run_scenario(dataclasses.replace(sc, methods=("WALD",)), threads=2),
+], ids=["generator", "measure_summary", "run_scenario_1", "run_scenario_2"])
+def test_overflowing_draws_are_a_numeric_failure(name, path):
+    sc = OVERFLOWING[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericFailureError, match="^draws overflow the float range at"):
+            path(sc)
