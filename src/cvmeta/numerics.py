@@ -13,16 +13,18 @@ objectives are handled without assuming unimodality.  The refinement
 evaluates the candidate points of its next three steps in one call, so
 the objective is called once per three steps, and steps each bracket in
 Python floats, which give float64's bits at less cost than tiny arrays.
-Random streams are derived here; what is drawn from them, and in which
-order, belongs to the generators in :mod:`cvmeta.simulator`.
+Random streams are derived here, keyed by numpy's SeedSequence spawn
+keys computed in Python integers; a range of trials re-keys one
+generator.  What is drawn from them, and in which order, belongs to the
+generators in :mod:`cvmeta.simulator`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -264,14 +266,25 @@ def _better(v: float, ref: float, tie: bool) -> bool:
     return not math.isnan(v) and (math.isnan(ref) or v < ref) or (tie and v == ref)
 
 
+# numpy's SeedSequence constants (32-bit words, a pool of 4 words)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hash of the entropy words
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hash of the output words
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
 @dataclass(frozen=True)
 class RngState:
     """Keyed source of independent, reproducible random streams.
 
-    One master seed plus a trial index identify a stream.  Streams are
-    derived through seed-sequence spawning over a counter-based
-    generator, so any subset of trials can be drawn in any order, on any
-    worker, with identical results.
+    One master seed plus a trial index identify a stream: a Philox
+    generator keyed by ``np.random.SeedSequence(entropy=seed,
+    spawn_key=(trial,)).generate_state(2, np.uint64)``.  The key is
+    derived here in Python integers, bit for bit as numpy derives it,
+    with the seed mixed into the pool once per master seed, so a trial
+    costs a few integer steps rather than a SeedSequence.  Any subset
+    of trials can be drawn in any order, on any worker, with identical
+    results.
 
     Attributes
     ----------
@@ -280,17 +293,88 @@ class RngState:
     """
 
     seed: int
+    _seeded: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 <= _index(self.seed, "seed") < 2**64:
+        seed = _index(self.seed, "seed")
+        if not 0 <= seed < 2**64:
             raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+        object.__setattr__(self, "_seeded", _seed_pool(seed))
 
     def stream(self, trial: int = 0) -> np.random.Generator:
         """Independent generator for one integer trial index (1.5 is a DomainError)."""
-        if _index(trial, "trial index") < 0:
-            raise DomainError(f"trial index must be nonnegative, got {trial!r}")
-        seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(trial),))
-        return np.random.Generator(np.random.Philox(seq))
+        key = np.array(self._key(_trial(trial)), dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    def streams(self, start: int, stop: int) -> Iterator[np.random.Generator]:
+        """The generators of trials start, ..., stop - 1, in order.
+
+        One generator is re-keyed for each trial, so the draws of trial t
+        equal those of ``stream(t)`` at the cost of a key, not of a new
+        generator.  Every item is that same object: an item is valid only
+        until the next one is taken, which re-keys it.
+        """
+        bitgen = np.random.Philox(key=0)
+        rng, state = np.random.Generator(bitgen), bitgen.state
+        for trial in range(_trial(start), _index(stop, "trial index")):
+            state["state"]["key"] = self._key(trial)
+            bitgen.state = state
+            yield rng
+
+    def _key(self, trial: int) -> tuple[int, int]:
+        """Philox key of a nonnegative trial: SeedSequence's spawn-key mixing and output hash."""
+        pool, h = self._seeded
+        pool = list(pool)
+        while True:  # the trial's 32-bit words, low first; 0 is one word
+            word = trial & _M32
+            for i in range(4):
+                h = _hash_into(pool, i, word, h)
+            trial >>= 32
+            if not trial:
+                break
+        words, h = [], _INIT_B
+        for w in pool:
+            w ^= h
+            h = h * _MULT_B & _M32
+            w = w * h & _M32
+            words.append(w ^ w >> 16)
+        return words[0] | words[1] << 32, words[2] | words[3] << 32
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence's pool after the seed's entropy, and the hash constant reached.
+
+    With a spawn key the seed's words are zero-padded to the pool size,
+    so each trial word that follows is mixed into all four pool words.
+    """
+    pool, h = [], _INIT_A
+    for w in (seed & _M32, seed >> 32, 0, 0):
+        w ^= h
+        h = h * _MULT_A & _M32
+        w = w * h & _M32
+        pool.append(w ^ w >> 16)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h = _hash_into(pool, dst, pool[src], h)
+    return pool, h
+
+
+def _hash_into(pool: list[int], dst: int, word: int, h: int) -> int:
+    """Mix the hash of ``word`` into ``pool[dst]``; returns the next hash constant."""
+    word ^= h
+    h = h * _MULT_A & _M32
+    word = word * h & _M32
+    x = (_MIX_L * pool[dst] - _MIX_R * (word ^ word >> 16)) & _M32
+    pool[dst] = x ^ x >> 16
+    return h
+
+
+def _trial(value) -> int:
+    trial = _index(value, "trial index")
+    if trial < 0:
+        raise DomainError(f"trial index must be nonnegative, got {value!r}")
+    return trial
 
 
 def _index(value, name: str) -> int:

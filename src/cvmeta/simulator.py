@@ -12,7 +12,8 @@ Replications are keyed by (seed, replication index) through independent
 counter-based streams, and results are reduced in replication order, so
 a scenario's output is bit-identical across runs and across worker
 counts.  One draw routine serves the generators, the coverage runner
-and the summaries: it takes one stream per replication and returns the
+and the summaries: it takes one stream per replication (the runners
+re-key one generator through a range of replications) and returns the
 (reps, K) effects and variances, with the scenario's constants built
 once, and is the one check of simulated data.  The coverage runner fits
 each row as a dataset and writes one table row per replication, whose
@@ -268,11 +269,13 @@ def _draws(scenario: Scenario, rngs: Iterable[np.random.Generator]) -> tuple:
     The draw code of both generators and of the scenario runners.  Row i
     of the (N, K) arrays comes from the i-th generator of ``rngs``: the
     between-study deviations first, then the within-study draws, from
-    the same stream.  The scenario constants are built once per call and
-    the arithmetic runs once over all rows; elementwise operations do
-    not depend on the array shape, so each row equals the draw of its
-    replication alone.  A draw beyond the float range (SMD at a beta or
-    tau near 1e154, normal at a tau near 1.8e308) is a NumericFailureError.
+    the same stream.  A row's draws are complete before the next
+    generator is taken, so ``RngState.streams`` can serve.  The scenario
+    constants are built once per call and the arithmetic runs once over
+    all rows; elementwise operations do not depend on the array shape,
+    so each row equals the draw of its replication alone.  A draw beyond
+    the float range (SMD at a beta or tau near 1e154, normal at a tau
+    near 1.8e308) is a NumericFailureError.
     """
     k, beta, tau = scenario.k, scenario.beta, scenario.tau
     with np.errstate(all="ignore"):
@@ -286,8 +289,10 @@ def _draws(scenario: Scenario, rngs: Iterable[np.random.Generator]) -> tuple:
             inv_n = 1.0 / n1 + 1.0 / n2
             m = np.sqrt(inv_n)
             df = n1 + n2 - 2.0
+            # one df for every study draws the same values as its array, at less cost
+            chi_df = float(df[0]) if (df == df[0]).all() else df
             two_n = 2.0 * (n1 + n2)
-            rows = [(rng.normal(0.0, tau, k), rng.standard_normal(k), rng.chisquare(df, k))
+            rows = [(rng.normal(0.0, tau, k), rng.standard_normal(k), rng.chisquare(chi_df, k))
                     for rng in rngs]
             dev, z, chi2 = np.array(rows).transpose(1, 0, 2)
             y = (z + (beta + dev) / m) / np.sqrt(chi2 / df) * m
@@ -304,10 +309,19 @@ def _run_range(scenario: Scenario, start: int, stop: int) -> np.ndarray:
     its coverage flag on the m1 scale and its CV_B, M1 and M2 widths, as
     floats.  The three measures share the containment event because
     their intervals and true values are monotone transforms of the same bounds.
+    A numeric failure is that of the lowest failing replication, as if
+    the rows were drawn and scored one at a time.
     """
+    try:
+        y, v = _draws(scenario, RngState(scenario.seed).streams(start, stop))
+    except NumericFailureError:
+        if stop - start == 1:
+            raise
+        # score the halves in order, so that the lowest failing replication
+        # reports its own error however the replications are chunked
+        mid = (start + stop) // 2
+        return np.concatenate([_run_range(scenario, start, mid), _run_range(scenario, mid, stop)])
     true_m1 = cv_measures(scenario.tau, scenario.beta).m1
-    master = RngState(scenario.seed)
-    y, v = _draws(scenario, map(master.stream, range(start, stop)))
     rows = []
     for yj, vj in zip(y, v):
         data = MetaDataset(yj, vj)
@@ -385,7 +399,6 @@ def _replication_measures(scenario: Scenario) -> tuple:
     (reps, K) arrays and fitted in one DerSimonian-Laird pass, so row r
     equals ``fit_rem`` and ``het_measures`` on the dataset of replication r.
     """
-    master = RngState(scenario.seed)
-    y, v = _draws(scenario, map(master.stream, range(scenario.reps)))
+    y, v = _draws(scenario, RngState(scenario.seed).streams(0, scenario.reps))
     q, _, tau2, beta, _ = _dl_pass(y, v)
     return (tau2, beta, q, _i_squared(q, scenario.k), *_ratio_measures(np.sqrt(tau2), beta))

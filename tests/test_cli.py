@@ -404,6 +404,21 @@ class TestSimulate:
             assert code == 3 and out == ""
             assert err.startswith("numeric failure: draws overflow the float range at beta ")
 
+    def test_numeric_failure_names_the_lowest_failing_replication(self, capsys, tmp_path):
+        # replication 0 draws finite effects whose fit overflows, and replication
+        # 1's draws overflow; every thread count must report replication 0's error
+        cfg = tmp_path / "mixed.json"
+        cfg.write_text(json.dumps({"mode": "normal", "beta": 0.5, "tau": 1.7e308,
+                                   "within_vars": [0.1, 0.2, 0.3], "reps": 2}))
+        errors = []
+        for threads in ("1", "2"):
+            code, out, err = run(capsys, "simulate", "--config", str(cfg), "--seed", "0",
+                                 "--threads", threads)
+            assert code == 3 and out == ""
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("numeric failure: the tau2 estimate overflows")
+
     @pytest.mark.parametrize(
         "within_vars", [[1e-12, 1e12, 1, 1e-6], [1e-300, 1e-150, 1, 1e150, 1e300]]
     )

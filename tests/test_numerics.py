@@ -274,3 +274,49 @@ class TestRngState:
         expected = RngState(42).stream(7).standard_normal(3)
         for seed, trial in [(np.uint64(42), np.int64(7)), (np.int32(42), np.uint8(7))]:
             assert np.array_equal(RngState(seed).stream(trial).standard_normal(3), expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("trial", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96])
+    def test_keys_are_seed_sequence_spawn_keys(self, seed, trial):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+        expected = seq.generate_state(2, np.uint64)
+        master = RngState(seed)
+        (rng,) = master.streams(trial, trial + 1)
+        for state in (master.stream(trial).bit_generator.state, rng.bit_generator.state):
+            assert state["state"]["key"].tolist() == expected.tolist()
+        # counter and buffer too: the whole state of numpy's own construction
+        assert repr(master.stream(trial).bit_generator.state) == repr(np.random.Philox(seq).state)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 2**70 - 1))
+    def test_keys_match_seed_sequence_anywhere(self, seed, trial):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+        key = RngState(seed).stream(trial).bit_generator.state["state"]["key"]
+        assert key.tolist() == seq.generate_state(2, np.uint64).tolist()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 7])
+    def test_streams_draw_as_stream(self, threads):
+        # the contiguous chunks run_scenario hands to its workers, 50 trials
+        master = RngState(2**40 + 3)
+        chunk = -(-50 // threads)
+        for start in range(0, 50, chunk):
+            stop = min(start + chunk, 50)
+            got = [rng.standard_normal(3) for rng in master.streams(start, stop)]
+            assert len(got) == stop - start
+            for t, draws in zip(range(start, stop), got):
+                assert np.array_equal(draws, master.stream(t).standard_normal(3))
+
+    def test_streams_yield_one_rekeyed_generator(self):
+        # an item is valid only until the next is taken: taking it re-keys the same object
+        master = RngState(42)
+        it = master.streams(3, 6)
+        first = next(it)
+        second = next(it)
+        assert first is second
+        assert np.array_equal(first.standard_normal(2), master.stream(4).standard_normal(2))
+        assert [rng is first for rng in it] == [True]
+
+    @pytest.mark.parametrize("start, match", [(-1, "nonnegative"), (1.5, "must be an integer")])
+    def test_streams_start_is_checked(self, start, match):
+        with pytest.raises(DomainError, match=match):
+            next(RngState(42).streams(start, 4))

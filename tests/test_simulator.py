@@ -389,6 +389,8 @@ class TestMeasureSummary:
 
 def _batch_scenario(mode, k, reps):
     rng = np.random.default_rng(1000 * k + reps)
+    if mode == "smd_constant":  # table2's shape: one chi-square df for every study
+        return Scenario(beta=0.3, tau=0.25, arm_sizes=((10, 10),) * k, reps=reps, seed=k + reps)
     if mode == "smd":
         sizes = tuple((int(a), int(b)) for a, b in rng.integers(2, 80, (k, 2)))
         return Scenario(beta=0.3, tau=0.25, arm_sizes=sizes, reps=reps, seed=k + reps)
@@ -442,13 +444,14 @@ def _reference_draw(scenario, rng):
 
 
 class TestBatchedDraws:
-    @pytest.mark.parametrize("mode", ["smd", "normal"])
+    # smd_constant takes _draws' scalar-df chi-square; _reference_draw keeps the array df
+    @pytest.mark.parametrize("mode", ["smd", "normal", "smd_constant"])
     @pytest.mark.parametrize("k", [2, 10, 35, 60])
     @pytest.mark.parametrize("reps", [1, 7, 200])
     def test_rows_equal_per_replication_draw(self, mode, k, reps):
         sc = _batch_scenario(mode, k, reps)
         master = RngState(sc.seed)
-        y, v = _draws(sc, map(master.stream, range(reps)))
+        y, v = _draws(sc, master.streams(0, reps))
         assert y.shape == v.shape == (reps, k)
         for r in range(reps):
             ref_y, ref_v = _reference_draw(sc, master.stream(r))
@@ -473,7 +476,7 @@ class TestBatchedDraws:
         chunk = -(-sc.reps // threads)
         for s in range(0, sc.reps, chunk):
             e = min(s + chunk, sc.reps)
-            part_y, part_v = _draws(sc, map(master.stream, range(s, e)))
+            part_y, part_v = _draws(sc, master.streams(s, e))
             assert (part_y == y[s:e]).all() and (part_v == v[s:e]).all()
 
     @pytest.mark.parametrize("mode", ["smd", "normal"])
