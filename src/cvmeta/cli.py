@@ -30,12 +30,13 @@ from .errors import ConfigError, CvMetaError, DataFormatError, DomainError
 # the three method functions are unused here; bench/tracing.py wraps them at cli
 from .intervals import (
     RATIO_MEASURES,
+    _check_alpha,
     alpha_adjusted_intervals,
     propimp_intervals,
     wald_logit_intervals,
 )
 from .measures import het_measures
-from .simulator import METHODS, measure_summary, normalize_methods, run_scenario
+from .simulator import METHOD_ALIASES, METHODS, measure_summary, normalize_methods, run_scenario
 
 __all__ = ["AnalysisReport", "analyze_dataset", "main"]
 
@@ -46,9 +47,7 @@ DEGENERATE_WARNING = (
 
 
 def _fmt(x) -> str:
-    """Six-significant-digit text for report tables; inf gets a token."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """Six-significant-digit text for report tables (inf, -inf and nan as such)."""
     return f"{x:.6g}"
 
 
@@ -177,8 +176,7 @@ def _report_text(report: AnalysisReport) -> str:
 
 
 def cmd_analyze(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise ConfigError(f"--alpha must be inside (0, 1), got {args.alpha}")
+    _check_alpha(args.alpha)
     methods = normalize_methods(t for t in args.method.split(",") if t.strip())
     data = read_effects_csv(args.input)
     report = analyze_dataset(data, methods, args.alpha, source=args.input)
@@ -305,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--method",
         default=",".join(METHODS),
-        help="comma-separated subset of propimp, alpha-adj, wald",
+        help="comma-separated subset of " + ", ".join(sorted(METHOD_ALIASES)),
     )
     p_an.add_argument("--alpha", type=float, default=0.05)
     p_an.add_argument("--format", choices=("json", "csv", "text"), default="json")

@@ -29,6 +29,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from importlib import resources
 from pathlib import Path
 
@@ -74,8 +75,11 @@ def cohen_smd(n1, m1, sd1, n2, m2, sd2):
 
 
 def split_arms(total: int) -> tuple:
-    """Split a total sample size into two arms, larger arm first."""
-    total = int(total)
+    """Split an integer total sample size into two arms, larger arm first."""
+    try:
+        total = operator.index(total)
+    except TypeError:
+        raise ConfigError(f"total sample size must be an integer, got {total!r}") from None
     if total <= 2:
         raise ConfigError(f"total sample size must exceed 2, got {total}")
     half = total // 2

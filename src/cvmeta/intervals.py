@@ -451,8 +451,7 @@ def propimp_intervals(
         return _corners_m1(data, fit, c_tau, p_tail, 1.0 - p_tail, z * np.cos(theta))
 
     (theta_lo, m1_lo, n_lo), (theta_hi, m1_hi, n_hi) = optimize_1d(
-        corners_m1, 0.0, _HALF_PI, modes=("min", "max"), tol=1e-7
-    )
+        corners_m1, 0.0, _HALF_PI, modes=("min", "max"))
     trace = PropImpTrace(theta_lo, theta_hi, n_lo + n_hi)
     return _linked_intervals(m1_lo, m1_hi, "PROPIMP", alpha, alpha), trace
 

@@ -302,17 +302,15 @@ class RngState:
         object.__setattr__(self, "_seeded", _seed_pool(seed))
 
     def stream(self, trial: int = 0) -> np.random.Generator:
-        """Independent generator for one integer trial index (1.5 is a DomainError)."""
-        key = np.array(self._key(_trial(trial)), dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """The one-trial case of :meth:`streams` (1.5 is a DomainError); nothing re-keys it."""
+        return next(self.streams(trial, _trial(trial) + 1))
 
     def streams(self, start: int, stop: int) -> Iterator[np.random.Generator]:
         """The generators of trials start, ..., stop - 1, in order.
 
-        One generator is re-keyed for each trial, so the draws of trial t
-        equal those of ``stream(t)`` at the cost of a key, not of a new
-        generator.  Every item is that same object: an item is valid only
-        until the next one is taken, which re-keys it.
+        One generator is re-keyed for each trial, so a trial costs a key,
+        not a new generator.  Every item is that same object: an item is
+        valid only until the next one is taken, which re-keys it.
         """
         bitgen = np.random.Philox(key=0)
         rng, state = np.random.Generator(bitgen), bitgen.state

@@ -149,8 +149,9 @@ class Scenario:
         if self.arm_sizes is not None:
             try:
                 sizes = tuple((operator.index(a), operator.index(b)) for a, b in self.arm_sizes)
-            except TypeError:
-                raise ConfigError(f"arm sizes must be integers, got {self.arm_sizes!r}") from None
+            except (TypeError, ValueError):  # a non-integer, or not a pair
+                raise ConfigError(
+                    f"arm sizes must be integer (n1, n2) pairs, got {self.arm_sizes!r}") from None
             for n1, n2 in sizes:
                 if min(n1, n2) < 1 or n1 + n2 <= 2:
                     raise ConfigError(

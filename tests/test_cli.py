@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from cvmeta.cli import build_parser, main
 from cvmeta.datasets import cohen_smd, data_path
 from cvmeta.errors import NumericFailureError
+from cvmeta.simulator import METHOD_ALIASES
 
 from conftest import run_python
 
@@ -549,16 +551,21 @@ SMD_CONFIG = {"name": "bad", "mode": "smd", "beta": 0.5, "tau": 0.3, "k": 3, "n_
               "reps": 2, "seed": 3, "methods": ["wald"]}
 
 
+ABSENT = object()
+
+
 def simulate_with(**changes):
     """argv of a simulate run on a small smd config with some fields replaced.
 
-    An ``arm_totals`` or ``arm_sizes`` change replaces ``k`` and ``n_per_arm``.
+    An ``arm_totals`` or ``arm_sizes`` change replaces ``k`` and ``n_per_arm``;
+    a field changed to ``ABSENT`` is left out.
     """
     def argv(tmp_path):
         cfg = dict(SMD_CONFIG)
         if changes.keys() & {"arm_totals", "arm_sizes"}:
             del cfg["k"], cfg["n_per_arm"]
         cfg.update(changes)
+        cfg = {f: v for f, v in cfg.items() if v is not ABSENT}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))  # inf and nan are written as Infinity and NaN
         return ["simulate", "--config", str(path)]
@@ -613,12 +620,26 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
         (lambda tmp: ["table2", "--reps", "0"], "reps must be at least 1, got 0"),
         (lambda tmp: ["analyze", "--input", HSSP_CSV, "--method", ","],
          "at least one method is required"),
+        # one alpha rule and one message, from the flag and from a config
+        (lambda tmp: ["analyze", "--input", HSSP_CSV, "--alpha", "1.5"],
+         "error: alpha must be inside (0, 1), got 1.5"),
+        (simulate_with(alpha=1.5), "error: alpha must be inside (0, 1), got 1.5"),
+        (simulate_with(beta=ABSENT), "beta: is required"),
+        (simulate_with(tau=[]), "tau: must not be empty"),
+        (simulate_with(mode="bayes"), "mode: expected 'smd' or 'normal', got 'bayes'"),
+        (simulate_with(methods="wald"), "methods: expected a list, got 'wald'"),
+        (simulate_with(arm_sizes=[]), "arm_sizes: expected a non-empty list of [n1, n2] pairs"),
+        (lambda tmp: ["simulate", "--config", write_csv(tmp, "list.json", "[1, 2]")],
+         "list.json: top level must be an object"),
     ],
     ids=["reps", "seed", "tau", "tau_negative_zero", "tau_list_negative_zero", "k", "n_per_arm", "arm_totals", "arm_sizes", "no_methods",
-         "unknown_method", "simulate_reps_flag", "table2_reps_flag", "analyze_no_method"],
+         "unknown_method", "simulate_reps_flag", "table2_reps_flag", "analyze_no_method",
+         "analyze_alpha_flag", "alpha", "beta_absent", "tau_empty", "mode", "methods_not_list",
+         "arm_sizes_empty", "top_level_not_object"],
 )
 def test_out_of_range_setting_exits_2(capsys, tmp_path, monkeypatch, argv, message):
-    # each range is checked once, by Scenario, split_arms or normalize_methods
+    # each setting is checked once: its JSON shape by load_config or expand_config,
+    # its range by Scenario, intervals._check_alpha, split_arms or normalize_methods
     for runner in ("run_scenario", "measure_summary", "analyze_dataset"):
         monkeypatch.setattr(f"cvmeta.cli.{runner}", no_run)
     code, out, err = run(capsys, *argv(tmp_path))
@@ -663,6 +684,14 @@ def test_simulate_accepts_arm_pairs_that_arm_totals_give(capsys, tmp_path):
     # arm_totals [3] splits into (2, 1); the same pair given directly runs too
     code, _, err = run(capsys, *simulate_with(arm_sizes=[[2, 1], [10, 10]])(tmp_path))
     assert code == 0, err
+
+
+def test_analyze_help_names_every_method_alias(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line, so no alias is wrapped
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    words = set(re.split(r"[\s,]+", capsys.readouterr().out))
+    assert set(METHOD_ALIASES) <= words
 
 
 def test_parser_built_once_keeps_its_defaults(capsys):

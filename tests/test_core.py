@@ -72,6 +72,14 @@ class TestMetaDataset:
         with pytest.raises(DataFormatError, match="^all effects must be finite$"):
             MetaDataset([0.0, y], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "y, v", [([0.1, 0.2], [1.0]), ([0.1, 0.2], [[1.0, 1.0]]), ([[0.1, 0.2]], [[1.0, 1.0]])],
+        ids=["lengths", "v_2d", "both_2d"],
+    )
+    def test_shape_mismatch(self, y, v):
+        with pytest.raises(DataFormatError, match="^effects and variances must be equal-length 1-D"):
+            MetaDataset(y, v)
+
     def test_from_arrays_round_trip(self):
         d = dataset([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
         assert d.k == 3 and len(d) == 3

@@ -48,6 +48,11 @@ class TestSplitArms:
         with pytest.raises(ConfigError):
             split_arms(2)
 
+    @pytest.mark.parametrize("total", [5.7, 2.5, 7.0, "7"])
+    def test_non_integer_refused(self, total):
+        with pytest.raises(ConfigError, match="^total sample size must be an integer, got "):
+            split_arms(total)
+
 
 class TestNormalizeMethod:
     def test_aliases(self):
@@ -127,6 +132,13 @@ class TestReadEffectsCsv:
         p = tmp_path / "d.csv"
         p.write_text("n1,m1,sd1,n2,m2,sd2\n10.5,1.0,1.0,10,0.0,1.0\n10,0.5,1.0,10,0.0,1.0\n")
         with pytest.raises(DataFormatError, match="'n1'"):
+            read_effects_csv(p)
+
+    @pytest.mark.parametrize("raw", ["inf", "-Infinity", "nan", "1e999"])
+    def test_non_finite_value_rejected(self, tmp_path, raw):
+        p = tmp_path / "d.csv"
+        p.write_text(f"yi,vi\n0.5,0.2\n{raw},0.3\n")
+        with pytest.raises(DataFormatError, match=f"^row 3, column 'yi': non-finite value '{raw}'$"):
             read_effects_csv(p)
 
     def test_empty_file(self, tmp_path):

@@ -68,7 +68,8 @@ class TestScenario:
         with pytest.raises(ConfigError):
             Scenario(beta=0.5, tau=0.3, alpha=1.0, arm_sizes=((10, 10),) * 3)
 
-    @pytest.mark.parametrize("arms", [(0, 5), (-1, 5), (5, 0), (4, -1), (2.5, 10), ("3", 10)])
+    @pytest.mark.parametrize(
+        "arms", [(0, 5), (-1, 5), (5, 0), (4, -1), (2.5, 10), ("3", 10), (10, 10, 10), (10,)])
     def test_arm_sizes_at_least_one(self, arms):
         with pytest.raises(ConfigError):
             Scenario(beta=0.5, tau=0.3, arm_sizes=((10, 10), arms))
