@@ -177,7 +177,7 @@ def _report_text(report: AnalysisReport) -> str:
 
 def cmd_analyze(args) -> int:
     _check_alpha(args.alpha)
-    methods = normalize_methods(t for t in args.method.split(",") if t.strip())
+    methods = normalize_methods(args.method)
     data = read_effects_csv(args.input)
     report = analyze_dataset(data, methods, args.alpha, source=args.input)
     for w in report.warnings:
@@ -189,14 +189,6 @@ def cmd_analyze(args) -> int:
     else:
         print(_report_text(report))
     return 0
-
-
-def _width_block(ws) -> dict:
-    return {
-        "mean": _num(ws.mean),
-        "median": _num(ws.median),
-        "any_infinite": ws.any_infinite,
-    }
 
 
 def _simulate_doc(name, echo, results) -> dict:
@@ -211,7 +203,11 @@ def _simulate_doc(name, echo, results) -> dict:
                     {
                         "method": mc.method,
                         "coverage": mc.coverage,
-                        "widths": {m: _width_block(mc.widths[m]) for m in RATIO_MEASURES},
+                        "widths": {
+                            m: {"mean": _num(ws.mean), "median": _num(ws.median),
+                                "any_infinite": ws.any_infinite}
+                            for m, ws in mc.widths.items()
+                        },
                     }
                     for mc in res.per_method
                 ],

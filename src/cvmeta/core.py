@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class MetaDataset:
     """Ordered collection of at least two studies.
 
@@ -30,13 +31,15 @@ class MetaDataset:
     variances, one per effect) positive and finite: this is the one check
     of outside data, a DataFormatError.  The arrays are copied and
     write-protected, so a dataset can be shared freely across threads.
+    Datasets compare and hash by identity.
     """
 
-    __slots__ = ("_effects", "_within_vars")
+    effects: np.ndarray
+    within_vars: np.ndarray
 
-    def __init__(self, effects, within_vars):
-        y = np.asarray(effects, dtype=float)
-        v = np.asarray(within_vars, dtype=float)
+    def __post_init__(self):
+        y = np.array(self.effects, dtype=float)
+        v = np.array(self.within_vars, dtype=float)
         if y.ndim != 1 or v.shape != y.shape:
             raise DataFormatError(
                 f"effects and variances must be equal-length 1-D arrays, "
@@ -48,23 +51,15 @@ class MetaDataset:
             raise DataFormatError("all effects must be finite")
         if not (np.isfinite(v).all() and (v > 0).all()):
             raise DataFormatError("all within-study variances must be positive and finite")
-        self._effects = y.copy()
-        self._within_vars = v.copy()
-        self._effects.setflags(write=False)
-        self._within_vars.setflags(write=False)
-
-    @property
-    def effects(self) -> np.ndarray:
-        return self._effects
-
-    @property
-    def within_vars(self) -> np.ndarray:
-        return self._within_vars
+        y.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "effects", y)
+        object.__setattr__(self, "within_vars", v)
 
     @property
     def k(self) -> int:
         """Number of studies."""
-        return self._effects.size
+        return self.effects.size
 
     def __len__(self) -> int:
         return self.k

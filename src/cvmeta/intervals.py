@@ -74,7 +74,9 @@ _HALF_PI = math.pi / 2.0
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
+    # exactly the alpha whose critical value z = Phi^-1(1 - alpha/2) is positive
+    # and finite: 0 < alpha < 1 can round 1 - alpha/2 to 0.5 or 1
+    if not 0.5 < 1.0 - alpha / 2.0 < 1.0:
         raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
 
 
@@ -252,19 +254,12 @@ def _corners_m1(data: MetaDataset, fit: PooledFit, c_tau, p_lo, p_up, c_beta) ->
     half = c_beta * math.sqrt(fit.var_beta_hat)
     b_lo, b_up = _fold_abs(fit.beta_hat - half, fit.beta_hat + half)
     b = np.where(c_beta == 0.0, abs(fit.beta_hat), np.where(_UPPER, b_lo, b_up))
-    return _m1_corner(tau, b)
+    # 0 where tau is 0, else tau / (tau + |beta|): exactly 1 where |beta| is 0
+    return np.divide(tau, tau + b, out=np.zeros(np.shape(tau)), where=tau > 0.0)
 
 
 # ---------------------------------------------------------------------------
 # measure-scale helpers
-
-def _m1_corner(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """m1 at (tau, |beta|) corners: 0 where tau is 0, else t / (t + b).
-
-    A zero |beta| with positive tau gives t / t, exactly 1.
-    """
-    return np.divide(t, t + b, out=np.zeros(np.shape(t)), where=t > 0.0)
-
 
 def _cv_from_m1(u: float) -> float:
     return math.inf if u >= 1.0 else u / (1.0 - u)

@@ -68,16 +68,10 @@ METHODS = {
     "ALPHA_ADJ": lambda data, fit, alpha: alpha_adjusted_intervals(data, alpha, fit),
     "WALD": lambda data, fit, alpha: wald_logit_intervals(fit, alpha),
 }
-SUMMARY_MEASURES = ("I2", "CV_B", "M1", "M2")
+SUMMARY_MEASURES = ("I2", *RATIO_MEASURES)
 
-METHOD_ALIASES = {
-    "wald": "WALD",
-    "wt": "WALD",
-    "alpha-adj": "ALPHA_ADJ",
-    "alpha_adj": "ALPHA_ADJ",
-    "alphaadj": "ALPHA_ADJ",
-    "propimp": "PROPIMP",
-}
+METHOD_ALIASES = {tag.lower(): tag for tag in METHODS} | {
+    "wt": "WALD", "alpha-adj": "ALPHA_ADJ", "alphaadj": "ALPHA_ADJ"}
 
 
 def normalize_method(token: str) -> str:
@@ -91,11 +85,15 @@ def normalize_method(token: str) -> str:
     return tag
 
 
-def normalize_methods(tokens: Iterable) -> tuple:
+def normalize_methods(tokens: Iterable | str) -> tuple:
     """Canonical tags of a method list, each named once, first occurrence kept.
 
-    Raises ConfigError for an unknown method or an empty list.
+    A string is read as the CLI's comma-separated list, such as
+    ``"propimp,wald"``; blank items are skipped.  Raises ConfigError for
+    an unknown method or an empty list.
     """
+    if isinstance(tokens, str):
+        tokens = [t for t in tokens.split(",") if t.strip()]
     methods = tuple(dict.fromkeys(map(normalize_method, tokens)))
     if not methods:
         raise ConfigError("at least one method is required")
@@ -126,9 +124,9 @@ class Scenario:
         Per-study within-study variances.
     reps : int
     methods : tuple of str
-        Tags of :data:`METHODS`; any name :func:`normalize_method` accepts.
-        Stored as :func:`normalize_methods` returns them.  The default is
-        every method, in the table's order.
+        Tags of :data:`METHODS`; any names :func:`normalize_methods` accepts.
+        Stored as it returns them.  The default is every method, in the
+        table's order.
     alpha : float
     seed : int
         Master seed in [0, 2**64).
@@ -179,7 +177,7 @@ class Scenario:
             raise ConfigError(f"reps must be at least 1, got {self.reps!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        if not 0.0 < self.alpha < 1.0:
+        if not 0.5 < 1.0 - self.alpha / 2.0 < 1.0:  # the rule of intervals._check_alpha
             raise ConfigError(f"alpha must be inside (0, 1), got {self.alpha!r}")
         object.__setattr__(self, "methods", normalize_methods(self.methods))
 

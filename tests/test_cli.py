@@ -117,6 +117,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--input", HSSP_CSV, "--alpha", "1.5")
         assert code == 2
 
+    def test_alpha_near_zero_computes(self, capsys):
+        # 1 - 2**-53 rounds to itself, below 1, so z is finite
+        code, out, _ = run(capsys, "analyze", "--input", HSSP_CSV, "--alpha", repr(2.0**-52))
+        assert code == 0
+        intervals = strict_json(out)["intervals"]
+        assert len(intervals) == 9 and not any(iv["degenerate"] for iv in intervals)
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--input", str(tmp_path / "nope.csv"))
         assert code == 2
@@ -290,6 +297,14 @@ class TestAnalyze:
         assert lines[0] == "measure,method,lower,upper,alpha_tau,alpha_beta,degenerate"
         assert len(lines) == 10
         assert any(",inf," in ln for ln in lines[1:])
+
+    def test_text_format_ends_with_the_warning(self, capsys, tmp_path):
+        same = write_csv(tmp_path, "same.csv", "yi,vi\n0.4,0.2\n0.4,0.2\n0.4,0.2\n")
+        code, out, err = run(capsys, "analyze", "--input", same, "--format", "text")
+        assert code == 0
+        warning = ("warning: between-study variance estimate is zero; reported intervals"
+                   " are the maximal degenerate intervals")
+        assert out.endswith("\n\n" + warning + "\n") and err == warning + "\n"
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "analyze", "--input", HSSP_CSV, "--format", "text")
@@ -624,6 +639,13 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
         (lambda tmp: ["analyze", "--input", HSSP_CSV, "--alpha", "1.5"],
          "error: alpha must be inside (0, 1), got 1.5"),
         (simulate_with(alpha=1.5), "error: alpha must be inside (0, 1), got 1.5"),
+        # 0 < alpha < 1, but 1 - alpha/2 rounds to 1 or to 0.5: z would be inf or 0
+        (lambda tmp: ["analyze", "--input", HSSP_CSV, "--alpha", "1.1102230246251565e-16"],
+         "error: alpha must be inside (0, 1), got 1.1102230246251565e-16"),
+        (lambda tmp: ["analyze", "--input", HSSP_CSV, "--alpha", "0.9999999999999999"],
+         "error: alpha must be inside (0, 1), got 0.9999999999999999"),
+        (simulate_with(alpha=2.0**-53),
+         "error: alpha must be inside (0, 1), got 1.1102230246251565e-16"),
         (simulate_with(beta=ABSENT), "beta: is required"),
         (simulate_with(tau=[]), "tau: must not be empty"),
         (simulate_with(mode="bayes"), "mode: expected 'smd' or 'normal', got 'bayes'"),
@@ -634,7 +656,8 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
     ],
     ids=["reps", "seed", "tau", "tau_negative_zero", "tau_list_negative_zero", "k", "n_per_arm", "arm_totals", "arm_sizes", "no_methods",
          "unknown_method", "simulate_reps_flag", "table2_reps_flag", "analyze_no_method",
-         "analyze_alpha_flag", "alpha", "beta_absent", "tau_empty", "mode", "methods_not_list",
+         "analyze_alpha_flag", "alpha", "analyze_alpha_tiny", "analyze_alpha_near_one",
+         "alpha_tiny", "beta_absent", "tau_empty", "mode", "methods_not_list",
          "arm_sizes_empty", "top_level_not_object"],
 )
 def test_out_of_range_setting_exits_2(capsys, tmp_path, monkeypatch, argv, message):

@@ -87,9 +87,26 @@ class TestMetaDataset:
         assert np.array_equal(d.within_vars, [1.0, 2.0, 3.0])
 
     def test_arrays_write_protected(self):
+        y, v = np.array([0.1, 0.2]), np.array([1.0, 2.0])
+        d = MetaDataset(y, v)
+        y[0] = v[0] = 9.0  # the dataset holds copies, still read-only
+        assert d.effects.tolist() == [0.1, 0.2] and d.within_vars.tolist() == [1.0, 2.0]
+        for arr in (d.effects, d.within_vars):
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
+
+    def test_repr_and_identity(self):
+        d = MetaDataset(effects=[0.1, 0.2, 0.3], within_vars=[1.0, 2.0, 3.0])
+        assert repr(d) == "MetaDataset(k=3)"
+        # equality and hash are by identity, as the benchmark tracer's `is` check assumes
+        twin = MetaDataset(d.effects, d.within_vars)
+        assert d == d and d != twin and len({d, twin}) == 2
+
+    @pytest.mark.parametrize("field", ["effects", "within_vars", "k"])
+    def test_fields_cannot_be_assigned(self, field):
         d = dataset([0.1, 0.2], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            d.effects[0] = 9.0
+        with pytest.raises(AttributeError):
+            setattr(d, field, np.array([0.3, 0.4]))
 
 
 class TestPooledEstimate:

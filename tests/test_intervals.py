@@ -654,8 +654,9 @@ class TestSymmetryInvariance:
     @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 2, 3, 5, 12]))
     def test_sign_flip(self, seed, k):
         for d in self.datasets(seed, k):
+            # negation is exact in the fold, the fit and the profile
             flipped = MetaDataset(-d.effects, d.within_vars)
-            assert all_bounds(flipped) == pytest.approx(all_bounds(d), rel=1e-9, abs=0.0)
+            assert all_bounds(flipped) == all_bounds(d)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 2, 3, 5, 12]))

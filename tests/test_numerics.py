@@ -72,10 +72,13 @@ class TestChisqQuantile:
         qs = [chisq_quantile(p, 7) for p in ps]
         assert all(a < b for a, b in zip(qs, qs[1:]))
 
-    @pytest.mark.parametrize("p", [0.0, 1.0])
-    def test_domain(self, p):
+    @pytest.mark.parametrize(
+        "p, df", [(0.0, 3), (1.0, 3), (0.5, 0), (0.5, -1.0)],
+        ids=["0.0", "1.0", "df_zero", "df_negative"],
+    )
+    def test_domain(self, p, df):
         with pytest.raises(DomainError):
-            chisq_quantile(p, 3)
+            chisq_quantile(p, df)
 
 
 class TestOptimize1d:
@@ -218,6 +221,20 @@ class TestOptimize1dLockstep:
         arg, val, _ = out["tiny"]
         assert out["zero"] == out["tiny"]
         assert abs(arg - 0.9) <= 2.0**-52 and val <= 2.0**-100
+
+    @pytest.mark.parametrize(
+        "lo, hi, tol, message",
+        [
+            (1.0, 1.0, 1e-7, "need lo < hi"),
+            (1.0, 0.0, 1e-7, "need lo < hi"),
+            (0.0, 1.0, -1.0, "tol must be nonnegative"),
+            (0.0, 1.0, math.nan, "tol must be nonnegative"),
+        ],
+        ids=["empty", "reversed", "tol_negative", "tol_nan"],
+    )
+    def test_rejects_empty_bracket_and_bad_tol(self, lo, hi, tol, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            optimize_1d(np.sin, lo, hi, modes=("min",), tol=tol)
 
     @pytest.mark.parametrize("modes", [(), ("min", "best")])
     def test_rejects_bad_modes(self, modes):

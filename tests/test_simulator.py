@@ -29,6 +29,7 @@ from cvmeta.simulator import (
     generate_normal_dataset,
     generate_smd_dataset,
     measure_summary,
+    normalize_methods,
     run_scenario,
 )
 
@@ -152,6 +153,16 @@ class TestMethodTable:
         tags = [iv.method for iv in report.intervals]
         assert tags == ["WALD"] * len(RATIO_MEASURES) + ["ALPHA_ADJ"] * len(RATIO_MEASURES)
         assert report.provenance["methods"] == ["WALD", "ALPHA_ADJ"]
+
+    def test_a_string_is_the_cli_comma_separated_list(self):
+        # one comma-separated list, not a sequence of one-letter method names
+        assert normalize_methods(" propimp,, WT ") == ("PROPIMP", "WALD")
+        sc = Scenario(beta=0.5, tau=0.3, within_vars=(0.1, 0.2), methods="propimp")
+        assert sc.methods == ("PROPIMP",)
+        report = analyze_dataset(load_hssp(), "wald", 0.05)
+        assert report.provenance["methods"] == ["WALD"]
+        with pytest.raises(ConfigError, match="^at least one method is required$"):
+            normalize_methods(" , ")
 
     @pytest.mark.parametrize("methods", [["boot"], []])
     def test_analyze_rejects_unknown_or_no_method(self, methods):
