@@ -68,8 +68,8 @@ class AnalysisReport:
     warnings: tuple
     provenance: dict
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "fit": dict(self.fit),
             "measures": {
                 k: {"value": _num(v), "infinite": math.isinf(v)}
@@ -91,10 +91,7 @@ class AnalysisReport:
             ],
             "warnings": list(self.warnings),
             "provenance": dict(self.provenance),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        }, indent=2)
 
 
 def analyze_dataset(data, methods, alpha, source="<memory>") -> AnalysisReport:
@@ -175,6 +172,10 @@ def _report_text(report: AnalysisReport) -> str:
     return "\n".join(out)
 
 
+# analyze's --format choices; to_json is looked up per call, as bench/tracing.py wraps it
+_RENDERERS = {"json": lambda report: report.to_json(), "csv": _report_csv, "text": _report_text}
+
+
 def cmd_analyze(args) -> int:
     _check_alpha(args.alpha)
     methods = normalize_methods(args.method)
@@ -182,12 +183,7 @@ def cmd_analyze(args) -> int:
     report = analyze_dataset(data, methods, args.alpha, source=args.input)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print(_report_csv(report))
-    else:
-        print(_report_text(report))
+    print(_RENDERERS[args.format](report))
     return 0
 
 
@@ -302,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of " + ", ".join(sorted(METHOD_ALIASES)),
     )
     p_an.add_argument("--alpha", type=float, default=0.05)
-    p_an.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    p_an.add_argument("--format", choices=tuple(_RENDERERS), default="json")
     p_an.set_defaults(func=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="run a coverage study from a JSON config")

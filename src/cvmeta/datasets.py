@@ -19,8 +19,8 @@ scenarios with :func:`expand_config`.
 
 CSV ingestion accepts either precomputed effects (columns yi, vi) or
 two-arm summaries (m1, sd1, n1, m2, sd2, n2), from which pooled-SD
-standardized mean differences are computed with the same variance
-formula the simulator uses.
+standardized mean differences are computed, their variances by the
+simulator's own SMD variance function.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 from importlib import resources
 from pathlib import Path
 
@@ -37,7 +36,8 @@ import numpy as np
 
 from .core import MetaDataset
 from .errors import ConfigError, DataFormatError
-from .simulator import Scenario
+from .numerics import _index
+from .simulator import Scenario, _smd_variance
 
 __all__ = [
     "cohen_smd",
@@ -70,16 +70,12 @@ def cohen_smd(n1, m1, sd1, n2, m2, sd2):
     if sp2 <= 0:
         raise DataFormatError("pooled standard deviation is zero")
     y = (m1 - m2) / math.sqrt(sp2)
-    v = 1.0 / n1 + 1.0 / n2 + y * y / (2.0 * (n1 + n2))
-    return y, v
+    return y, _smd_variance(y, n1, n2)
 
 
 def split_arms(total: int) -> tuple:
     """Split an integer total sample size into two arms, larger arm first."""
-    try:
-        total = operator.index(total)
-    except TypeError:
-        raise ConfigError(f"total sample size must be an integer, got {total!r}") from None
+    total = _index(total, "total sample size", ConfigError)
     if total <= 2:
         raise ConfigError(f"total sample size must exceed 2, got {total}")
     half = total // 2

@@ -73,11 +73,15 @@ METHOD_TAGS = (
 _HALF_PI = math.pi / 2.0
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float, error=DomainError) -> None:
     # exactly the alpha whose critical value z = Phi^-1(1 - alpha/2) is positive
     # and finite: 0 < alpha < 1 can round 1 - alpha/2 to 0.5 or 1
-    if not 0.5 < 1.0 - alpha / 2.0 < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
+    try:
+        inside = 0.5 < 1.0 - alpha / 2.0 < 1.0
+    except TypeError:  # not a number
+        inside = False
+    if not inside:
+        raise error(f"alpha must be inside (0, 1), got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -216,7 +220,8 @@ def tau2_ci_qprofile(data: MetaDataset, alpha: float = 0.05) -> IntervalEstimate
     _check_alpha(alpha)
     pivots = chisq_quantile(np.array([1.0 - alpha / 2.0, alpha / 2.0]), data.k - 1)
     lower, upper = _qprofile_roots(data.effects, data.within_vars, pivots).tolist()
-    return IntervalEstimate(lower, upper, "TAU2", "QPROFILE", alpha, 0.0)
+    # alpha near 1 puts both pivots near the median, where the roots can cross by an ulp
+    return IntervalEstimate(min(lower, upper), upper, "TAU2", "QPROFILE", alpha, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +351,8 @@ def _box_intervals(
     # a pinned tau ignores its roots, so any valid pivot probability serves
     p_lo, p_up = (1.0 - a_tau / 2.0, a_tau / 2.0) if a_tau else (0.5, 0.5)
     m1_lo, m1_hi = _corners_m1(data, fit, c_tau, p_lo, p_up, c_beta).ravel().tolist()
-    return _linked_intervals(m1_lo, m1_hi, method, a_tau, a_beta)
+    # near-zero critical values can cross the corners by an ulp, as in tau2_ci_qprofile
+    return _linked_intervals(min(m1_lo, m1_hi), m1_hi, method, a_tau, a_beta)
 
 
 def fixed_intervals(

@@ -137,9 +137,7 @@ def measures_from_cv(cv_b: float) -> CvMeasure:
     """The measure triple of tau = cv_b at beta = 1; cv_b = inf gives (inf, 1, 1)."""
     if not cv_b >= 0:
         raise DomainError(f"cv_b must be nonnegative, got {cv_b!r}")
-    if math.isinf(cv_b):
-        return CvMeasure(math.inf, 1.0, 1.0)
-    return cv_measures(cv_b, 1.0)
+    return CvMeasure(*(float(x) for x in _ratio_measures(cv_b, 1.0)))
 
 
 def logit(u: float) -> float:

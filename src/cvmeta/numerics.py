@@ -296,10 +296,7 @@ class RngState:
     _seeded: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seed = _index(self.seed, "seed")
-        if not 0 <= seed < 2**64:
-            raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        object.__setattr__(self, "_seeded", _seed_pool(seed))
+        object.__setattr__(self, "_seeded", _seed_pool(_seed(self.seed)))
 
     def stream(self, trial: int = 0) -> np.random.Generator:
         """The one-trial case of :meth:`streams` (1.5 is a DomainError); nothing re-keys it."""
@@ -375,8 +372,15 @@ def _trial(value) -> int:
     return trial
 
 
-def _index(value, name: str) -> int:
+def _seed(value, error=DomainError) -> int:
+    seed = _index(value, "seed", error)
+    if not 0 <= seed < 2**64:
+        raise error(f"seed must fit in 64 unsigned bits, got {value!r}")
+    return seed
+
+
+def _index(value, name: str, error=DomainError) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None

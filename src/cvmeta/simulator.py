@@ -35,13 +35,14 @@ from .core import MetaDataset, _dl_pass, fit_rem
 from .errors import ConfigError, NumericFailureError
 from .intervals import (
     RATIO_MEASURES,
+    _check_alpha,
     alpha_adjusted_intervals,
     propimp_intervals,
     wald_logit_intervals,
 )
 from .measures import _i_squared, _ratio_measures, cv_measures
 from .measures import het_measures  # unused here; bench/tracing.py wraps simulator.het_measures
-from .numerics import RngState
+from .numerics import RngState, _index, _seed
 
 __all__ = [
     "METHODS",
@@ -94,7 +95,11 @@ def normalize_methods(tokens: Iterable | str) -> tuple:
     """
     if isinstance(tokens, str):
         tokens = [t for t in tokens.split(",") if t.strip()]
-    methods = tuple(dict.fromkeys(map(normalize_method, tokens)))
+    try:
+        names = iter(tokens)
+    except TypeError:
+        raise ConfigError(f"methods must be a list of method names, got {tokens!r}") from None
+    methods = tuple(dict.fromkeys(map(normalize_method, names)))
     if not methods:
         raise ConfigError("at least one method is required")
     return methods
@@ -107,8 +112,8 @@ class Scenario:
     Exactly one of ``arm_sizes`` (standardized-mean-difference mode) and
     ``within_vars`` (normal mode) must be present; its length is the
     study count :attr:`k`.  This is the one place that checks the range
-    of every field below; a value out of range raises ConfigError when
-    the scenario is built.
+    of every field below; a value out of range or of the wrong type
+    raises ConfigError, naming the field, when the scenario is built.
 
     Attributes
     ----------
@@ -156,29 +161,32 @@ class Scenario:
                         f"arm sizes must be at least 1 with n1 + n2 > 2, got {(n1, n2)}")
             object.__setattr__(self, "arm_sizes", sizes)
         else:
-            vs = tuple(float(x) for x in self.within_vars)
+            try:
+                vs = tuple(float(x) for x in self.within_vars)
+            except (TypeError, ValueError):  # a non-number, or not a sequence
+                raise ConfigError(f"within_vars must be a sequence of numbers, "
+                                  f"got {self.within_vars!r}") from None
             if any(not (math.isfinite(x) and x > 0) for x in vs):
                 raise ConfigError("within_vars must all be positive and finite")
             object.__setattr__(self, "within_vars", vs)
         if self.k < 2:
             raise ConfigError(f"a scenario needs at least 2 studies, got {self.k}")
+        for field in ("beta", "tau"):
+            try:
+                math.isfinite(getattr(self, field))
+            except TypeError:
+                raise ConfigError(
+                    f"{field} must be a real number, got {getattr(self, field)!r}") from None
         if not math.isfinite(self.beta):
             raise ConfigError(f"beta must be finite, got {self.beta!r}")
         # copysign refuses -0.0, which numpy's normal rejects as a scale
         if not (math.isfinite(self.tau) and math.copysign(1.0, self.tau) > 0):
             raise ConfigError(f"tau must be nonnegative and finite, got {self.tau!r}")
-        for field in ("reps", "seed"):
-            value = getattr(self, field)
-            try:
-                object.__setattr__(self, field, operator.index(value))
-            except TypeError:
-                raise ConfigError(f"{field} must be an integer, got {value!r}") from None
+        object.__setattr__(self, "reps", _index(self.reps, "reps", ConfigError))
         if self.reps < 1:
             raise ConfigError(f"reps must be at least 1, got {self.reps!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        if not 0.5 < 1.0 - self.alpha / 2.0 < 1.0:  # the rule of intervals._check_alpha
-            raise ConfigError(f"alpha must be inside (0, 1), got {self.alpha!r}")
+        object.__setattr__(self, "seed", _seed(self.seed, ConfigError))
+        _check_alpha(self.alpha, ConfigError)
         object.__setattr__(self, "methods", normalize_methods(self.methods))
 
     @property
@@ -285,20 +293,23 @@ def _draws(scenario: Scenario, rngs: Iterable[np.random.Generator]) -> tuple:
             v = np.broadcast_to(v, y.shape)
         else:
             n1, n2 = np.array(scenario.arm_sizes, dtype=float).T
-            inv_n = 1.0 / n1 + 1.0 / n2
-            m = np.sqrt(inv_n)
+            m = np.sqrt(1.0 / n1 + 1.0 / n2)
             df = n1 + n2 - 2.0
             # one df for every study draws the same values as its array, at less cost
             chi_df = float(df[0]) if (df == df[0]).all() else df
-            two_n = 2.0 * (n1 + n2)
             rows = [(rng.normal(0.0, tau, k), rng.standard_normal(k), rng.chisquare(chi_df, k))
                     for rng in rngs]
             dev, z, chi2 = np.array(rows).transpose(1, 0, 2)
             y = (z + (beta + dev) / m) / np.sqrt(chi2 / df) * m
-            v = inv_n + y * y / two_n
+            v = _smd_variance(y, n1, n2)
     if not (np.isfinite(y).all() and np.isfinite(v).all()):
         raise NumericFailureError(f"draws overflow the float range at beta {beta!r}, tau {tau!r}")
     return y, v
+
+
+def _smd_variance(y, n1, n2):
+    """Large-sample variance 1/n1 + 1/n2 + y^2 / (2 (n1 + n2)) of an SMD y, elementwise."""
+    return 1.0 / n1 + 1.0 / n2 + y * y / (2.0 * (n1 + n2))
 
 
 def _run_range(scenario: Scenario, start: int, stop: int) -> np.ndarray:
@@ -340,16 +351,19 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
     ----------
     scenario : Scenario
     threads : int
-        Contiguous chunks of replications, run in at most ``os.cpu_count()``
-        worker processes and stacked in index order, so the output is
-        identical for any thread count.
+        Contiguous chunks of replications, at least 1 (else ConfigError),
+        run in at most ``os.cpu_count()`` worker processes and stacked in
+        index order, so the output is identical for any thread count.
 
     Returns
     -------
     CoverageResult
     """
+    threads = _index(threads, "threads", ConfigError)
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads!r}")
     reps = scenario.reps
-    chunk = -(-reps // max(1, threads))
+    chunk = -(-reps // threads)
     starts = range(0, reps, chunk)
     stops = [min(s + chunk, reps) for s in starts]
     if len(starts) == 1:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cvmeta.cli import build_parser, main
+from cvmeta.cli import _RENDERERS, build_parser, main
 from cvmeta.datasets import cohen_smd, data_path
 from cvmeta.errors import NumericFailureError
 from cvmeta.simulator import METHOD_ALIASES
@@ -123,6 +123,16 @@ class TestAnalyze:
         assert code == 0
         intervals = strict_json(out)["intervals"]
         assert len(intervals) == 9 and not any(iv["degenerate"] for iv in intervals)
+
+    def test_alpha_near_one_computes(self, capsys, tmp_path):
+        # ALPHA_ADJ's corners here once crossed by an ulp: "lower 0.6070470434807668
+        # exceeds upper 0.6070470434807667", exit 2
+        path = write_csv(tmp_path, "near_one.csv", "yi,vi\n0.466,0.181\n0.846,0.432\n"
+                         "2.855,0.3\n1.775,0.196\n1.284,0.129\n")
+        code, out, _ = run(capsys, "analyze", "--input", path, "--alpha", "0.9999999999999998")
+        assert code == 0
+        adj = [iv for iv in strict_json(out)["intervals"] if iv["method"] == "ALPHA_ADJ"]
+        assert len(adj) == 3 and all(iv["lower"] == iv["upper"] for iv in adj)
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--input", str(tmp_path / "nope.csv"))
@@ -715,6 +725,13 @@ def test_analyze_help_names_every_method_alias(capsys, monkeypatch):
         main(["analyze", "--help"])
     words = set(re.split(r"[\s,]+", capsys.readouterr().out))
     assert set(METHOD_ALIASES) <= words
+
+
+def test_format_choices_are_the_renderer_keys():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    fmt = next(a for a in subparsers.choices["analyze"]._actions if a.dest == "format")
+    assert tuple(fmt.choices) == tuple(_RENDERERS) == ("json", "csv", "text")
+    assert fmt.default in _RENDERERS
 
 
 def test_parser_built_once_keeps_its_defaults(capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from cvmeta.datasets import (
     split_arms,
 )
 from cvmeta.errors import ConfigError, DataFormatError
-from cvmeta.simulator import Scenario, normalize_method
+from cvmeta.numerics import RngState
+from cvmeta.simulator import Scenario, _draws, normalize_method
 
 
 class TestCohenSmd:
@@ -29,6 +31,15 @@ class TestCohenSmd:
         y, _ = cohen_smd(3, 1.0, 2.0, 11, 0.0, 1.0)
         sp2 = (2 * 4.0 + 10 * 1.0) / 12.0
         assert abs(y - 1.0 / math.sqrt(sp2)) < 1e-15
+
+    def test_variance_is_the_simulators(self):
+        # unit SDs make the pooled SD exactly 1, so m1 - 0 is the effect y itself
+        arms = ((20, 20), (3, 11), (50, 7), (2, 2), (1000, 999))
+        y, v = _draws(Scenario(beta=0.8, tau=0.5, arm_sizes=arms, reps=200),
+                      RngState(3).streams(0, 200))
+        for row_y, row_v in zip(y.tolist(), v.tolist()):
+            for yi, vi, (n1, n2) in zip(row_y, row_v, arms):
+                assert cohen_smd(n1, yi, 1.0, n2, 0.0, 1.0) == (yi, vi)
 
     def test_validation(self):
         with pytest.raises(DataFormatError):
@@ -50,7 +61,8 @@ class TestSplitArms:
 
     @pytest.mark.parametrize("total", [5.7, 2.5, 7.0, "7"])
     def test_non_integer_refused(self, total):
-        with pytest.raises(ConfigError, match="^total sample size must be an integer, got "):
+        message = f"^total sample size must be an integer, got {re.escape(repr(total))}$"
+        with pytest.raises(ConfigError, match=message):
             split_arms(total)
 
 

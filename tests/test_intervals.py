@@ -202,6 +202,21 @@ class TestTau2Qprofile:
         with pytest.raises(DomainError):
             tau2_ci_qprofile(hssp, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [1 - 2**-48, 1 - 2**-50, 1 - 2**-51, 1 - 2**-52])
+    def test_bounds_meet_for_alpha_near_one(self, alpha):
+        # both pivots and critical values sit near the median there, and the
+        # profile roots once crossed by an ulp, raising "lower ... exceeds upper"
+        rng = np.random.default_rng(2026)
+        for _ in range(100):
+            k = int(rng.integers(2, 40))
+            v = rng.uniform(0.01, 0.5, k)
+            d = MetaDataset(rng.normal(rng.normal(), np.sqrt(v + rng.uniform(0.0, 0.5, k))), v)
+            q = tau2_ci_qprofile(d, alpha)
+            assert q.lower <= q.upper
+            for method in FIXED_LEVELS:
+                fixed_intervals(d, method, alpha)
+            alpha_adjusted_intervals(d, alpha)
+
 
 class TestBetaIntervals:
     def test_wald_half_width(self, hssp):

@@ -127,7 +127,8 @@ class TestCvMeasures:
         with pytest.raises(DomainError, match=message):
             cv_measures(tau, beta)
 
-    @pytest.mark.parametrize("cv", [0.0, 5e-324, 1.384, 1e154, 1e200])
+    @pytest.mark.parametrize(
+        "cv", [0.0, 5e-324, 1e-300, 0.3, 1.0, 1.384, 7.5, 1e154, 1e200, 1.7e308])
     def test_from_cv_is_the_measure_at_unit_beta(self, cv):
         assert measures_from_cv(cv) == cv_measures(cv, 1.0)
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from cvmeta import simulator
 from cvmeta.cli import analyze_dataset
 from cvmeta.core import MetaDataset, fit_rem
 from cvmeta.datasets import load_hssp
-from cvmeta.errors import ConfigError, NumericFailureError
+from cvmeta.errors import ConfigError, DomainError, NumericFailureError
 from cvmeta.intervals import (
     RATIO_MEASURES,
     alpha_adjusted_intervals,
@@ -110,8 +111,38 @@ class TestScenario:
                          ("seed", 2**64)],
     )
     def test_reps_and_seed_checked_at_construction(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc:
             Scenario(beta=0.5, tau=0.3, **{**SMALL, field: value})
+        if field == "seed":  # RngState's rule and message, raised as a ConfigError
+            with pytest.raises(DomainError) as domain:
+                RngState(value)
+            assert str(exc.value) == str(domain.value)
+        else:
+            assert str(exc.value) == f"reps must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta", "0.5"), ("tau", "0.3"), ("beta", None), ("alpha", "0.05"), ("alpha", None),
+        ("within_vars", ("a", 0.2)), ("within_vars", 0.1), ("methods", None),
+    ])
+    def test_wrong_types_are_config_errors(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            Scenario(**{"beta": 0.5, "tau": 0.3, "within_vars": (0.1, 0.2), field: value})
+
+    def test_accepted_values_stored_as_given(self):
+        sc = Scenario(beta=1, tau=Fraction(3, 10), within_vars=["0.1", 0.2],
+                      alpha=Fraction(1, 20), methods="wald")
+        assert (sc.beta, sc.tau, sc.alpha, sc.methods) == (1, Fraction(3, 10), Fraction(1, 20),
+                                                           ("WALD",))
+        assert type(sc.beta) is int and sc.within_vars == (0.1, 0.2)
+
+    @pytest.mark.parametrize("threads, message", [
+        (0, "at least 1, got 0"), (-3, "at least 1, got -3"),
+        (2.5, "an integer, got 2.5"), ("2", "an integer, got '2'"),
+    ])
+    def test_run_scenario_checks_threads(self, threads, message, monkeypatch):
+        monkeypatch.setattr(simulator, "_run_range", None)  # refused before any replication
+        with pytest.raises(ConfigError, match=f"^threads must be {message}$"):
+            run_scenario(Scenario(beta=0.5, tau=0.3, **SMALL), threads=threads)
 
     def test_integer_reps_and_seed_stored_as_int(self):
         sc = Scenario(beta=0.5, tau=0.3, arm_sizes=((10, 10),) * 3,
