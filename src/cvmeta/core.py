@@ -28,8 +28,9 @@ class MetaDataset:
     """Ordered collection of at least two studies.
 
     ``effects`` must be finite and ``within_vars`` (their sampling
-    variances, one per effect) positive and finite: this is the one check
-    of outside data, a DataFormatError.  The arrays are copied and
+    variances, one per effect) positive and finite, both 1-D arrays of
+    real numbers in the float range: this is the one check of outside
+    data, a DataFormatError.  The arrays are copied and
     write-protected, so a dataset can be shared freely across threads.
     Datasets compare and hash by identity.
     """
@@ -38,8 +39,13 @@ class MetaDataset:
     within_vars: np.ndarray
 
     def __post_init__(self):
-        y = np.array(self.effects, dtype=float)
-        v = np.array(self.within_vars, dtype=float)
+        try:
+            y = np.array(self.effects, dtype=float)
+            v = np.array(self.within_vars, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # a non-number, a huge integer, ragged rows
+            raise DataFormatError(
+                "effects and variances must be arrays of real numbers in the float range"
+            ) from None
         if y.ndim != 1 or v.shape != y.shape:
             raise DataFormatError(
                 f"effects and variances must be equal-length 1-D arrays, "

@@ -185,7 +185,10 @@ def _number(x, field, integer):
     # a float's is_integer() is False for inf and nan
     if integer and not (isinstance(x, int) or x.is_integer()):
         raise ConfigError(f"{field}: expected an integer, got {x!r}")
-    return int(x) if integer else float(x)
+    try:
+        return int(x) if integer else float(x)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{field}: expected a number in the float range, got {x!r}") from None
 
 
 def _as_number_list(cfg, field, integer=False):

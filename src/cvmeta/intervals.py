@@ -78,7 +78,7 @@ def _check_alpha(alpha: float, error=DomainError) -> None:
     # and finite: 0 < alpha < 1 can round 1 - alpha/2 to 0.5 or 1
     try:
         inside = 0.5 < 1.0 - alpha / 2.0 < 1.0
-    except TypeError:  # not a number
+    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
         inside = False
     if not inside:
         raise error(f"alpha must be inside (0, 1), got {alpha!r}")
@@ -145,10 +145,10 @@ class PropImpTrace:
 
     theta_lower and theta_upper are the quarter-circle angles at which
     the lower and upper bounds were attained (smallest such angle on
-    ties); evaluations counts the angles the two searches used, the
+    ties); evaluations counts the angles the two searches evaluated, the
     ``evaluations`` of :func:`cvmeta.numerics.optimize_1d` summed over
-    both bounds.  The lookahead angles a search evaluates but does not
-    take are not counted.
+    both bounds.  The angles a finished search still receives while the
+    other goes on are not counted.
     """
 
     theta_lower: float
@@ -424,10 +424,9 @@ def propimp_intervals(
     bounded, by one lockstep run of :func:`cvmeta.numerics.optimize_1d`:
     the minimum of the lower corner and the maximum of the upper corner
     share every profile solve, so the two 129-point grids are one
-    258-target solve and each call for the golden-section stage solves
-    14 targets, the 7 lookahead angles of each bound.  Every profile
-    root is solved independently of the others in its call, so each
-    bound takes the same steps, and reaches the same bits, as a search
+    258-target solve and each zoom call solves 20 targets, 10 angles
+    of each bound.  Every profile root is solved independently of the
+    others in its call, so each bound reaches the same bits as a search
     of its own with one angle per call.  cv and m2 bounds follow
     through the links.
 

@@ -8,15 +8,14 @@ loaded on first use: the first time one of them runs, not with this
 module, so a program that never needs a quantile (such as
 ``cvmeta table2``) does not pay for it.  The 1-D optimizer searches
 several objectives in lockstep, each on a coarse grid evaluated in one
-array call followed by golden-section refinement, so short multi-modal
-objectives are handled without assuming unimodality.  The refinement
-evaluates the candidate points of its next three steps in one call, so
-the objective is called once per three steps, and steps each bracket in
-Python floats, which give float64's bits at less cost than tiny arrays.
-Random streams are derived here, keyed by numpy's SeedSequence spawn
-keys computed in Python integers; a range of trials re-keys one
-generator.  What is drawn from them, and in which order, belongs to the
-generators in :mod:`cvmeta.simulator`.
+array call, so short multi-modal objectives are handled without
+assuming unimodality.  It then zooms in on each objective's best point,
+evaluating a few evenly spaced points of every bracket in one array
+call, and narrows the brackets in numpy.  Random streams are derived
+here, keyed by numpy's SeedSequence spawn keys computed in Python
+integers; a range of trials re-keys one generator.  What is drawn from
+them, and in which order, belongs to the generators in
+:mod:`cvmeta.simulator`.
 """
 
 from __future__ import annotations
@@ -38,10 +37,8 @@ __all__ = [
     "optimize_1d",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN2 = (3.0 - math.sqrt(5.0)) / 2.0
 _GRID_POINTS = 129  # coarse grid of optimize_1d, endpoints included
-_LOOKAHEAD = 3  # golden-section steps of optimize_1d per call of the objective
+_ZOOM_POINTS = 10  # points of optimize_1d per zoom call, inside the bracket
 
 
 def norm_quantile(p: float) -> float:
@@ -118,47 +115,43 @@ def optimize_1d(
     Objective i is minimized or maximized as ``modes[i]`` says, and
     every call of ``f`` serves all objectives at once.  Each objective
     is first evaluated on a uniform grid of 129 points (including both
-    endpoints), all in a single call.  A golden-section search then
-    refines inside the bracket around each objective's best grid point.
-    A step's point depends only on the keep-left decisions of the steps
-    before it, so each call evaluates the 7 candidate points of the next
-    three steps, one per path of decisions, and the search then takes
-    those steps, reading each one's value from the call.  Each bracket
-    is stepped in Python floats, whose IEEE arithmetic gives the bits of
-    float64 arrays.  Each objective takes exactly the steps it would take
-    if searched alone, one point per call, so its result does not depend
-    on the others or on the lookahead.  The best value ever evaluated is
-    returned, so a jump discontinuity at an endpoint cannot be lost.
+    endpoints), all in a single call.  The search then zooms: each later
+    call evaluates 10 evenly spaced points strictly inside the bracket
+    [best - s, best + s] cut to [lo, hi], where best is the objective's
+    best point so far and s the spacing of the previous call's points,
+    so the bracket narrows at least 5.5-fold a call.  Each objective's
+    points depend only on its own values, so its result does not depend
+    on the others.  The best value ever evaluated is returned, so a jump
+    discontinuity at an endpoint cannot be lost.
 
     Parameters
     ----------
     f : callable
         Maps an (objectives x points) array of arguments to the array
         of values of the same shape; row i belongs to objective i, so an
-        elementwise function such as ``np.sin`` serves directly.  ``f``
-        also receives speculative arguments, inside the objective's
-        current bracket, whose paths the search does not take; their
-        values are discarded and not counted, as are the values in an
-        objective's row once its search has finished while others go
-        on.  Continuous on [lo, hi] except possibly at isolated points.
-        Non-finite values are legal and simply win (max) or lose (min)
-        ties the usual way; NaN never wins.  They are not treated as
-        failures.
+        elementwise function such as ``np.sin`` serves directly.  Once an
+        objective's search has finished while others go on, its row
+        still receives arguments in [lo, hi], whose values are discarded
+        and not counted.  Continuous on [lo, hi] except possibly at
+        isolated points.  Non-finite values are legal and simply win
+        (max) or lose (min) ties the usual way; NaN never wins.  They are
+        not treated as failures.
     lo, hi : float
         Domain endpoints, finite, with lo < hi and hi - lo finite.
     modes : tuple of {"min", "max"}
         One entry per objective.
     tol : float
         Width of the final bracket on the argument scale, nonnegative.
-        An objective's search also ends once a step no longer shrinks
-        its bracket, so a tol below the float spacing still returns.
+        An objective's search also ends once its bracket stops
+        narrowing, so a tol below the float spacing still returns.
 
     Returns
     -------
     list of (argopt, value, evaluations), one per objective
         Python floats and an int.  Ties are resolved toward the smallest
-        argument.  evaluations counts the arguments the search used: the
-        grid, the first two interior points and one point per step.
+        argument, and an objective that is NaN everywhere returns lo.
+        evaluations counts the grid and the 10 points of each call while
+        the objective's search is active.
 
     Raises
     ------
@@ -174,96 +167,35 @@ def optimize_1d(
         raise DomainError(f"need finite lo, hi and hi - lo, got [{lo!r}, {hi!r}]")
     if not tol >= 0.0:
         raise DomainError(f"tol must be nonnegative, got {tol!r}")
-    m = len(modes)
-    signs = [1.0 if mode == "min" else -1.0 for mode in modes]
-    sign = np.array(signs)[:, None]
+    lo, hi, m = float(lo), float(hi), len(modes)
+    signs = np.array([1.0 if mode == "min" else -1.0 for mode in modes])
+    rows = np.arange(m)
 
-    def g(x: np.ndarray) -> np.ndarray:
-        return sign * np.asarray(f(x), dtype=float)
+    def best_of(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # each row's first point at its lowest non-NaN value, its first point when all are NaN
+        vals = signs[:, None] * np.asarray(f(x), dtype=float)
+        i = np.argmax(vals == np.fmin.reduce(vals, axis=1)[:, None], axis=1)
+        return x[rows, i], vals[rows, i]
 
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    vals = g(np.broadcast_to(xs, (m, _GRID_POINTS)))
-    # first grid point at the lowest non-NaN value; 0 when all are NaN
-    best_i = np.argmax(vals == np.fmin.reduce(vals, axis=1)[:, None], axis=1)
-
-    # refine in the bracket spanning the best point's neighbors; each search
-    # is [a, b, c, d, fc, fd, best_x, best_v, evaluations] in Python floats
-    grid, searches = xs.tolist(), []
-    for i, v in zip(best_i.tolist(), vals[np.arange(m), best_i].tolist()):
-        a, b = grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)]
-        h = b - a
-        searches.append([a, b, a + _GOLDEN2 * h, a + _GOLDEN * h, grid[i], v, _GRID_POINTS + 2])
-    for s, f_cd in zip(searches, g(np.array([s[2:4] for s in searches])).tolist()):
-        s[4:4] = f_cd
-    active = [b - a > tol for a, b, *_ in searches]
-    while any(active):
-        # the next _LOOKAHEAD steps' points for every keep-left path in one call;
-        # _walk takes the real path and reads each step's value from it
-        trees = [_tree(a, b, c, d, _better(fc, fd, True)) for a, b, c, d, fc, fd, *_ in searches]
-        for i, row in enumerate(g(np.array(trees)).tolist()):
-            active[i] = active[i] and _walk(searches[i], row, tol)
-    return [(x, s * v, n) for (*_, x, v, n), s in zip(searches, signs)]
-
-
-def _walk(search: list, vals: list[float], tol: float) -> bool:
-    """Take one search's next _LOOKAHEAD steps, reading their values from ``vals``.
-
-    ``search`` is updated in place.  Returns False, taking and counting no
-    later step, once the bracket is no wider than ``tol`` or stops shrinking.
-    """
-    a, b, c, d, fc, fd, best_x, best_v, n = search
-    for level in range(_LOOKAHEAD):
-        # keep [a, d] where c is at least as good as d, else [c, b]; the kept
-        # interior point becomes the new d or c, and x fills the other slot
-        left = _better(fc, fd, True)
-        node = 2 * node + 1 + (not left) if level else 0  # in _tree's heap order
-        h = b - a
-        a, b, c, d, x = _step(a, b, c, d, left)
-        fx = vals[node]
-        fc, fd = (fx, fc) if left else (fd, fx)
-        if _better(fx, best_v, x < best_x):
-            best_x, best_v = x, fx
-        n += 1
-        # a bracket at float spacing stops shrinking before it reaches a tiny tol
-        going = tol < b - a < h
-        if not going:
+    best_x, best_v = best_of(np.broadcast_to(np.linspace(lo, hi, _GRID_POINTS), (m, _GRID_POINTS)))
+    n = np.full(m, _GRID_POINTS)
+    s = np.full(m, (hi - lo) / (_GRID_POINTS - 1))
+    width, active = np.full(m, hi - lo), np.ones(m, dtype=bool)
+    fractions = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
+    while True:
+        a, b = np.maximum(best_x - s, lo), np.minimum(best_x + s, hi)
+        # a bracket at float spacing stops narrowing before it reaches a tiny tol
+        active &= (b - a > tol) & (b - a < width)
+        if not active.any():
             break
-    search[:] = a, b, c, d, fc, fd, best_x, best_v, n
-    return going
-
-
-def _step(a: float, b: float, c: float, d: float, left: bool) -> tuple[float, ...]:
-    """One golden-section step's bracket, interior points and new point x.
-
-    Only the keep-left decision ``left`` is needed, not the values, so
-    the same arithmetic serves the search and its lookahead.
-    """
-    if left:
-        b, d = d, c
-        x = c = a + _GOLDEN2 * (b - a)
-    else:
-        a, c = c, d
-        x = d = a + _GOLDEN * (b - a)
-    return a, b, c, d, x
-
-
-def _tree(a: float, b: float, c: float, d: float, left: bool) -> list[float]:
-    """The points of the next _LOOKAHEAD steps on every keep-left path.
-
-    The first step's decision ``left`` is known.  The points come in heap
-    order: point n's successors are 2n + 1 (its step kept left) and 2n + 2.
-    """
-    brackets, points, choices = [(a, b, c, d)], [], (left,)
-    for _ in range(_LOOKAHEAD):
-        steps = [_step(*bracket, k) for bracket in brackets for k in choices]
-        points += [x for *_, x in steps]
-        brackets, choices = [s[:4] for s in steps], (True, False)
-    return points
-
-
-def _better(v: float, ref: float, tie: bool) -> bool:
-    # NaN never improves, -inf does (after the sign fold); a tie goes to v if tie
-    return not math.isnan(v) and (math.isnan(ref) or v < ref) or (tie and v == ref)
+        width = b - a
+        s = width / (_ZOOM_POINTS + 1)
+        x, v = best_of(np.clip(a[:, None] + width[:, None] * fractions, lo, hi))
+        # NaN never improves, -inf does (after the sign fold); a tie goes to the smaller x
+        won = active & ((v < best_v) | np.isnan(best_v) & ~np.isnan(v) | (v == best_v) & (x < best_x))
+        best_x, best_v = np.where(won, x, best_x), np.where(won, v, best_v)
+        n += _ZOOM_POINTS * active
+    return list(zip(best_x.tolist(), (signs * best_v).tolist(), n.tolist()))
 
 
 # numpy's SeedSequence constants (32-bit words, a pool of 4 words)

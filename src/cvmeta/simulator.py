@@ -163,7 +163,7 @@ class Scenario:
         else:
             try:
                 vs = tuple(float(x) for x in self.within_vars)
-            except (TypeError, ValueError):  # a non-number, or not a sequence
+            except (TypeError, ValueError, OverflowError):  # not numbers, or beyond float range
                 raise ConfigError(f"within_vars must be a sequence of numbers, "
                                   f"got {self.within_vars!r}") from None
             if any(not (math.isfinite(x) and x > 0) for x in vs):
@@ -174,7 +174,7 @@ class Scenario:
         for field in ("beta", "tau"):
             try:
                 math.isfinite(getattr(self, field))
-            except TypeError:
+            except (TypeError, OverflowError):  # not a number, or beyond the float range
                 raise ConfigError(
                     f"{field} must be a real number, got {getattr(self, field)!r}") from None
         if not math.isfinite(self.beta):

@@ -9,7 +9,6 @@ import pytest
 
 import cvmeta
 from cvmeta import MetaDataset, load_hssp
-from cvmeta.numerics import _GOLDEN, _GOLDEN2
 
 
 @pytest.fixture(scope="session")
@@ -46,13 +45,15 @@ def qgen_reference(y, v, t: float) -> float:
     return float(np.sum(w * (y - beta) ** 2))
 
 
-def scalar_search(f, lo, hi, mode, tol, used=None, grid_points=129):
-    """Reference: the one-objective grid and golden-section loop, one point a call.
+def scalar_search(f, lo, hi, mode, tol, used=None, grid_points=129, zoom_points=10):
+    """Reference: the one-objective grid and zoom in Python floats, one point a call.
 
     ``f`` maps a (1 x points) array to values, as optimize_1d's objective
-    does for one objective.  The search ends where optimize_1d's does:
-    at a bracket no wider than tol, or at a step that no longer shrinks
-    it.  ``used`` collects every argument the search uses.
+    does for one objective.  Each zoom takes zoom_points evenly spaced
+    points strictly inside [best - s, best + s] cut to [lo, hi], s being
+    the previous zoom's spacing (the grid's at first), and it ends where
+    optimize_1d's does: at a bracket no wider than tol, or at one that
+    no longer narrows.  ``used`` collects every argument the search uses.
     """
     sign = 1.0 if mode == "min" else -1.0
     used = [] if used is None else used
@@ -61,8 +62,8 @@ def scalar_search(f, lo, hi, mode, tol, used=None, grid_points=129):
         used.append(t)
         return sign * float(f(np.array([[t]]))[0, 0])
 
-    def better(v, ref):
-        return not math.isnan(v) and (math.isnan(ref) or v < ref)
+    def better(v, x, ref, ref_x):
+        return not math.isnan(v) and (math.isnan(ref) or v < ref) or (v == ref and x < ref_x)
 
     xs = np.linspace(lo, hi, grid_points)
     used.extend(xs.tolist())
@@ -70,27 +71,16 @@ def scalar_search(f, lo, hi, mode, tol, used=None, grid_points=129):
     seen = ~np.isnan(vals)
     best_i = int(np.flatnonzero(vals == vals[seen].min())[0]) if seen.any() else 0
     best_x, best_v = float(xs[best_i]), float(vals[best_i])
-    a = float(xs[max(0, best_i - 1)])
-    b = float(xs[min(grid_points - 1, best_i + 1)])
-    h = b - a
-    c, d = a + _GOLDEN2 * h, a + _GOLDEN * h
-    fc, fd = g(c), g(d)
-    n = grid_points + 2
-    shrunk = True
-    while h > tol and shrunk:
-        h_before = h
-        if better(fc, fd) or fc == fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            x = c = a + _GOLDEN2 * h
-            fx = fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            x = d = a + _GOLDEN * h
-            fx = fd = g(d)
-        n += 1
-        shrunk = h < h_before
-        if better(fx, best_v) or (fx == best_v and x < best_x):
-            best_x, best_v = x, fx
-    return best_x, sign * best_v, n
+    n, s, width = grid_points, (hi - lo) / (grid_points - 1), hi - lo
+    while True:
+        a, b = max(best_x - s, lo), min(best_x + s, hi)
+        if not tol < b - a < width:
+            return best_x, sign * best_v, n
+        width = b - a
+        s = width / (zoom_points + 1)
+        for j in range(1, zoom_points + 1):
+            x = min(max(a + width * (j / (zoom_points + 1)), lo), hi)
+            v = g(x)
+            if better(v, x, best_v, best_x):
+                best_x, best_v = x, v
+            n += 1

@@ -656,6 +656,11 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
          "error: alpha must be inside (0, 1), got 0.9999999999999999"),
         (simulate_with(alpha=2.0**-53),
          "error: alpha must be inside (0, 1), got 1.1102230246251565e-16"),
+        # JSON integers beyond the float range once escaped as a bare OverflowError
+        (simulate_with(beta=10**400), "error: beta[0]: expected a number in the float range"),
+        (simulate_with(tau=[0.2, 10**400]),
+         "error: tau[1]: expected a number in the float range"),
+        (simulate_with(alpha=10**400), "error: alpha: expected a number in the float range"),
         (simulate_with(beta=ABSENT), "beta: is required"),
         (simulate_with(tau=[]), "tau: must not be empty"),
         (simulate_with(mode="bayes"), "mode: expected 'smd' or 'normal', got 'bayes'"),
@@ -667,7 +672,8 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
     ids=["reps", "seed", "tau", "tau_negative_zero", "tau_list_negative_zero", "k", "n_per_arm", "arm_totals", "arm_sizes", "no_methods",
          "unknown_method", "simulate_reps_flag", "table2_reps_flag", "analyze_no_method",
          "analyze_alpha_flag", "alpha", "analyze_alpha_tiny", "analyze_alpha_near_one",
-         "alpha_tiny", "beta_absent", "tau_empty", "mode", "methods_not_list",
+         "alpha_tiny", "beta_huge_integer", "tau_huge_integer", "alpha_huge_integer",
+         "beta_absent", "tau_empty", "mode", "methods_not_list",
          "arm_sizes_empty", "top_level_not_object"],
 )
 def test_out_of_range_setting_exits_2(capsys, tmp_path, monkeypatch, argv, message):

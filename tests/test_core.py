@@ -80,6 +80,15 @@ class TestMetaDataset:
         with pytest.raises(DataFormatError, match="^effects and variances must be equal-length 1-D"):
             MetaDataset(y, v)
 
+    @pytest.mark.parametrize(
+        "y", [["a", 1], [10**400, 1], [[1.0, 2.0], [1.0]]],
+        ids=["string", "huge_integer", "ragged"],
+    )
+    def test_values_it_cannot_convert(self, y):
+        # each once escaped as a bare ValueError or OverflowError
+        with pytest.raises(DataFormatError, match="^effects and variances must be arrays of real"):
+            MetaDataset(y, [1.0, 1.0])
+
     def test_from_arrays_round_trip(self):
         d = dataset([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
         assert d.k == 3 and len(d) == 3

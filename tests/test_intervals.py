@@ -199,8 +199,10 @@ class TestTau2Qprofile:
                 assert root == _qprofile_roots(d.effects, d.within_vars, target)
 
     def test_alpha_domain(self, hssp):
-        with pytest.raises(DomainError):
-            tau2_ci_qprofile(hssp, alpha=0.0)
+        # an integer beyond the float range once escaped as a bare OverflowError
+        for alpha in (0.0, 10**400):
+            with pytest.raises(DomainError, match="^alpha must be inside"):
+                tau2_ci_qprofile(hssp, alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [1 - 2**-48, 1 - 2**-50, 1 - 2**-51, 1 - 2**-52])
     def test_bounds_meet_for_alpha_near_one(self, alpha):
@@ -529,12 +531,15 @@ class TestPropImp:
         assert abs(ivs["CV_B"].upper - 41.4472) < 1e-2
 
     def test_hssp_trace(self, hssp):
-        # the lower bound sits at theta = 0, so its bracket is one grid step
-        # and its search ends a step before the upper one: 313 = 2 (129 + 2)
-        # + 25 + 26 counts no argument repeated for the finished search
+        # 388 = 2 x 129 grid points + 10 per zoom.  The upper bound's bracket
+        # spans two grid steps, 2 (pi/2)/128 = 0.0245, and narrows 5.5-fold a
+        # zoom, so 8 zooms bring it below 1e-7 (0.0245 / 5.5**7 = 1.6e-7).  The
+        # lower bound sits at theta = 0, so its bracket [0, s] narrows 11-fold
+        # a zoom and takes 5 (0.0123 / 11**4 = 8.4e-7); its row rides along
+        # for 3 more calls, not counted: 258 + 80 + 50
         _, trace = propimp_intervals(hssp)
         assert trace.theta_lower == 0.0
-        assert trace.evaluations == 313
+        assert trace.evaluations == 388
 
     @pytest.mark.parametrize("k", ["hssp", 2, 9, 35, 60, "figure3_beta02"])
     def test_matches_a_search_of_each_corner_alone(self, hssp, k):

@@ -9,6 +9,7 @@ from scipy.special import gammainc
 
 from cvmeta.errors import DomainError
 from cvmeta.numerics import (
+    _ZOOM_POINTS,
     RngState,
     chisq_quantile,
     norm_cdf,
@@ -183,9 +184,9 @@ class TestOptimize1dLockstep:
         )
         if tol > 2 * (math.pi / 2) / 128:
             # a tol wider than the two grid steps of a bracket leaves no
-            # golden-section step: the grid call and the first two points
-            assert len(together_calls) == 2
-            assert all(n == 131 for _, _, n in together)
+            # zoom: the grid call is the only one
+            assert len(together_calls) == 1
+            assert all(n == 129 for _, _, n in together)
         for spec, got in zip(specs, together):
             calls, used = [], []
             alone = optimize_1d(
@@ -193,22 +194,36 @@ class TestOptimize1dLockstep:
             )
             assert same(got, alone[0])
             assert same(got, scalar_search(stacked([spec]), 0.0, math.pi / 2, spec[2], tol, used))
-            # alone, f is called once per three steps, and every argument the
-            # search used is one f received; the rest lie inside [lo, hi]
-            steps = alone[0][2] - 131
-            assert len(calls) == 2 + math.ceil(steps / 3)
+            # alone, f is called once per zoom of _ZOOM_POINTS counted points,
+            # and every argument the search used is one f received
+            zooms, rest = divmod(alone[0][2] - 129, _ZOOM_POINTS)
+            assert rest == 0 and len(calls) == 1 + zooms
             received = np.concatenate([x.ravel() for x in calls])
             assert set(used) <= set(received.tolist())
             assert np.all((0.0 <= received) & (received <= math.pi / 2))
 
-    def test_one_call_per_three_steps_for_all_objectives(self):
+    def test_one_call_per_zoom_for_all_objectives(self):
         specs = [("smooth", 0.1, "min"), ("endpoint", 1.0, "max"), ("multimodal", 0.5, "min")]
         calls = []
         got = optimize_1d(stacked(specs, calls), 0.0, math.pi / 2, modes=("min", "max", "min"))
-        assert calls[0].shape == (3, 129) and calls[1].shape == (3, 2)
-        assert all(x.shape == (3, 7) for x in calls[2:])
-        steps = max(n for _, _, n in got) - 131
-        assert len(calls) == 2 + math.ceil(steps / 3)
+        assert calls[0].shape == (3, 129)
+        assert all(x.shape == (3, _ZOOM_POINTS) for x in calls[1:])
+        # the longest search sets the call count; the others' rows ride along
+        assert len(calls) == 1 + (max(n for _, _, n in got) - 129) // _ZOOM_POINTS
+        assert all(np.all((0.0 <= x) & (x <= math.pi / 2)) for x in calls)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        lo=st.floats(-10.0, 10.0),
+        width=st.floats(1e-3, 10.0),
+        at=st.floats(0.0, 1.0),
+        tol=st.sampled_from([1e-9, 1e-7, 1e-3, 0.05]),
+    )
+    def test_finds_the_minimum_of_a_parabola(self, lo, width, at, tol):
+        hi = lo + width
+        c = min(lo + at * width, hi)
+        [(arg, _, _)] = optimize_1d(lambda x: (x - c) ** 2, lo, hi, tol=tol)
+        assert abs(arg - c) <= tol
 
     def test_tol_at_or_below_float_spacing_returns(self):
         # in a fresh interpreter with a timeout, so a search that never ends

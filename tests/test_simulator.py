@@ -123,7 +123,9 @@ class TestScenario:
     @pytest.mark.parametrize("field, value", [
         ("beta", "0.5"), ("tau", "0.3"), ("beta", None), ("alpha", "0.05"), ("alpha", None),
         ("within_vars", ("a", 0.2)), ("within_vars", 0.1), ("methods", None),
-    ])
+        # integers beyond the float range once raised a bare OverflowError
+        ("beta", 10**400), ("tau", 10**400), ("alpha", 10**400), ("within_vars", (10**400, 0.2)),
+    ], ids=lambda v: "10**400" if v == 10**400 else None)
     def test_wrong_types_are_config_errors(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
             Scenario(**{"beta": 0.5, "tau": 0.3, "within_vars": (0.1, 0.2), field: value})
