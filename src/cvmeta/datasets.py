@@ -29,6 +29,7 @@ import csv
 import itertools
 import json
 import math
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -186,9 +187,10 @@ def _number(x, field, integer):
     if integer and not (isinstance(x, int) or x.is_integer()):
         raise ConfigError(f"{field}: expected an integer, got {x!r}")
     try:
-        return int(x) if integer else float(x)
-    except OverflowError:  # an integer beyond the float range
+        value = float(x)
+    except OverflowError:  # an integer beyond the float range, in any field
         raise ConfigError(f"{field}: expected a number in the float range, got {x!r}") from None
+    return int(x) if integer else value
 
 
 def _as_number_list(cfg, field, integer=False):
@@ -282,7 +284,11 @@ def expand_config(cfg: dict, reps=None, seed=None) -> list:
                 "mode: smd mode needs exactly one of n_per_arm, arm_totals, arm_sizes")
         if size_fields[0] == "n_per_arm":
             n = _number(cfg["n_per_arm"], "n_per_arm", True)
-            specs = [{"arm_sizes": ((n, n),) * k} for k in _as_number_list(cfg, "k", integer=True)]
+            ks = _as_number_list(cfg, "k", integer=True)
+            for i, k in enumerate(ks):
+                if k > sys.maxsize:  # beyond the index range, k studies cannot be listed
+                    raise ConfigError(f"k[{i}]: expected at most {sys.maxsize} studies, got {k}")
+            specs = [{"arm_sizes": ((n, n),) * k} for k in ks]
         elif "k" in cfg:
             raise ConfigError("k: only allowed with n_per_arm")
         elif size_fields[0] == "arm_totals":

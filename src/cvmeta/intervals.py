@@ -34,6 +34,7 @@ carry it to (0, 1) for m2 and (0, inf) for the coefficient of variation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ import numpy as np
 from .core import MetaDataset, PooledFit, fit_rem
 from .errors import DomainError, NumericFailureError, UndefinedMomentsError
 from .measures import inv_logit, logit, logit_m1_moments
-from .numerics import chisq_quantile, norm_cdf, norm_quantile, optimize_1d
+from .numerics import _GRID_POINTS, chisq_quantile, norm_cdf, norm_quantile, optimize_1d
 
 __all__ = [
     "MEASURE_TAGS",
@@ -178,22 +179,39 @@ def _qprofile_roots(y: np.ndarray, v: np.ndarray, targets) -> np.ndarray:
     each root is taken at the first step no longer than 1e-13 t.  The
     rule is relative, so roots scale exactly with the data; a profile
     that starts at or below its target never leaves 0.
+
+    A target leaves the iteration at its own convergence, and only the
+    targets still live are stepped.  Each target's sums run along its
+    own contiguous row of K values, so every root is the one its target
+    reaches when solved alone, whatever else shares the call.
     """
     targets = np.asarray(targets, dtype=float)
     tg = targets.reshape(-1)
-    s = float(((y - y.mean()) ** 2).sum())
+    d = y - np.add.reduce(y) / y.size  # y.mean(), without its Python wrapper
+    s = float(np.add.reduce(d * d))
     if s == 0.0:
         return np.zeros(targets.shape)
-    t = np.maximum(s / tg - v.max(), 0.0)
+    roots = np.maximum(s / tg - np.maximum.reduce(v), 0.0)
+    live, t = np.arange(tg.size), roots
     for _ in range(100):
-        w = 1.0 / (v + t[:, None])
-        b = (w * y).sum(axis=1) / w.sum(axis=1)
-        wr2 = w * (y - b[:, None]) ** 2
-        step = (wr2.sum(axis=1) - tg) / (w * wr2).sum(axis=1)
+        w = v + t[:, None]
+        np.divide(1.0, w, out=w)
+        b = np.add.reduce(w * y, axis=1) / np.add.reduce(w, axis=1)
+        wr2 = y - b[:, None]
+        wr2 *= wr2
+        wr2 *= w
+        q = np.add.reduce(wr2, axis=1)
+        wr2 *= w
+        step = (q - tg) / np.add.reduce(wr2, axis=1)
         done = step <= 1e-13 * t
-        if done.all():
-            return t.reshape(targets.shape)
-        t = np.where(done, t, t + step)
+        n_done = np.count_nonzero(done)
+        if n_done:
+            roots[live[done]] = t[done]
+            if n_done == done.size:
+                return roots.reshape(targets.shape)
+            keep = ~done
+            live, t, tg, step = live[keep], t[keep], tg[keep], step[keep]
+        t = t + step
     raise NumericFailureError("profile root iteration did not converge")
 
 
@@ -243,7 +261,9 @@ def _fold_abs(lo, hi):
 _UPPER = np.array([[False], [True]])  # row 0: lower corner, row 1: upper corner
 
 
-def _corners_m1(data: MetaDataset, fit: PooledFit, c_tau, p_lo, p_up, c_beta) -> np.ndarray:
+def _corners_m1(
+    data: MetaDataset, fit: PooledFit, c_tau, p_lo, p_up, c_beta, pivots=None
+) -> np.ndarray:
     """m1 at the corners of the (tau, |beta|) box, the lower in row 0 and the upper in row 1.
 
     tau spans the profile roots at chi-square probabilities ``p_lo``
@@ -251,10 +271,12 @@ def _corners_m1(data: MetaDataset, fit: PooledFit, c_tau, p_lo, p_up, c_beta) ->
     beta_hat -/+ c_beta se(beta_hat), its upper end in the lower corner.
     A critical value of exactly 0 pins its component at the point
     estimate.  Arguments broadcast, so an array of n splits gives (2, n).
+    ``pivots``, when given, are the chi-square quantiles at those
+    probabilities, already computed, and ``p_lo`` and ``p_up`` are not read.
     """
-    roots = _qprofile_roots(
-        data.effects, data.within_vars, chisq_quantile(np.where(_UPPER, p_up, p_lo), data.k - 1)
-    )
+    if pivots is None:
+        pivots = chisq_quantile(np.where(_UPPER, p_up, p_lo), data.k - 1)
+    roots = _qprofile_roots(data.effects, data.within_vars, pivots)
     tau = np.where(c_tau == 0.0, math.sqrt(fit.tau2_hat), np.sqrt(roots))
     half = c_beta * math.sqrt(fit.var_beta_hat)
     b_lo, b_up = _fold_abs(fit.beta_hat - half, fit.beta_hat + half)
@@ -404,6 +426,21 @@ def alpha_adjusted_intervals(
 # ---------------------------------------------------------------------------
 # propagating imprecision
 
+@functools.lru_cache(maxsize=64)  # every K from 2 to 60 at one alpha, about 2 KB each
+def _grid_pivots(df: int, z: float) -> np.ndarray:
+    """Read-only chi-square pivots of PROPIMP's grid angles, the lower corner in row 0.
+
+    The angles are :func:`cvmeta.numerics.optimize_1d`'s 129-point grid
+    over [0, pi/2], so the pivots depend only on the degrees of freedom
+    K - 1 and the critical value z, and are computed as the objective
+    computes them.
+    """
+    p_tail = norm_cdf(z * np.sin(np.linspace(0.0, _HALF_PI, _GRID_POINTS)))
+    pivots = chisq_quantile(np.where(_UPPER, 1.0 - p_tail, p_tail), df)
+    pivots.flags.writeable = False
+    return pivots
+
+
 def propimp_intervals(
     data: MetaDataset, alpha: float = 0.05, fit: PooledFit | None = None
 ) -> tuple[dict[str, IntervalEstimate], PropImpTrace]:
@@ -425,10 +462,12 @@ def propimp_intervals(
     the minimum of the lower corner and the maximum of the upper corner
     share every profile solve, so the two 129-point grids are one
     258-target solve and each zoom call solves 20 targets, 10 angles
-    of each bound.  Every profile root is solved independently of the
-    others in its call, so each bound reaches the same bits as a search
-    of its own with one angle per call.  cv and m2 bounds follow
-    through the links.
+    of each bound.  The grid's 258 chi-square pivots depend only on K
+    and alpha, so they come from a small cache, computed once per
+    (K - 1, z); the zoom calls compute their own.  Every profile root
+    is solved independently of the others in its call, so each bound
+    reaches the same bits as a search of its own with one angle per
+    call.  cv and m2 bounds follow through the links.
 
     Returns
     -------
@@ -444,11 +483,14 @@ def propimp_intervals(
         return whole, PropImpTrace(0.0, 0.0, 0)
 
     z = norm_quantile(1.0 - alpha / 2.0)
+    grid = [_grid_pivots(data.k - 1, z)]  # optimize_1d's first call is its grid
 
     def corners_m1(theta: np.ndarray) -> np.ndarray:
-        c_tau = z * np.sin(theta)
+        c_tau, c_beta = z * np.sin(theta), z * np.cos(theta)
+        if grid:
+            return _corners_m1(data, fit, c_tau, None, None, c_beta, pivots=grid.pop())
         p_tail = norm_cdf(c_tau)  # the lower corner's pivot probability, 1 - alpha_c / 2
-        return _corners_m1(data, fit, c_tau, p_tail, 1.0 - p_tail, z * np.cos(theta))
+        return _corners_m1(data, fit, c_tau, p_tail, 1.0 - p_tail, c_beta)
 
     (theta_lo, m1_lo, n_lo), (theta_hi, m1_hi, n_hi) = optimize_1d(
         corners_m1, 0.0, _HALF_PI, modes=("min", "max"))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -123,8 +124,8 @@ class Scenario:
         True between-study standard deviation, nonnegative and finite;
         -0.0 is refused.
     arm_sizes : tuple of (int, int) or None
-        Per-study two-arm sample sizes, each arm at least 1 and
-        n1 + n2 > 2.
+        Per-study two-arm sample sizes, each arm at least 1, in the float
+        range, and n1 + n2 > 2.
     within_vars : tuple of float or None
         Per-study within-study variances.
     reps : int
@@ -159,6 +160,8 @@ class Scenario:
                 if min(n1, n2) < 1 or n1 + n2 <= 2:
                     raise ConfigError(
                         f"arm sizes must be at least 1 with n1 + n2 > 2, got {(n1, n2)}")
+                if max(n1, n2) > sys.float_info.max:  # the draws read them as floats
+                    raise ConfigError(f"arm sizes must be in the float range, got {(n1, n2)}")
             object.__setattr__(self, "arm_sizes", sizes)
         else:
             try:
@@ -376,18 +379,21 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> CoverageResult:
         workers = min(len(starts), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [scenario] * len(starts), starts, stops))
-    table = np.concatenate(parts)
-
-    # (methods, 1 + measures, reps): each method's coverage column, then its width columns
-    by_method = table[:, 1:].reshape(reps, len(scenario.methods), -1).transpose(1, 2, 0)
+    # one contiguous row per table column, each summed pairwise as the column alone would be
+    cols = np.ascontiguousarray(np.concatenate(parts).T)
+    mean = cols.mean(axis=1).tolist()
+    median = np.median(cols, axis=1).tolist()
+    infinite = np.isinf(cols).any(axis=1).tolist()
     per_method = []
-    for method, (covered, *widths) in zip(scenario.methods, by_method):
+    for j, method in enumerate(scenario.methods):
+        # the method's coverage column, then its width columns
+        c = 1 + j * (1 + len(RATIO_MEASURES))
         width_stats = {
-            m: WidthSummary(float(np.mean(col)), float(np.median(col)), bool(np.isinf(col).any()))
-            for m, col in zip(RATIO_MEASURES, widths)
+            m: WidthSummary(mean[i], median[i], infinite[i])
+            for i, m in enumerate(RATIO_MEASURES, c + 1)
         }
-        per_method.append(MethodCoverage(method, float(covered.sum() / reps), width_stats))
-    return CoverageResult(scenario, tuple(per_method), float(table[:, 0].sum() / reps))
+        per_method.append(MethodCoverage(method, mean[c], width_stats))
+    return CoverageResult(scenario, tuple(per_method), mean[0])
 
 
 def measure_summary(scenario: Scenario) -> dict:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -661,6 +662,12 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
         (simulate_with(tau=[0.2, 10**400]),
          "error: tau[1]: expected a number in the float range"),
         (simulate_with(alpha=10**400), "error: alpha: expected a number in the float range"),
+        (simulate_with(n_per_arm=10**400),
+         "error: n_per_arm: expected a number in the float range"),
+        (simulate_with(k=[3, 10**400]), "error: k[1]: expected a number in the float range"),
+        (simulate_with(k=[3, 2**64]), f"error: k[1]: expected at most {sys.maxsize} studies"),
+        (simulate_with(arm_sizes=[[5, 5], [5, 10**400]]),
+         "error: arm_sizes[1][1]: expected a number in the float range"),
         (simulate_with(beta=ABSENT), "beta: is required"),
         (simulate_with(tau=[]), "tau: must not be empty"),
         (simulate_with(mode="bayes"), "mode: expected 'smd' or 'normal', got 'bayes'"),
@@ -673,6 +680,7 @@ def test_non_finite_integer_field_exits_2(capsys, tmp_path, monkeypatch, field, 
          "unknown_method", "simulate_reps_flag", "table2_reps_flag", "analyze_no_method",
          "analyze_alpha_flag", "alpha", "analyze_alpha_tiny", "analyze_alpha_near_one",
          "alpha_tiny", "beta_huge_integer", "tau_huge_integer", "alpha_huge_integer",
+         "n_per_arm_huge_integer", "k_huge_integer", "k_beyond_index", "arm_sizes_huge_integer",
          "beta_absent", "tau_empty", "mode", "methods_not_list",
          "arm_sizes_empty", "top_level_not_object"],
 )

@@ -15,6 +15,7 @@ from cvmeta.intervals import (
     IntervalEstimate,
     _corners_m1,
     _fold_abs,
+    _grid_pivots,
     _qprofile_roots,
     alpha_adjusted_intervals,
     alpha_adjusted_level,
@@ -24,7 +25,7 @@ from cvmeta.intervals import (
     wald_logit_intervals,
 )
 from cvmeta.measures import inv_logit, logit
-from cvmeta.numerics import RngState, norm_cdf, norm_quantile
+from cvmeta.numerics import RngState, chisq_quantile, norm_cdf, norm_quantile
 from cvmeta.simulator import Scenario, generate_smd_dataset
 
 from conftest import qgen_reference, random_dataset, scalar_search
@@ -197,6 +198,24 @@ class TestTau2Qprofile:
             assert roots.shape == targets.shape
             for root, target in zip(roots.ravel(), targets.ravel()):
                 assert root == _qprofile_roots(d.effects, d.within_vars, target)
+
+    @pytest.mark.parametrize("k", [2, 35, 60])
+    def test_grid_and_zero_roots_match_single_targets(self, k):
+        # converged targets leave the iteration while the others go on: a
+        # root must not move once found, whatever converges after it
+        rng = np.random.default_rng(k)
+        d = random_dataset(rng, k=k)
+        grid = _grid_pivots(k - 1, Z975)
+        q0 = qgen_reference(d.effects, d.within_vars, 0.0)
+        # targets above Q_gen(0) have root 0; the others are positive
+        mixed = np.stack([q0 * rng.uniform(1.01, 3.0, 20), q0 * rng.uniform(0.05, 0.99, 20)])
+        for targets in (grid, mixed.T):
+            roots = _qprofile_roots(d.effects, d.within_vars, targets)
+            assert roots.shape == targets.shape
+            for root, target in zip(roots.ravel(), targets.ravel()):
+                assert root == _qprofile_roots(d.effects, d.within_vars, target)
+        roots = _qprofile_roots(d.effects, d.within_vars, mixed)
+        assert (roots[0] == 0.0).all() and (roots[1] > 0.0).all()
 
     def test_alpha_domain(self, hssp):
         # an integer beyond the float range once escaped as a bare OverflowError
@@ -491,6 +510,32 @@ def figure3_beta02_draws():
     for trial in range(100):
         for scenario in scenarios:
             yield generate_smd_dataset(scenario, RngState(20260815).stream(trial))
+
+
+class TestGridPivots:
+    @pytest.mark.parametrize("k, alpha", [(2, 0.05), (9, 0.05), (35, 0.01), (60, 0.2)])
+    def test_cached_pivots_equal_a_fresh_solve(self, k, alpha):
+        # the objective's own pivots at optimize_1d's first call, its 129-point grid
+        z = norm_quantile(1.0 - alpha / 2.0)
+        theta = np.broadcast_to(np.linspace(0.0, math.pi / 2, 129), (2, 129))
+        p = norm_cdf(z * np.sin(theta))
+        fresh = chisq_quantile(np.where([[False], [True]], 1.0 - p, p), k - 1)
+        cached = _grid_pivots(k - 1, z)
+        assert cached.shape == (2, 129) and (cached == fresh).all()
+        assert _grid_pivots(k - 1, z) is cached
+
+    def test_cached_pivots_are_read_only(self):
+        pivots = _grid_pivots(34, Z975)
+        with pytest.raises(ValueError, match="read-only"):
+            pivots[0, 0] = 0.0
+
+    def test_propimp_same_with_cold_and_warm_cache(self, hssp):
+        _grid_pivots.cache_clear()
+        cold05, warm05, cold01, again05, warm01 = (
+            propimp_intervals(hssp, alpha) for alpha in (0.05, 0.05, 0.01, 0.05, 0.01))
+        assert cold05 == warm05 == again05
+        assert cold01 == warm01
+        assert cold05[1].evaluations == 388
 
 
 class TestPropImp:

@@ -78,6 +78,11 @@ class TestScenario:
         # the smallest split of a total that split_arms accepts
         assert Scenario(beta=0.5, tau=0.3, arm_sizes=((10, 10), (2, 1))).k == 2
 
+    def test_arm_sizes_in_the_float_range(self):
+        # the draws read arm sizes as floats; 10**400 once raised a bare OverflowError there
+        with pytest.raises(ConfigError, match="^arm sizes must be in the float range"):
+            Scenario(beta=0.5, tau=0.3, arm_sizes=((10, 10), (5, 10**400)))
+
     @pytest.mark.parametrize(
         "beta, tau", [(math.nan, 0.3), (math.inf, 0.3), (-math.inf, 0.3), (0.5, math.nan),
                       (0.5, math.inf)],
@@ -358,9 +363,13 @@ class TestRunScenario:
                 assert len(hits) == 1
         assert checked > 20
 
-    @pytest.mark.parametrize("mode", ["smd", "normal"])
-    def test_reduction_equals_per_replication_recomputation(self, mode):
-        sc = _batch_scenario(mode, 8, 30)
+    # 200 reps pass numpy's 128-value pairwise-summation block, where summing
+    # a column in any other order than alone would show in the last bits
+    @pytest.mark.parametrize("mode, reps", [
+        pytest.param("smd", 30, id="smd"), pytest.param("normal", 30, id="normal"),
+        pytest.param("normal", 200, id="normal-200")])
+    def test_reduction_equals_per_replication_recomputation(self, mode, reps):
+        sc = _batch_scenario(mode, 8, reps)
         generate = generate_smd_dataset if mode == "smd" else generate_normal_dataset
         true_m1 = cv_measures(sc.tau, sc.beta).m1
         master = RngState(sc.seed)
