@@ -168,50 +168,79 @@ class PropImpTrace:
 def _qprofile_roots(y: np.ndarray, v: np.ndarray, targets) -> np.ndarray:
     """Solve Q_gen(t) = target for t >= 0, elementwise over ``targets``.
 
-    Q_gen(t) = sum_i (y_i - b(t))^2 / (v_i + t) with b(t) the weighted
-    mean at weights 1/(v_i + t).  Because b(t) is the weight-stationary
-    point, the slope reduces to -sum_i w_i^2 (y_i - b)^2, and as a
-    partial minimum over b of a jointly convex function the profile is
-    convex.  With S = sum_i (y_i - mean y)^2 it lies between
-    S / (max v + t) and S / (min v + t), so every root is at least
-    S / target - max v.  Newton's method started there (or at 0) climbs
-    a convex decreasing profile monotonically without overshooting, and
-    each root is taken at the first step no longer than 1e-13 t.  The
-    rule is relative, so roots scale exactly with the data; a profile
-    that starts at or below its target never leaves 0.
+    Q_gen(t) = sum_i w_i (y_i - b)^2 with weights w_i = 1/(v_i + t) and
+    b(t) the mean of y at those weights.  b is the weight-stationary
+    point, so the slope is -D with D = sum_i w_i^2 (y_i - b)^2.  Q_gen is a secular
+    function: with L an orthonormal basis of the contrasts (vectors
+    orthogonal to 1), lambda_j the eigenvalues of L'VL and z the
+    coordinates of L'y in their eigenvectors, Q_gen(t) =
+    sum_j z_j^2 / (lambda_j + t).  Its reciprocal is the parallel sum of
+    the increasing lines (lambda_j + t) / z_j^2, so it is concave and
+    increasing, and as every lambda_j lies in [min v, max v], Q_gen lies
+    between S / (max v + t) and S / (min v + t), S = sum_i (y_i -
+    mean y)^2.  Every root is thus at least S / target - max v.
+
+    Newton's method runs on 1/Q_gen - 1/target (the secular-equation
+    step of More and Sorensen), started there (or at 0).  A tangent of
+    a concave function lies above it, so each step lands at or before
+    the root: the iteration climbs monotonically and cannot overshoot,
+    in fewer passes than Newton on the convex Q_gen itself.  The step
+    is that plain step (q - target) / D stretched by q / target >= 1;
+    written in that order it cannot overflow where the plain step and
+    the root are finite.  Each root is taken at the first step no
+    longer than 1e-13 t.  The rule is relative, so roots scale exactly
+    with the data; a profile that starts at or below its target never
+    leaves 0.
+
+    No overshoot needs a D that keeps the heaviest study's share, which
+    can be most of it: a short D lengthens the step past the root, and
+    the stop rule takes the step back.  So the residuals come from
+    effects anchored at the lowest-variance study, y - y[argmin v],
+    which makes that study's residual -b, where y_i - b could round to
+    0; and D squares w_i r_i, not r_i, whose square can fall below the
+    float range while w_i r_i is an ordinary number.
 
     A target leaves the iteration at its own convergence, and only the
     targets still live are stepped.  Each target's sums run along its
     own contiguous row of K values, so every root is the one its target
     reaches when solved alone, whatever else shares the call.
+
+    Raises
+    ------
+    NumericFailureError
+        If a root has not converged in 100 passes, as where the data
+        leave the float range; numpy's warnings are silenced on the way.
     """
     targets = np.asarray(targets, dtype=float)
     tg = targets.reshape(-1)
-    d = y - np.add.reduce(y) / y.size  # y.mean(), without its Python wrapper
-    s = float(np.add.reduce(d * d))
-    if s == 0.0:
-        return np.zeros(targets.shape)
-    roots = np.maximum(s / tg - np.maximum.reduce(v), 0.0)
-    live, t = np.arange(tg.size), roots
-    for _ in range(100):
-        w = v + t[:, None]
-        np.divide(1.0, w, out=w)
-        b = np.add.reduce(w * y, axis=1) / np.add.reduce(w, axis=1)
-        wr2 = y - b[:, None]
-        wr2 *= wr2
-        wr2 *= w
-        q = np.add.reduce(wr2, axis=1)
-        wr2 *= w
-        step = (q - tg) / np.add.reduce(wr2, axis=1)
-        done = step <= 1e-13 * t
-        n_done = np.count_nonzero(done)
-        if n_done:
-            roots[live[done]] = t[done]
-            if n_done == done.size:
-                return roots.reshape(targets.shape)
-            keep = ~done
-            live, t, tg, step = live[keep], t[keep], tg[keep], step[keep]
-        t = t + step
+    with np.errstate(all="ignore"):
+        d = y - np.add.reduce(y) / y.size  # y.mean(), without its Python wrapper
+        s = float(np.add.reduce(d * d))
+        if s == 0.0:
+            return np.zeros(targets.shape)
+        y = y - y[np.argmin(v)]
+        roots = np.maximum(s / tg - np.maximum.reduce(v), 0.0)
+        live, t = np.arange(tg.size), roots
+        for _ in range(100):
+            w = v + t[:, None]
+            np.divide(1.0, w, out=w)
+            b = np.add.reduce(w * y, axis=1) / np.add.reduce(w, axis=1)
+            r = y - b[:, None]
+            wr = w * r
+            r *= r
+            r *= w
+            q = np.add.reduce(r, axis=1)
+            wr *= wr
+            step = ((q - tg) / np.add.reduce(wr, axis=1)) * (q / tg)
+            done = step <= 1e-13 * t
+            n_done = np.count_nonzero(done)
+            if n_done:
+                roots[live[done]] = t[done]
+                if n_done == done.size:
+                    return roots.reshape(targets.shape)
+                keep = ~done
+                live, t, tg, step = live[keep], t[keep], tg[keep], step[keep]
+            t = t + step
     raise NumericFailureError("profile root iteration did not converge")
 
 
@@ -245,19 +274,6 @@ def tau2_ci_qprofile(data: MetaDataset, alpha: float = 0.05) -> IntervalEstimate
 # ---------------------------------------------------------------------------
 # the (tau, |beta|) box corners
 
-def _fold_abs(lo, hi):
-    """Elementwise |beta| bounds from signed bounds.
-
-    Three cases: both bounds positive keep their order under | . |;
-    both negative swap; an interval straddling zero becomes
-    [0, max of the folded endpoints], the conservative choice.  A zero
-    endpoint is grouped with the sign of the other endpoint.
-    """
-    a = np.where(lo >= 0.0, lo, np.where(hi <= 0.0, -hi, 0.0))
-    b = np.where(lo >= 0.0, hi, np.where(hi <= 0.0, -lo, np.maximum(-lo, hi)))
-    return a, b
-
-
 _UPPER = np.array([[False], [True]])  # row 0: lower corner, row 1: upper corner
 
 
@@ -268,7 +284,11 @@ def _corners_m1(
 
     tau spans the profile roots at chi-square probabilities ``p_lo``
     (lower corner) and ``p_up`` (upper corner); |beta| spans the fold of
-    beta_hat -/+ c_beta se(beta_hat), its upper end in the lower corner.
+    beta_hat -/+ c_beta se(beta_hat) onto |beta|, which is
+    [max(|beta_hat| - half, 0), |beta_hat| + half] with half = c_beta
+    se(beta_hat), its upper end in the lower corner.  (Negation is
+    exact, so this is the three-case fold bit for bit: keep a positive
+    interval, swap a negative one, take [0, max] of one across 0.)
     A critical value of exactly 0 pins its component at the point
     estimate.  Arguments broadcast, so an array of n splits gives (2, n).
     ``pivots``, when given, are the chi-square quantiles at those
@@ -278,9 +298,10 @@ def _corners_m1(
         pivots = chisq_quantile(np.where(_UPPER, p_up, p_lo), data.k - 1)
     roots = _qprofile_roots(data.effects, data.within_vars, pivots)
     tau = np.where(c_tau == 0.0, math.sqrt(fit.tau2_hat), np.sqrt(roots))
+    abs_beta = abs(fit.beta_hat)
     half = c_beta * math.sqrt(fit.var_beta_hat)
-    b_lo, b_up = _fold_abs(fit.beta_hat - half, fit.beta_hat + half)
-    b = np.where(c_beta == 0.0, abs(fit.beta_hat), np.where(_UPPER, b_lo, b_up))
+    b_lo, b_up = np.maximum(abs_beta - half, 0.0), abs_beta + half
+    b = np.where(c_beta == 0.0, abs_beta, np.where(_UPPER, b_lo, b_up))
     # 0 where tau is 0, else tau / (tau + |beta|): exactly 1 where |beta| is 0
     return np.divide(tau, tau + b, out=np.zeros(np.shape(tau)), where=tau > 0.0)
 

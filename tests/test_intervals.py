@@ -1,20 +1,20 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import linalg, stats
 
 from cvmeta.cli import analyze_dataset
 from cvmeta.core import MetaDataset, PooledFit, fit_rem
-from cvmeta.errors import DomainError
+from cvmeta.errors import CvMetaError, DomainError
 from cvmeta.intervals import (
     RATIO_MEASURES,
     IntervalEstimate,
     _corners_m1,
-    _fold_abs,
     _grid_pivots,
     _qprofile_roots,
     alpha_adjusted_intervals,
@@ -51,6 +51,41 @@ def reference_fold(lo, hi):
     if hi <= 0.0:
         return -hi, -lo
     return 0.0, max(-lo, hi)
+
+
+def qgen_exact(y, v, t) -> Fraction:
+    """Q_gen(t) in exact rational arithmetic on the float inputs."""
+    w = [1 / (Fraction(vi) + Fraction(t)) for vi in v]
+    ys = [Fraction(yi) for yi in y]
+    b = sum(wi * yi for wi, yi in zip(w, ys)) / sum(w)
+    return sum(wi * (yi - b) ** 2 for wi, yi in zip(w, ys))
+
+
+def assert_roots_solve(y, v, probs):
+    """Q_gen at each positive root for chi-square probabilities ``probs`` is its pivot to 1e-12."""
+    pivots = chisq_quantile(np.asarray(probs), len(y) - 1)
+    for root, pivot in zip(_qprofile_roots(np.asarray(y), np.asarray(v), pivots), pivots):
+        if root > 0.0:
+            assert abs(qgen_exact(y, v, root) / Fraction(pivot) - 1) <= 1e-12, (root, pivot)
+
+
+def secular_q(y, v, t):
+    """Q_gen(t) as sum_j z_j^2 / (lambda_j + t), lambda_j the eigenvalues of L'VL."""
+    basis = linalg.null_space(np.ones((1, len(y))))  # orthonormal, orthogonal to 1
+    lam, vecs = np.linalg.eigh(basis.T @ (np.asarray(v)[:, None] * basis))
+    z = vecs.T @ (basis.T @ y)
+    return float(np.sum(z * z / (lam + t)))
+
+
+def abs_beta_corners(data, lo, hi):
+    """(lower, upper) |beta| of ``_corners_m1`` over the signed interval [lo, hi].
+
+    tau is pinned at 1, so the corners are 1 / (1 + |beta|); the
+    interval is beta_hat -/+ half at c_beta = 1 and se = half.
+    """
+    fit = synthetic_fit((lo + hi) / 2.0, 1.0, var_beta_hat=((hi - lo) / 2.0) ** 2)
+    m1_lo, m1_hi = _corners_m1(data, fit, 0.0, 0.5, 0.5, 1.0).ravel().tolist()
+    return 1.0 / m1_hi - 1.0, 1.0 / m1_lo - 1.0
 
 
 def reference_m1(data, fit, a_tau, a_beta):
@@ -217,6 +252,38 @@ class TestTau2Qprofile:
         roots = _qprofile_roots(d.effects, d.within_vars, mixed)
         assert (roots[0] == 0.0).all() and (roots[1] > 0.0).all()
 
+    def test_heavy_study_residual_keeps_its_slope(self):
+        # the heavier study's residual y_i - b once rounded to 0, taking half the
+        # slope with it: Newton overshot, the stop rule took the step back, Q_gen
+        # at both roots sat 11% below its pivot, and ALPHA_ADJ's M1 lower read 0.1884
+        y = [1.6182184259529171e-63, 1.4594528793535342e-54]
+        v = [9.672906754594076e-135, 5.472755353351439e-109]
+        probs = [0.9, 1.0 - alpha_adjusted_level() / 2.0]
+        pivots = chisq_quantile(np.array(probs), 1)
+        assert (_qprofile_roots(np.array(y), np.array(v), pivots) > 0).all()
+        assert_roots_solve(y, v, probs)
+        m1 = alpha_adjusted_intervals(MetaDataset(y, v))["M1"]
+        assert m1.lower == pytest.approx(0.1573302188465, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(
+        st.tuples(st.floats(-10.0, 10.0), st.integers(-300, 300), st.floats(1.0, 10.0),
+                  st.integers(-300, 300)),
+        min_size=2, max_size=12,
+    ))
+    def test_roots_solve_across_the_float_range(self, studies):
+        # effects and variances spread over 10^-300..10^301: a positive root
+        # solves its pivot, or the input is a typed error
+        y = [m * 10.0**e for m, e, _, _ in studies]
+        v = [m * 10.0**e for _, _, m, e in studies]
+        a = alpha_adjusted_level()
+        try:
+            d = MetaDataset(y, v)
+            probs = [0.025, a / 2.0, 0.9, 1.0 - a / 2.0, 0.975]
+            assert_roots_solve(d.effects, d.within_vars, probs)
+        except CvMetaError:
+            pass
+
     def test_alpha_domain(self, hssp):
         # an integer beyond the float range once escaped as a bare OverflowError
         for alpha in (0.0, 10**400):
@@ -237,6 +304,33 @@ class TestTau2Qprofile:
             for method in FIXED_LEVELS:
                 fixed_intervals(d, method, alpha)
             alpha_adjusted_intervals(d, alpha)
+
+
+class TestProfilePremise:
+    """Q_gen is a secular function, so 1/Q_gen is concave: the premise of the solver's step."""
+
+    @staticmethod
+    def datasets():
+        rng = np.random.default_rng(60)
+        for _ in range(40):
+            k = int(rng.integers(2, 61))
+            v = 10.0 ** rng.uniform(-4.0, 4.0, k)  # variance ratios up to 1e8
+            yield rng.normal(rng.normal(), np.sqrt(v + rng.uniform(0.0, 2.0)), k), v
+
+    def test_pole_form(self):
+        # eigh returns each lambda_j to about eps * max v, which near t = 0 moves
+        # the pole form itself by up to 1e-8 at a ratio of 1e8; t starts above that
+        for y, v in self.datasets():
+            for t in v.max() * np.array([1e-3, 1e-2, 0.1, 1.0, 10.0]):
+                q = qgen_reference(y, v, t)
+                assert abs(secular_q(y, v, t) - q) <= 1e-10 * q
+
+    def test_reciprocal_is_concave(self):
+        for y, v in self.datasets():
+            for scale in (v.min(), np.median(v), v.max()):
+                ts = np.linspace(0.0, 4.0 * scale, 41)
+                g = np.array([1.0 / qgen_reference(y, v, t) for t in ts])
+                assert (g[2:] - 2.0 * g[1:-1] + g[:-2] <= 1e-12 * g[2:]).all()
 
 
 class TestBetaIntervals:
@@ -270,18 +364,34 @@ class TestBetaIntervals:
         m1_lo = _corners_m1(hssp, fit, 0.0, 0.5, 0.5, c)[0, 0]
         assert round(1.0 / m1_lo - 1.0, 3) == 1.386
 
-    def test_abs_fold_positive(self):
-        assert _fold_abs(1.0, 3.0) == (1.0, 3.0)
+    def test_abs_fold_positive(self, hssp):
+        assert abs_beta_corners(hssp, 1.0, 3.0) == (1.0, 3.0)
 
-    def test_abs_fold_negative(self):
-        assert _fold_abs(-3.0, -1.0) == (1.0, 3.0)
+    def test_abs_fold_negative(self, hssp):
+        assert abs_beta_corners(hssp, -3.0, -1.0) == (1.0, 3.0)
 
-    def test_abs_fold_straddling(self):
-        assert _fold_abs(-0.5, 1.0) == (0.0, 1.0)
-        assert _fold_abs(-2.0, 1.0) == (0.0, 2.0)
-        # a zero endpoint groups with the other endpoint's sign
-        assert _fold_abs(0.0, 2.0) == (0.0, 2.0)
-        assert _fold_abs(-2.0, 0.0) == (0.0, 2.0)
+    def test_abs_fold_straddling(self, hssp):
+        assert abs_beta_corners(hssp, -0.5, 1.0) == (0.0, 1.0)
+        assert abs_beta_corners(hssp, -2.0, 1.0) == (0.0, 2.0)
+        # a zero endpoint
+        assert abs_beta_corners(hssp, 0.0, 2.0) == (0.0, 2.0)
+        assert abs_beta_corners(hssp, -2.0, 0.0) == (0.0, 2.0)
+
+    def test_abs_fold_equals_the_three_case_fold(self, hssp):
+        # the closed form [max(|b| - h, 0), |b| + h] is the keep, swap or
+        # [0, max] fold of [b - h, b + h] bit for bit: negation is exact
+        rng = np.random.default_rng(30)
+        betas = np.concatenate(
+            [rng.normal(0.0, 1.0, 400), -rng.uniform(0.0, 1e-3, 50), np.zeros(50)])
+        var_betas = 10.0 ** rng.uniform(-8.0, 2.0, betas.size)
+        crits = np.concatenate([[0.0] * 20, rng.uniform(0.0, 3.0, betas.size - 20)])
+        for beta_hat, var_beta, c in zip(betas, var_betas, crits):
+            half = c * math.sqrt(var_beta)
+            for b in (beta_hat, half, -half):  # the last two put an endpoint at exactly 0
+                b_lo, b_up = reference_fold(b - half, b + half)
+                fit = synthetic_fit(b, 1.0, var_beta_hat=var_beta)
+                m1 = _corners_m1(hssp, fit, 0.0, 0.5, 0.5, c).ravel().tolist()
+                assert m1 == [1.0 / (1.0 + b_up), 1.0 / (1.0 + b_lo)]
 
 
 class TestWaldLogit:
