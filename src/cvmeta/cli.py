@@ -259,7 +259,8 @@ def cmd_simulate(args) -> int:
 
     results = [run_scenario(scenario, threads=args.threads) for scenario in scenarios]
     doc = _simulate_doc(name, echo, results)
-    text_json = json.dumps(doc, indent=2)
+    # compact JSON encodes in C; stdout and the --out file carry the same text
+    text_json = json.dumps(doc, separators=(",", ":"))
     if args.out:
         try:
             (out_dir / f"{name}.json").write_text(text_json + "\n", encoding="utf-8")

@@ -34,7 +34,6 @@ carry it to (0, 1) for m2 and (0, inf) for the coefficient of variation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,14 @@ import numpy as np
 from .core import MetaDataset, PooledFit, fit_rem
 from .errors import DomainError, NumericFailureError, UndefinedMomentsError
 from .measures import inv_logit, logit, logit_m1_moments
-from .numerics import _GRID_POINTS, chisq_quantile, norm_cdf, norm_quantile, optimize_1d
+from .numerics import (
+    chisq_cdf,
+    chisq_quantile,
+    chisq_sf,
+    norm_cdf,
+    norm_quantile,
+    optimize_1d,
+)
 
 __all__ = [
     "MEASURE_TAGS",
@@ -145,11 +151,13 @@ class PropImpTrace:
     """Optimizer diagnostics from a propagating-imprecision run.
 
     theta_lower and theta_upper are the quarter-circle angles at which
-    the lower and upper bounds were attained (smallest such angle on
-    ties); evaluations counts the angles the two searches evaluated, the
+    the lower and upper bounds were attained: 0 where theta = 0 (tau
+    pinned at its estimate) is as good as the search's best point, and
+    otherwise atan2(c_tau, c_beta) at that point, the smallest such
+    point on ties.  evaluations counts the corners evaluated: the
     ``evaluations`` of :func:`cvmeta.numerics.optimize_1d` summed over
-    both bounds.  The angles a finished search still receives while the
-    other goes on are not counted.
+    both bounds, plus theta = 0 once for each.  The points a finished
+    search still receives while the other goes on are not counted.
     """
 
     theta_lower: float
@@ -222,14 +230,7 @@ def _qprofile_roots(y: np.ndarray, v: np.ndarray, targets) -> np.ndarray:
         roots = np.maximum(s / tg - np.maximum.reduce(v), 0.0)
         live, t = np.arange(tg.size), roots
         for _ in range(100):
-            w = v + t[:, None]
-            np.divide(1.0, w, out=w)
-            b = np.add.reduce(w * y, axis=1) / np.add.reduce(w, axis=1)
-            r = y - b[:, None]
-            wr = w * r
-            r *= r
-            r *= w
-            q = np.add.reduce(r, axis=1)
+            q, wr = _qgen(y, v, t)
             wr *= wr
             step = ((q - tg) / np.add.reduce(wr, axis=1)) * (q / tg)
             done = step <= 1e-13 * t
@@ -242,6 +243,24 @@ def _qprofile_roots(y: np.ndarray, v: np.ndarray, targets) -> np.ndarray:
                 live, t, tg, step = live[keep], t[keep], tg[keep], step[keep]
             t = t + step
     raise NumericFailureError("profile root iteration did not converge")
+
+
+def _qgen(y: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q_gen at each entry of the 1-D ``t``, and the rows of w_i (y_i - b) for its slope.
+
+    ``y`` holds the effects anchored at the lowest-variance study, as
+    :func:`_qprofile_roots` anchors them.  The solver and PROPIMP's
+    search both run this pass, so they share its arithmetic bit for
+    bit.  Row j's sums run over its own K values.
+    """
+    w = v + t[:, None]
+    np.divide(1.0, w, out=w)
+    b = np.add.reduce(w * y, axis=1) / np.add.reduce(w, axis=1)
+    r = y - b[:, None]
+    wr = w * r
+    r *= r
+    r *= w
+    return np.add.reduce(r, axis=1), wr
 
 
 def tau2_ci_qprofile(data: MetaDataset, alpha: float = 0.05) -> IntervalEstimate:
@@ -277,27 +296,32 @@ def tau2_ci_qprofile(data: MetaDataset, alpha: float = 0.05) -> IntervalEstimate
 _UPPER = np.array([[False], [True]])  # row 0: lower corner, row 1: upper corner
 
 
-def _corners_m1(
-    data: MetaDataset, fit: PooledFit, c_tau, p_lo, p_up, c_beta, pivots=None
-) -> np.ndarray:
+def _corners_m1(data: MetaDataset, fit: PooledFit, c_tau, p_lo, p_up, c_beta) -> np.ndarray:
     """m1 at the corners of the (tau, |beta|) box, the lower in row 0 and the upper in row 1.
 
     tau spans the profile roots at chi-square probabilities ``p_lo``
-    (lower corner) and ``p_up`` (upper corner); |beta| spans the fold of
-    beta_hat -/+ c_beta se(beta_hat) onto |beta|, which is
-    [max(|beta_hat| - half, 0), |beta_hat| + half] with half = c_beta
-    se(beta_hat), its upper end in the lower corner.  (Negation is
-    exact, so this is the three-case fold bit for bit: keep a positive
-    interval, swap a negative one, take [0, max] of one across 0.)
-    A critical value of exactly 0 pins its component at the point
-    estimate.  Arguments broadcast, so an array of n splits gives (2, n).
-    ``pivots``, when given, are the chi-square quantiles at those
-    probabilities, already computed, and ``p_lo`` and ``p_up`` are not read.
+    (lower corner) and ``p_up`` (upper corner), and |beta| the folded
+    interval of :func:`_box_m1`.  A critical value of exactly 0 pins its
+    component at the point estimate.  Arguments broadcast, so an array
+    of n splits gives (2, n).
     """
-    if pivots is None:
-        pivots = chisq_quantile(np.where(_UPPER, p_up, p_lo), data.k - 1)
+    pivots = chisq_quantile(np.where(_UPPER, p_up, p_lo), data.k - 1)
     roots = _qprofile_roots(data.effects, data.within_vars, pivots)
     tau = np.where(c_tau == 0.0, math.sqrt(fit.tau2_hat), np.sqrt(roots))
+    return _box_m1(fit, tau, c_beta)
+
+
+def _box_m1(fit: PooledFit, tau, c_beta) -> np.ndarray:
+    """m1 = tau / (tau + |beta|) at given tau, the lower corner in row 0 and the upper in row 1.
+
+    |beta| spans the fold of beta_hat -/+ c_beta se(beta_hat) onto
+    |beta|, which is [max(|beta_hat| - half, 0), |beta_hat| + half] with
+    half = c_beta se(beta_hat), its upper end in the lower corner.
+    (Negation is exact, so this is the three-case fold bit for bit: keep
+    a positive interval, swap a negative one, take [0, max] of one
+    across 0.)  A c_beta of exactly 0 pins |beta| at its estimate.
+    ``tau`` has the shape of the result.
+    """
     abs_beta = abs(fit.beta_hat)
     half = c_beta * math.sqrt(fit.var_beta_hat)
     b_lo, b_up = np.maximum(abs_beta - half, 0.0), abs_beta + half
@@ -447,19 +471,70 @@ def alpha_adjusted_intervals(
 # ---------------------------------------------------------------------------
 # propagating imprecision
 
-@functools.lru_cache(maxsize=64)  # every K from 2 to 60 at one alpha, about 2 KB each
-def _grid_pivots(df: int, z: float) -> np.ndarray:
-    """Read-only chi-square pivots of PROPIMP's grid angles, the lower corner in row 0.
+# The search's final bracket on s.  theta moves up to a few hundred times
+# faster than s near theta = 0 when the upper corner's range is long (228x
+# at an optimum of a K = 2 dataset), so s needs a finer bracket than the
+# 1e-7 that an angle search takes
+_S_TOL = 1e-9
 
-    The angles are :func:`cvmeta.numerics.optimize_1d`'s 129-point grid
-    over [0, pi/2], so the pivots depend only on the degrees of freedom
-    K - 1 and the critical value z, and are computed as the objective
-    computes them.
+
+def _propimp_path(data: MetaDataset, fit: PooledFit, z: float):
+    """PROPIMP's corners as functions of its search variable s in [0, 1].
+
+    Along the quarter circle the lower corner's tau^2 falls from the
+    median root t_med (theta -> 0+) to the root t_end at chi-square
+    probability Phi(z) (theta = pi/2), and the upper corner's rises from
+    t_med to the root at 1 - Phi(z).  The search runs over t in that
+    range, t = t_end + (1 - s)^2 (t_med - t_end), and takes the angle
+    back in closed form: c_tau = Phi^-1(F(Q_gen(t))) at the lower
+    corner and Phi^-1(1 - F(Q_gen(t))) at the upper, F the chi-square
+    CDF on K - 1 degrees of freedom, and c_beta = sqrt(z^2 - c_tau^2).
+    Near theta = pi/2, c_beta grows like sqrt(t - t_end), so t is
+    quadratic in s there to keep the objective smooth in s.  A larger s
+    is a larger angle.  s = 1 is the angle corner at theta = pi/2 from
+    the range-end roots, as :func:`_corners_m1` gives it.
+
+    There c_beta comes from the small difference z - c_tau, so c_tau is
+    computed to keep it: Q_gen(t) is Q_gen(t_end) plus (t_end - t) times
+    the dot product of the weighted residuals w_i (y_i - b) at t and at
+    t_end (the difference of the two profiles, P_t - P_u = (u - t) P_t P_u
+    for the projections P_t y = W_t (y - b_t)), which has no
+    cancellation, and c_tau is -Phi^-1 of the chi-square tail that lies
+    below 1/2.  What remains is c_tau's rounding in the last bit, which
+    reaches c_beta multiplied by (c_tau / c_beta)^2: m1 near an optimum
+    at cos(theta) = 0.027 carried noise of up to 4e-13 relative.
+
+    Returns a function mapping s, one row per corner, to
+    (tau, c_tau, c_beta) of the same shape.
     """
-    p_tail = norm_cdf(z * np.sin(np.linspace(0.0, _HALF_PI, _GRID_POINTS)))
-    pivots = chisq_quantile(np.where(_UPPER, 1.0 - p_tail, p_tail), df)
-    pivots.flags.writeable = False
-    return pivots
+    y, v, df = data.effects, data.within_vars, data.k - 1
+    p_end = norm_cdf(z)  # the lower corner's chi-square probability at theta = pi/2
+    t_med, t_lo, t_up = _qprofile_roots(
+        y, v, chisq_quantile(np.array([0.5, p_end, 1.0 - p_end]), df)).tolist()
+    t_end = np.array([[t_lo], [t_up]])
+    span = t_med - t_end
+    y = y - y[np.argmin(v)]  # anchored as the solver anchors it
+    q_end, wr_end = _qgen(y, v, t_end.reshape(-1))
+    q_end, wr_end = q_end[:, None], wr_end[:, None, :]
+    c_end = z * math.sin(_HALF_PI), z * math.cos(_HALF_PI)  # as _corners_m1 takes theta = pi/2
+
+    def path(s: np.ndarray):
+        d = (1.0 - s) ** 2 * span
+        t = t_end + d
+        with np.errstate(all="ignore"):
+            wr = _qgen(y, v, t.reshape(-1))[1].reshape(t.shape + (-1,))
+            # Q_gen(t) - Q_gen(t_end) = (t_end - t) sum_i w_i r_i (t) w_i r_i (t_end)
+            q = q_end - d * np.add.reduce(wr * wr_end, axis=2)
+        tail = np.empty(t.shape)
+        tail[0], tail[1] = chisq_sf(q[0], df), chisq_cdf(q[1], df)
+        # rounding can carry the tail a little outside the range's ends
+        c_tau = -norm_quantile(np.minimum(np.maximum(tail, 1.0 - p_end), 0.5))
+        np.minimum(c_tau, z, out=c_tau)
+        c_beta = np.sqrt((z - c_tau) * (z + c_tau))
+        end = s == 1.0
+        return np.sqrt(t), np.where(end, c_end[0], c_tau), np.where(end, c_end[1], c_beta)
+
+    return path
 
 
 def propimp_intervals(
@@ -474,27 +549,28 @@ def propimp_intervals(
     critical value of 0 pins the parameter at its point estimate.  The
     lower bound minimizes the measure over theta with tau at its lower
     and |beta| at its upper component bound; the upper bound maximizes
-    with the roles flipped.  The equal-split angle reproduces the
-    adjusted combination, and the two endpoints reproduce the
-    fixed-parameter intervals, so the result contains all three.
+    with the roles flipped.  The endpoints theta = 0 and pi/2 are the
+    fixed-parameter intervals' corners, so the result contains FIXED_TAU
+    exactly and FIXED_BETA to the last bits (its probabilities come from
+    Phi(z) rather than alpha); the equal-split angle reproduces the
+    adjusted combination, which it contains to the search tolerance.
 
-    Both bounds are found on the m1 scale, where the objective is
-    bounded, by one lockstep run of :func:`cvmeta.numerics.optimize_1d`:
-    the minimum of the lower corner and the maximum of the upper corner
-    share every profile solve, so the two 129-point grids are one
-    258-target solve and each zoom call solves 20 targets, 10 angles
-    of each bound.  The grid's 258 chi-square pivots depend only on K
-    and alpha, so they come from a small cache, computed once per
-    (K - 1, z); the zoom calls compute their own.  Every profile root
-    is solved independently of the others in its call, so each bound
-    reaches the same bits as a search of its own with one angle per
-    call.  cv and m2 bounds follow through the links.
+    The search runs over tau^2 rather than theta (see
+    :func:`_propimp_path`): each evaluation is one pass of Q_gen and a
+    closed-form angle, with no root to solve.  Both bounds are found on
+    the m1 scale, where the objective is bounded, by one lockstep run of
+    :func:`cvmeta.numerics.optimize_1d` over the search variable, the
+    minimum of the lower corner and the maximum of the upper corner,
+    down to a bracket of 1e-9.
+    theta = 0, where tau jumps to its estimate, is one more candidate of
+    each bound, and it wins ties.  cv and m2 bounds follow through the
+    links.
 
     Returns
     -------
     (intervals, trace)
         intervals maps "CV_B", "M1", "M2" to IntervalEstimate; trace
-        records the optimizing angles and the number of angles searched.
+        records the optimizing angles and the number of corners evaluated.
     """
     _check_alpha(alpha)
     if fit is None:
@@ -504,17 +580,21 @@ def propimp_intervals(
         return whole, PropImpTrace(0.0, 0.0, 0)
 
     z = norm_quantile(1.0 - alpha / 2.0)
-    grid = [_grid_pivots(data.k - 1, z)]  # optimize_1d's first call is its grid
+    path = _propimp_path(data, fit, z)
 
-    def corners_m1(theta: np.ndarray) -> np.ndarray:
-        c_tau, c_beta = z * np.sin(theta), z * np.cos(theta)
-        if grid:
-            return _corners_m1(data, fit, c_tau, None, None, c_beta, pivots=grid.pop())
-        p_tail = norm_cdf(c_tau)  # the lower corner's pivot probability, 1 - alpha_c / 2
-        return _corners_m1(data, fit, c_tau, p_tail, 1.0 - p_tail, c_beta)
+    def corners_m1(s: np.ndarray) -> np.ndarray:
+        tau, _, c_beta = path(s)
+        return _box_m1(fit, tau, c_beta)
 
-    (theta_lo, m1_lo, n_lo), (theta_hi, m1_hi, n_hi) = optimize_1d(
-        corners_m1, 0.0, _HALF_PI, modes=("min", "max"))
-    trace = PropImpTrace(theta_lo, theta_hi, n_lo + n_hi)
+    (s_lo, m1_lo, n_lo), (s_hi, m1_hi, n_hi) = optimize_1d(
+        corners_m1, 0.0, 1.0, modes=("min", "max"), tol=_S_TOL)
+    _, c_tau, c_beta = path(np.array([[s_lo], [s_hi]]))
+    theta_lo, theta_hi = np.arctan2(c_tau, c_beta).ravel().tolist()
+    # theta = 0: tau at its estimate, |beta| over its whole level-alpha interval
+    at_zero_lo, at_zero_hi = _box_m1(fit, np.full((2, 1), math.sqrt(fit.tau2_hat)), z).ravel().tolist()
+    if at_zero_lo <= m1_lo:
+        theta_lo, m1_lo = 0.0, at_zero_lo
+    if at_zero_hi >= m1_hi:
+        theta_hi, m1_hi = 0.0, at_zero_hi
+    trace = PropImpTrace(theta_lo, theta_hi, n_lo + n_hi + 2)
     return _linked_intervals(m1_lo, m1_hi, "PROPIMP", alpha, alpha), trace
-

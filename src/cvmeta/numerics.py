@@ -34,6 +34,8 @@ __all__ = [
     "norm_quantile",
     "norm_cdf",
     "chisq_quantile",
+    "chisq_cdf",
+    "chisq_sf",
     "optimize_1d",
 ]
 
@@ -41,30 +43,33 @@ _GRID_POINTS = 129  # coarse grid of optimize_1d, endpoints included
 _ZOOM_POINTS = 10  # points of optimize_1d per zoom call, inside the bracket
 
 
-def norm_quantile(p: float) -> float:
+def norm_quantile(p):
     """Standard normal quantile Phi^{-1}(p).
 
     Parameters
     ----------
-    p : float
-        Probability strictly inside (0, 1).
+    p : float or ndarray
+        Probability strictly inside (0, 1); an array is inverted
+        elementwise in one call.
 
     Returns
     -------
-    float
-        The value x with Phi(x) = p.  Absolute error is well below 1e-9
-        across (1e-12, 1 - 1e-12).
+    float or ndarray
+        The value x with Phi(x) = p, shaped like ``p``.  Absolute error
+        is well below 1e-9 across (1e-12, 1 - 1e-12).
 
     Raises
     ------
     DomainError
         If ``p`` is not strictly between 0 and 1.
     """
-    if not 0.0 < p < 1.0:
+    p_arr = np.asarray(p, dtype=float)
+    if not 0.0 < p_arr.min() <= p_arr.max() < 1.0:  # NaN fails both comparisons
         raise DomainError(f"norm_quantile requires 0 < p < 1, got {p!r}")
     from scipy.special import ndtri
 
-    return float(ndtri(p))
+    out = ndtri(p_arr)
+    return out if out.ndim else float(out)
 
 
 def norm_cdf(x):
@@ -100,6 +105,43 @@ def chisq_quantile(p, df: float):
     from scipy.special import gammaincinv
 
     out = 2.0 * gammaincinv(df / 2.0, p_arr)
+    return out if out.ndim else float(out)
+
+
+def chisq_cdf(x, df: float):
+    """Chi-square CDF P(X <= x), the inverse of :func:`chisq_quantile`.
+
+    Parameters
+    ----------
+    x : float or ndarray
+        Nonnegative; an array is evaluated elementwise in one call.
+    df : float
+        Degrees of freedom, positive.
+
+    Returns
+    -------
+    float or ndarray
+        Shaped like ``x``.
+    """
+    from scipy.special import chdtr
+
+    return _chisq_prob(chdtr, x, df, "chisq_cdf")
+
+
+def chisq_sf(x, df: float):
+    """Chi-square survival function P(X > x) = 1 - :func:`chisq_cdf`, without its cancellation."""
+    from scipy.special import chdtrc
+
+    return _chisq_prob(chdtrc, x, df, "chisq_sf")
+
+
+def _chisq_prob(func, x, df: float, name: str):
+    x_arr = np.asarray(x, dtype=float)
+    if not x_arr.min() >= 0.0:  # NaN fails it
+        raise DomainError(f"{name} requires x >= 0, got {x!r}")
+    if df <= 0:
+        raise DomainError(f"{name} requires df > 0, got {df!r}")
+    out = func(df, x_arr)
     return out if out.ndim else float(out)
 
 

@@ -9,6 +9,9 @@ import pytest
 
 import cvmeta
 from cvmeta import MetaDataset, load_hssp
+from cvmeta.core import PooledFit
+from cvmeta.intervals import _corners_m1
+from cvmeta.numerics import norm_cdf, norm_quantile
 
 
 @pytest.fixture(scope="session")
@@ -84,3 +87,27 @@ def scalar_search(f, lo, hi, mode, tol, used=None, grid_points=129, zoom_points=
             if better(v, x, best_v, best_x):
                 best_x, best_v = x, v
             n += 1
+
+
+def angle_search(data: MetaDataset, fit: PooledFit, alpha: float = 0.05):
+    """PROPIMP's M1 bounds by a search over the split angle theta in [0, pi/2].
+
+    Each corner is a one-objective :func:`scalar_search` of
+    ``_corners_m1`` at c_tau = z sin(theta), c_beta = z cos(theta), one
+    profile root per angle at chi-square probability Phi(c_tau) (lower
+    corner) or 1 - Phi(c_tau) (upper corner), with tol 1e-7.  theta = 0
+    pins tau at its estimate.  Returns [(theta_lower, m1_lower),
+    (theta_upper, m1_upper)].
+    """
+    z = norm_quantile(1.0 - alpha / 2.0)
+
+    def corner(row):
+        def f(theta):
+            c_tau = z * np.sin(theta)
+            p = norm_cdf(c_tau)
+            return _corners_m1(data, fit, c_tau, p, 1.0 - p, z * np.cos(theta))[row : row + 1]
+
+        return f
+
+    return [scalar_search(corner(row), 0.0, math.pi / 2, mode, 1e-7)[:2]
+            for row, mode in ((0, "min"), (1, "max"))]

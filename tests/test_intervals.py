@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -13,9 +14,11 @@ from cvmeta.core import MetaDataset, PooledFit, fit_rem
 from cvmeta.errors import CvMetaError, DomainError
 from cvmeta.intervals import (
     RATIO_MEASURES,
+    _S_TOL,
     IntervalEstimate,
+    _box_m1,
     _corners_m1,
-    _grid_pivots,
+    _propimp_path,
     _qprofile_roots,
     alpha_adjusted_intervals,
     alpha_adjusted_level,
@@ -28,7 +31,7 @@ from cvmeta.measures import inv_logit, logit
 from cvmeta.numerics import RngState, chisq_quantile, norm_cdf, norm_quantile
 from cvmeta.simulator import Scenario, generate_smd_dataset
 
-from conftest import qgen_reference, random_dataset, scalar_search
+from conftest import angle_search, qgen_reference, random_dataset, scalar_search
 
 Z975 = 1.9599639845400545
 
@@ -240,7 +243,8 @@ class TestTau2Qprofile:
         # root must not move once found, whatever converges after it
         rng = np.random.default_rng(k)
         d = random_dataset(rng, k=k)
-        grid = _grid_pivots(k - 1, Z975)
+        p = norm_cdf(Z975 * np.sin(np.linspace(0.0, math.pi / 2, 129)))
+        grid = chisq_quantile(np.stack([p, 1.0 - p]), k - 1)  # a 129-angle grid of both corners
         q0 = qgen_reference(d.effects, d.within_vars, 0.0)
         # targets above Q_gen(0) have root 0; the others are positive
         mixed = np.stack([q0 * rng.uniform(1.01, 3.0, 20), q0 * rng.uniform(0.05, 0.99, 20)])
@@ -622,30 +626,14 @@ def figure3_beta02_draws():
             yield generate_smd_dataset(scenario, RngState(20260815).stream(trial))
 
 
-class TestGridPivots:
-    @pytest.mark.parametrize("k, alpha", [(2, 0.05), (9, 0.05), (35, 0.01), (60, 0.2)])
-    def test_cached_pivots_equal_a_fresh_solve(self, k, alpha):
-        # the objective's own pivots at optimize_1d's first call, its 129-point grid
-        z = norm_quantile(1.0 - alpha / 2.0)
-        theta = np.broadcast_to(np.linspace(0.0, math.pi / 2, 129), (2, 129))
-        p = norm_cdf(z * np.sin(theta))
-        fresh = chisq_quantile(np.where([[False], [True]], 1.0 - p, p), k - 1)
-        cached = _grid_pivots(k - 1, z)
-        assert cached.shape == (2, 129) and (cached == fresh).all()
-        assert _grid_pivots(k - 1, z) is cached
-
-    def test_cached_pivots_are_read_only(self):
-        pivots = _grid_pivots(34, Z975)
-        with pytest.raises(ValueError, match="read-only"):
-            pivots[0, 0] = 0.0
-
-    def test_propimp_same_with_cold_and_warm_cache(self, hssp):
-        _grid_pivots.cache_clear()
-        cold05, warm05, cold01, again05, warm01 = (
-            propimp_intervals(hssp, alpha) for alpha in (0.05, 0.05, 0.01, 0.05, 0.01))
-        assert cold05 == warm05 == again05
-        assert cold01 == warm01
-        assert cold05[1].evaluations == 388
+def propimp_datasets(hssp, k):
+    """HSSP, endless random datasets of K studies, or the figure3_beta02 draws."""
+    if k == "hssp":
+        return iter([hssp])
+    if k == "figure3_beta02":
+        return figure3_beta02_draws()
+    rng = np.random.default_rng(k)
+    return iter(lambda: random_dataset(rng, k=k), None)
 
 
 class TestPropImp:
@@ -686,50 +674,52 @@ class TestPropImp:
         assert abs(ivs["CV_B"].upper - 41.4472) < 1e-2
 
     def test_hssp_trace(self, hssp):
-        # 388 = 2 x 129 grid points + 10 per zoom.  The upper bound's bracket
-        # spans two grid steps, 2 (pi/2)/128 = 0.0245, and narrows 5.5-fold a
-        # zoom, so 8 zooms bring it below 1e-7 (0.0245 / 5.5**7 = 1.6e-7).  The
-        # lower bound sits at theta = 0, so its bracket [0, s] narrows 11-fold
-        # a zoom and takes 5 (0.0123 / 11**4 = 8.4e-7); its row rides along
-        # for 3 more calls, not counted: 258 + 80 + 50
+        # 460 = 2 x (129 grid points + 10 zooms of 10) + theta = 0 once per
+        # bound.  Each search's bracket spans two grid steps of s, 2/128 =
+        # 0.0156, and narrows 5.5-fold a zoom, so 10 zooms bring it below
+        # 1e-9 (0.0156 / 5.5**9 = 3.4e-9 still zooms, / 5.5**10 = 6.2e-10
+        # stops).  The lower search's best point loses to theta = 0, whose
+        # tau jumps to its estimate
         _, trace = propimp_intervals(hssp)
         assert trace.theta_lower == 0.0
-        assert trace.evaluations == 388
+        assert trace.evaluations == 460
+
+    def test_same_across_repeated_calls_and_alpha_order(self, hssp):
+        at05, again05, at01, third05, again01 = (
+            propimp_intervals(hssp, alpha) for alpha in (0.05, 0.05, 0.01, 0.05, 0.01))
+        assert at05 == again05 == third05
+        assert at01 == again01
 
     @pytest.mark.parametrize("k", ["hssp", 2, 9, 35, 60, "figure3_beta02"])
     def test_matches_a_search_of_each_corner_alone(self, hssp, k):
-        # each bound is bit for bit a one-objective search of its own corner
-        # with one angle per call, so batching the angles changes nothing
-        if k == "hssp":
-            datasets = [hssp]
-        elif k == "figure3_beta02":
-            datasets = figure3_beta02_draws()
-        else:
-            rng = np.random.default_rng(k)
-            datasets = iter(lambda: random_dataset(rng, k=k), None)
+        # each bound is bit for bit a one-objective search over s of its own
+        # corner with one point per call, or theta = 0 where that is as good,
+        # so batching the points and the corners changes nothing
         z = norm_quantile(0.975)
         seen = set()  # (bound, whether its angle sits at 0 or pi/2)
-        for data in datasets:
+        for data in propimp_datasets(hssp, k):
             fit = fit_rem(data)
             if fit.tau2_hat == 0.0:
                 continue
+            path = _propimp_path(data, fit, z)
 
             def corner(row):
-                def f(theta):
-                    c_tau = z * np.sin(theta)
-                    p = norm_cdf(c_tau)
-                    m1 = _corners_m1(data, fit, c_tau, p, 1.0 - p, z * np.cos(theta))
-                    return m1[row : row + 1]
+                def f(s):  # the point in both rows; the other row's value is dropped
+                    tau, _, c_beta = path(np.repeat(s, 2, axis=0))
+                    return _box_m1(fit, tau, c_beta)[row : row + 1]
 
                 return f
 
             ivs, trace = propimp_intervals(data, fit=fit)
-            theta_lo, m1_lo, n_lo = scalar_search(corner(0), 0.0, math.pi / 2, "min", 1e-7)
-            theta_hi, m1_hi, n_hi = scalar_search(corner(1), 0.0, math.pi / 2, "max", 1e-7)
-            assert (trace.theta_lower, trace.theta_upper) == (theta_lo, theta_hi)
-            assert (ivs["M1"].lower, ivs["M1"].upper) == (m1_lo, m1_hi)
-            assert trace.evaluations == n_lo + n_hi
-            for bound, theta in enumerate((theta_lo, theta_hi)):
+            _, m1_lo, n_lo = scalar_search(corner(0), 0.0, 1.0, "min", _S_TOL)
+            _, m1_hi, n_hi = scalar_search(corner(1), 0.0, 1.0, "max", _S_TOL)
+            zero_lo, zero_hi = _box_m1(fit, np.full((2, 1), math.sqrt(fit.tau2_hat)), z).ravel()
+            assert ivs["M1"].lower == (zero_lo if zero_lo <= m1_lo else m1_lo)
+            assert ivs["M1"].upper == (zero_hi if zero_hi >= m1_hi else m1_hi)
+            assert trace.theta_lower == 0.0 or zero_lo > m1_lo
+            assert trace.theta_upper == 0.0 or zero_hi < m1_hi
+            assert trace.evaluations == n_lo + n_hi + 2
+            for bound, theta in enumerate((trace.theta_lower, trace.theta_upper)):
                 seen.add((bound, theta in (0.0, math.pi / 2)))
             # the figure3_beta02 draws go on until each bound has had an
             # optimum at an endpoint and one inside
@@ -737,6 +727,43 @@ class TestPropImp:
                 break
         else:
             pytest.fail(f"the draws showed only {sorted(seen)}")
+
+    @pytest.mark.parametrize("k", ["hssp", 2, 9, 35, 60, "figure3_beta02"])
+    def test_agrees_with_a_search_over_the_angle(self, hssp, k):
+        # searching tau^2 finds the optima that a search over theta, with a
+        # profile root per angle, finds; the figure3_beta02 draws go on until
+        # each bound has had an optimum at an endpoint and one inside
+        seen, checked = set(), 0
+        for data in propimp_datasets(hssp, k):
+            fit = fit_rem(data)
+            if fit.tau2_hat == 0.0:
+                continue
+            m1 = propimp_intervals(data, fit=fit)[0]["M1"]
+            for bound, got, (theta, want) in zip((0, 1), (m1.lower, m1.upper), angle_search(data, fit)):
+                assert abs(got - want) <= 1e-12 * abs(want), (bound, got, want)
+                seen.add((bound, theta in (0.0, math.pi / 2)))
+            checked += 1
+            if len(seen) == 4 if k == "figure3_beta02" else checked == (1 if k == "hssp" else 3):
+                break
+        else:
+            pytest.fail(f"the draws showed only {sorted(seen)}")
+
+    @pytest.mark.parametrize("k", ["hssp", 2, 9, 35, 60, "figure3_beta02"])
+    def test_trace_angle_reproduces_each_bound(self, hssp, k):
+        # the reported angle, put back into the angle's own corner (a profile
+        # root at its chi-square probability), gives the bound
+        z = norm_quantile(0.975)
+        for data in itertools.islice(propimp_datasets(hssp, k), 12):
+            fit = fit_rem(data)
+            if fit.tau2_hat == 0.0:
+                continue
+            ivs, trace = propimp_intervals(data, fit=fit)
+            for row, theta, bound in ((0, trace.theta_lower, ivs["M1"].lower),
+                                      (1, trace.theta_upper, ivs["M1"].upper)):
+                c_tau = z * math.sin(theta)
+                p = norm_cdf(c_tau)
+                m1 = _corners_m1(data, fit, c_tau, p, 1.0 - p, z * math.cos(theta))[row, 0]
+                assert abs(m1 - bound) <= 1e-12 * bound, (row, theta, m1, bound)
 
     def test_widens_as_alpha_shrinks(self, hssp):
         at05, _ = propimp_intervals(hssp, alpha=0.05)
@@ -796,6 +823,17 @@ class TestScaleInvariance:
     @given(seed=st.integers(0, 2**32 - 1), log10_c=st.floats(-70.0, 70.0))
     def test_property(self, seed, log10_c):
         assert_scale_free(random_dataset(np.random.default_rng(seed)), 10.0**log10_c)
+
+
+class TestPowerOfTwoScaling:
+    @pytest.mark.parametrize("k", [-40, -13, 1, 27, 40])
+    def test_propimp_is_exact(self, hssp, k):
+        # y -> 2^k y and v -> 2^(2k) v scale every sum and root exactly, and s
+        # and theta have no units, so PROPIMP returns the same bits
+        rng = np.random.default_rng(17)
+        for d in [hssp] + [random_dataset(rng, k=n) for n in (2, 9, 35)]:
+            scaled = MetaDataset(d.effects * 2.0**k, d.within_vars * 2.0 ** (2 * k))
+            assert propimp_intervals(scaled) == propimp_intervals(d)
 
 
 def all_bounds(data):
@@ -877,10 +915,11 @@ class TestMethodProperties:
         near_null=st.booleans(),
     )
     def test_propimp_contains_the_box_methods(self, seed, k, alpha, near_null):
-        # ALPHA_ADJ, FIXED_TAU and FIXED_BETA are the propagating search's
-        # objective at theta = pi/4, 0 and pi/2, but the search takes its
-        # probabilities from theta, so a bound may differ from theirs in the
-        # last bits: containment is checked to 1e-9 on the M1 scale
+        # FIXED_TAU and FIXED_BETA are the propagating search's corners at
+        # theta = 0 and pi/2, whose probabilities it takes from theta, so a
+        # bound may differ from theirs in the last bits; ALPHA_ADJ, at pi/4,
+        # is a point inside its search and is reached to the search's
+        # tolerance: containment is checked to 1e-9 on the M1 scale
         rng = np.random.default_rng(seed)
         d = near_null_dataset(rng, k) if near_null else random_dataset(rng, k=k)
         ivs = every_method(d, alpha)

@@ -11,7 +11,9 @@ from cvmeta.errors import DomainError
 from cvmeta.numerics import (
     _ZOOM_POINTS,
     RngState,
+    chisq_cdf,
     chisq_quantile,
+    chisq_sf,
     norm_cdf,
     norm_quantile,
     optimize_1d,
@@ -39,6 +41,16 @@ class TestNormQuantile:
     def test_round_trip_grid(self):
         for p in np.concatenate([[1e-6], np.linspace(0.01, 0.99, 99), [1 - 1e-6]]):
             assert abs(norm_cdf(norm_quantile(p)) - p) <= 1e-9
+
+    def test_array_is_inverted_elementwise(self):
+        p = np.array([[0.025, 0.5], [0.9, 0.975]])
+        x = norm_quantile(p)
+        assert x.shape == p.shape
+        assert x.tolist() == [[norm_quantile(q) for q in row] for row in p.tolist()]
+        with pytest.raises(DomainError):
+            norm_quantile(np.array([0.5, 1.0]))
+        with pytest.raises(DomainError):
+            norm_quantile(np.array([0.5, math.nan]))
 
 
 class TestNormCdf:
@@ -80,6 +92,32 @@ class TestChisqQuantile:
     def test_domain(self, p, df):
         with pytest.raises(DomainError):
             chisq_quantile(p, df)
+
+
+class TestChisqCdf:
+    @pytest.mark.parametrize("df", [1, 34, 59])
+    def test_round_trip_with_the_quantile(self, df):
+        # the CDF inverts the quantile, and the survival function is its
+        # complement, each to 1e-12 relative
+        p = np.concatenate([np.linspace(0.001, 0.999, 999), [0.025, 0.975]])
+        x = chisq_quantile(p, df)
+        assert np.all(abs(chisq_cdf(x, df) - p) <= 1e-12 * p)
+        assert np.all(abs(chisq_sf(x, df) - (1.0 - p)) <= 1e-12 * (1.0 - p))
+
+    def test_scalars_and_ends(self):
+        assert chisq_cdf(0.0, 3) == 0.0 and chisq_sf(0.0, 3) == 1.0
+        assert isinstance(chisq_cdf(2.0, 3), float) and isinstance(chisq_sf(2.0, 3), float)
+        assert chisq_cdf(math.inf, 3) == 1.0 and chisq_sf(math.inf, 3) == 0.0
+        assert abs(chisq_cdf(2.0 * math.log(2.0), 2) - 0.5) < 1e-15
+
+    @pytest.mark.parametrize(
+        "x, df", [(-1.0, 3), (math.nan, 3), (np.array([1.0, -1e-300]), 3), (1.0, 0), (1.0, -1.0)],
+        ids=["negative", "nan", "array_with_a_negative", "df_zero", "df_negative"],
+    )
+    def test_domain(self, x, df):
+        for func in (chisq_cdf, chisq_sf):
+            with pytest.raises(DomainError):
+                func(x, df)
 
 
 class TestOptimize1d:
