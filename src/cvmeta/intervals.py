@@ -245,18 +245,24 @@ def _qprofile_roots(y: np.ndarray, v: np.ndarray, targets) -> np.ndarray:
     raise NumericFailureError("profile root iteration did not converge")
 
 
-def _qgen(y: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q_gen at each entry of the 1-D ``t``, and the rows of w_i (y_i - b) for its slope.
+def _residuals(y: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the weights w_i = 1/(v_i + t) and the residuals y_i - b, one row per entry of the 1-D ``t``.
 
-    ``y`` holds the effects anchored at the lowest-variance study, as
-    :func:`_qprofile_roots` anchors them.  The solver and PROPIMP's
+    b is the mean of y at those weights.  ``y`` holds the effects
+    anchored at the lowest-variance study, as :func:`_qprofile_roots`
+    anchors them.  The solver (through :func:`_qgen`) and PROPIMP's
     search both run this pass, so they share its arithmetic bit for
-    bit.  Row j's sums run over its own K values.
+    bit.  Row j's sums run over its own K values.  Both arrays are new.
     """
     w = v + t[:, None]
     np.divide(1.0, w, out=w)
     b = np.add.reduce(w * y, axis=1) / np.add.reduce(w, axis=1)
-    r = y - b[:, None]
+    return w, y - b[:, None]
+
+
+def _qgen(y: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q_gen = sum_i w_i (y_i - b)^2 at each entry of the 1-D ``t``, and the rows of w_i (y_i - b) for its slope."""
+    w, r = _residuals(y, v, t)
     wr = w * r
     r *= r
     r *= w
@@ -294,6 +300,7 @@ def tau2_ci_qprofile(data: MetaDataset, alpha: float = 0.05) -> IntervalEstimate
 # the (tau, |beta|) box corners
 
 _UPPER = np.array([[False], [True]])  # row 0: lower corner, row 1: upper corner
+_SIGN = np.array([[1.0], [-1.0]])  # the sign of half in each corner's |beta| end
 
 
 def _corners_m1(data: MetaDataset, fit: PooledFit, c_tau, p_lo, p_up, c_beta) -> np.ndarray:
@@ -316,16 +323,17 @@ def _box_m1(fit: PooledFit, tau, c_beta) -> np.ndarray:
 
     |beta| spans the fold of beta_hat -/+ c_beta se(beta_hat) onto
     |beta|, which is [max(|beta_hat| - half, 0), |beta_hat| + half] with
-    half = c_beta se(beta_hat), its upper end in the lower corner.
-    (Negation is exact, so this is the three-case fold bit for bit: keep
-    a positive interval, swap a negative one, take [0, max] of one
-    across 0.)  A c_beta of exactly 0 pins |beta| at its estimate.
-    ``tau`` has the shape of the result.
+    half = c_beta se(beta_hat).  Each row computes only the end it uses,
+    as max(|beta_hat| + half, 0) in the lower corner and
+    max(|beta_hat| - half, 0) in the upper.  (Negation is exact, so this
+    is the three-case fold bit for bit: keep a positive interval, swap a
+    negative one, take [0, max] of one across 0.)  A c_beta of 0 makes
+    half 0, since se(beta_hat) is finite, and so pins |beta| at its
+    estimate.  ``tau`` has the shape of the result.
     """
-    abs_beta = abs(fit.beta_hat)
-    half = c_beta * math.sqrt(fit.var_beta_hat)
-    b_lo, b_up = np.maximum(abs_beta - half, 0.0), abs_beta + half
-    b = np.where(c_beta == 0.0, abs_beta, np.where(_UPPER, b_lo, b_up))
+    b = c_beta * (_SIGN * math.sqrt(fit.var_beta_hat))
+    b += abs(fit.beta_hat)
+    np.maximum(b, 0.0, out=b)
     # 0 where tau is 0, else tau / (tau + |beta|): exactly 1 where |beta| is 0
     return np.divide(tau, tau + b, out=np.zeros(np.shape(tau)), where=tau > 0.0)
 
@@ -519,20 +527,32 @@ def _propimp_path(data: MetaDataset, fit: PooledFit, z: float):
     c_end = z * math.sin(_HALF_PI), z * math.cos(_HALF_PI)  # as _corners_m1 takes theta = pi/2
 
     def path(s: np.ndarray):
-        d = (1.0 - s) ** 2 * span
+        d = np.subtract(1.0, s)
+        d *= d
+        d *= span
         t = t_end + d
-        with np.errstate(all="ignore"):
-            wr = _qgen(y, v, t.reshape(-1))[1].reshape(t.shape + (-1,))
-            # Q_gen(t) - Q_gen(t_end) = (t_end - t) sum_i w_i r_i (t) w_i r_i (t_end)
-            q = q_end - d * np.add.reduce(wr * wr_end, axis=2)
+        w, wr = _residuals(y, v, t.reshape(-1))
+        wr *= w
+        wr = wr.reshape(t.shape + (-1,))
+        # Q_gen(t) - Q_gen(t_end) = (t_end - t) sum_i w_i r_i (t) w_i r_i (t_end)
+        wr *= wr_end
+        q = np.add.reduce(wr, axis=2)
+        q *= d
+        np.subtract(q_end, q, out=q)
         tail = np.empty(t.shape)
         tail[0], tail[1] = chisq_sf(q[0], df), chisq_cdf(q[1], df)
         # rounding can carry the tail a little outside the range's ends
-        c_tau = -norm_quantile(np.minimum(np.maximum(tail, 1.0 - p_end), 0.5))
+        np.maximum(tail, 1.0 - p_end, out=tail)
+        c_tau = norm_quantile(np.minimum(tail, 0.5, out=tail))
+        np.negative(c_tau, out=c_tau)
         np.minimum(c_tau, z, out=c_tau)
-        c_beta = np.sqrt((z - c_tau) * (z + c_tau))
+        c_beta = z - c_tau
+        c_beta *= z + c_tau
+        np.sqrt(c_beta, out=c_beta)
         end = s == 1.0
-        return np.sqrt(t), np.where(end, c_end[0], c_tau), np.where(end, c_end[1], c_beta)
+        np.copyto(c_tau, c_end[0], where=end)
+        np.copyto(c_beta, c_end[1], where=end)
+        return np.sqrt(t, out=t), c_tau, c_beta
 
     return path
 
@@ -586,9 +606,10 @@ def propimp_intervals(
         tau, _, c_beta = path(s)
         return _box_m1(fit, tau, c_beta)
 
-    (s_lo, m1_lo, n_lo), (s_hi, m1_hi, n_hi) = optimize_1d(
-        corners_m1, 0.0, 1.0, modes=("min", "max"), tol=_S_TOL)
-    _, c_tau, c_beta = path(np.array([[s_lo], [s_hi]]))
+    with np.errstate(all="ignore"):
+        (s_lo, m1_lo, n_lo), (s_hi, m1_hi, n_hi) = optimize_1d(
+            corners_m1, 0.0, 1.0, modes=("min", "max"), tol=_S_TOL)
+        _, c_tau, c_beta = path(np.array([[s_lo], [s_hi]]))
     theta_lo, theta_hi = np.arctan2(c_tau, c_beta).ravel().tolist()
     # theta = 0: tau at its estimate, |beta| over its whole level-alpha interval
     at_zero_lo, at_zero_hi = _box_m1(fit, np.full((2, 1), math.sqrt(fit.tau2_hat)), z).ravel().tolist()

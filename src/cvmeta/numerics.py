@@ -210,34 +210,50 @@ def optimize_1d(
     if not tol >= 0.0:
         raise DomainError(f"tol must be nonnegative, got {tol!r}")
     lo, hi, m = float(lo), float(hi), len(modes)
-    signs = np.array([1.0 if mode == "min" else -1.0 for mode in modes])
+    signs = np.array([[1.0] if mode == "min" else [-1.0] for mode in modes])
     rows = np.arange(m)
 
     def best_of(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # each row's first point at its lowest non-NaN value, its first point when all are NaN
-        vals = signs[:, None] * np.asarray(f(x), dtype=float)
-        i = np.argmax(vals == np.fmin.reduce(vals, axis=1)[:, None], axis=1)
+        vals = np.multiply(signs, f(x), dtype=float)
+        i = np.argmax(vals == np.fmin.reduce(vals, axis=1, keepdims=True), axis=1)
         return x[rows, i], vals[rows, i]
 
     best_x, best_v = best_of(np.broadcast_to(np.linspace(lo, hi, _GRID_POINTS), (m, _GRID_POINTS)))
-    n = np.full(m, _GRID_POINTS)
+    zooms = np.zeros(m, dtype=int)
     s = np.full(m, (hi - lo) / (_GRID_POINTS - 1))
     width, active = np.full(m, hi - lo), np.ones(m, dtype=bool)
     fractions = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
+    a, b, ok = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
     while True:
-        a, b = np.maximum(best_x - s, lo), np.minimum(best_x + s, hi)
+        # the bracket [a, a + b] around each best point, cut to [lo, hi]
+        np.maximum(np.subtract(best_x, s, out=a), lo, out=a)
+        np.minimum(np.add(best_x, s, out=b), hi, out=b)
+        b -= a
         # a bracket at float spacing stops narrowing before it reaches a tiny tol
-        active &= (b - a > tol) & (b - a < width)
+        active &= np.greater(b, tol, out=ok)
+        active &= np.less(b, width, out=ok)
         if not active.any():
             break
-        width = b - a
-        s = width / (_ZOOM_POINTS + 1)
-        x, v = best_of(np.clip(a[:, None] + width[:, None] * fractions, lo, hi))
+        width, b = b, width
+        np.divide(width, _ZOOM_POINTS + 1, out=s)
+        # a + width j/(Z + 1) can round past hi, never below lo
+        x = np.multiply(width[:, None], fractions)
+        x += a[:, None]
+        x, v = best_of(np.minimum(x, hi, out=x))
         # NaN never improves, -inf does (after the sign fold); a tie goes to the smaller x
-        won = active & ((v < best_v) | np.isnan(best_v) & ~np.isnan(v) | (v == best_v) & (x < best_x))
-        best_x, best_v = np.where(won, x, best_x), np.where(won, v, best_v)
-        n += _ZOOM_POINTS * active
-    return list(zip(best_x.tolist(), (signs * best_v).tolist(), n.tolist()))
+        won = np.greater_equal(v, best_v)
+        np.logical_not(won, out=won)
+        won &= v == v
+        tie = v == best_v
+        tie &= x < best_x
+        won |= tie
+        won &= active
+        np.copyto(best_x, x, where=won)
+        np.copyto(best_v, v, where=won)
+        zooms += active
+    n = _GRID_POINTS + _ZOOM_POINTS * zooms
+    return list(zip(best_x.tolist(), (signs[:, 0] * best_v).tolist(), n.tolist()))
 
 
 # numpy's SeedSequence constants (32-bit words, a pool of 4 words)
