@@ -513,7 +513,9 @@ def _propimp_path(data: MetaDataset, fit: PooledFit, z: float):
     at cos(theta) = 0.027 carried noise of up to 4e-13 relative.
 
     Returns a function mapping s, one row per corner, to
-    (tau, c_tau, c_beta) of the same shape.
+    (tau, c_tau, c_beta) of the same shape, each a new array.  It runs
+    one residual pass, :func:`_residuals`, and forms no Q_gen sum, and
+    it leaves numpy's warnings to its caller.
     """
     y, v, df = data.effects, data.within_vars, data.k - 1
     p_end = norm_cdf(z)  # the lower corner's chi-square probability at theta = pi/2
@@ -576,12 +578,13 @@ def propimp_intervals(
     adjusted combination, which it contains to the search tolerance.
 
     The search runs over tau^2 rather than theta (see
-    :func:`_propimp_path`): each evaluation is one pass of Q_gen and a
+    :func:`_propimp_path`): each evaluation is one residual pass and a
     closed-form angle, with no root to solve.  Both bounds are found on
     the m1 scale, where the objective is bounded, by one lockstep run of
     :func:`cvmeta.numerics.optimize_1d` over the search variable, the
     minimum of the lower corner and the maximum of the upper corner,
-    down to a bracket of 1e-9.
+    down to a bracket of 1e-9, with numpy's warnings silenced once for
+    the whole search.
     theta = 0, where tau jumps to its estimate, is one more candidate of
     each bound, and it wins ties.  cv and m2 bounds follow through the
     links.

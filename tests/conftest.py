@@ -9,6 +9,7 @@ import pytest
 
 import cvmeta
 from cvmeta import MetaDataset, load_hssp
+from cvmeta import numerics
 from cvmeta.core import PooledFit
 from cvmeta.intervals import _corners_m1
 from cvmeta.numerics import norm_cdf, norm_quantile
@@ -48,7 +49,7 @@ def qgen_reference(y, v, t: float) -> float:
     return float(np.sum(w * (y - beta) ** 2))
 
 
-def scalar_search(f, lo, hi, mode, tol, used=None, grid_points=129, zoom_points=10):
+def scalar_search(f, lo, hi, mode, tol, used=None, grid_points=None, zoom_points=None):
     """Reference: the one-objective grid and zoom in Python floats, one point a call.
 
     ``f`` maps a (1 x points) array to values, as optimize_1d's objective
@@ -56,8 +57,12 @@ def scalar_search(f, lo, hi, mode, tol, used=None, grid_points=129, zoom_points=
     points strictly inside [best - s, best + s] cut to [lo, hi], s being
     the previous zoom's spacing (the grid's at first), and it ends where
     optimize_1d's does: at a bracket no wider than tol, or at one that
-    no longer narrows.  ``used`` collects every argument the search uses.
+    no longer narrows.  grid_points and zoom_points default to the
+    program's own, read when the search runs.  ``used`` collects every
+    argument the search uses.
     """
+    grid_points = numerics._GRID_POINTS if grid_points is None else grid_points
+    zoom_points = numerics._ZOOM_POINTS if zoom_points is None else zoom_points
     sign = 1.0 if mode == "min" else -1.0
     used = [] if used is None else used
 

@@ -32,4 +32,4 @@ def test_demo_exits_0(path):
     assert proc.returncode == 0, proc.stderr
     if path.name == "02_interval_methods.py":
         # HSSP's count, derived in test_intervals.py's test_hssp_trace
-        assert "460 corner evaluations" in proc.stdout
+        assert "644 corner evaluations" in proc.stdout

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, stats
 
+from cvmeta import numerics
 from cvmeta.cli import analyze_dataset
 from cvmeta.core import MetaDataset, PooledFit, fit_rem
 from cvmeta.errors import CvMetaError, DomainError
@@ -674,15 +675,15 @@ class TestPropImp:
         assert abs(ivs["CV_B"].upper - 41.4472) < 1e-2
 
     def test_hssp_trace(self, hssp):
-        # 460 = 2 x (129 grid points + 10 zooms of 10) + theta = 0 once per
+        # 644 = 2 x (129 grid points + 6 zooms of 32) + theta = 0 once per
         # bound.  Each search's bracket spans two grid steps of s, 2/128 =
-        # 0.0156, and narrows 5.5-fold a zoom, so 10 zooms bring it below
-        # 1e-9 (0.0156 / 5.5**9 = 3.4e-9 still zooms, / 5.5**10 = 6.2e-10
+        # 0.0156, and narrows 16.5-fold a zoom, so 6 zooms bring it below
+        # 1e-9 (0.0156 / 16.5**5 = 1.3e-8 still zooms, / 16.5**6 = 7.7e-10
         # stops).  The lower search's best point loses to theta = 0, whose
         # tau jumps to its estimate
         _, trace = propimp_intervals(hssp)
         assert trace.theta_lower == 0.0
-        assert trace.evaluations == 460
+        assert trace.evaluations == 644
 
     def test_same_across_repeated_calls_and_alpha_order(self, hssp):
         at05, again05, at01, third05, again01 = (
@@ -727,6 +728,21 @@ class TestPropImp:
                 break
         else:
             pytest.fail(f"the draws showed only {sorted(seen)}")
+
+    @pytest.mark.parametrize("k", ["hssp", 2, 9, 35, 60, "figure3_beta02"])
+    def test_converged_whatever_the_zoom_width(self, hssp, k, monkeypatch):
+        # the search has converged: narrowing 5.5- or 10.5-fold a zoom rather
+        # than the shipped width's 16.5-fold finds the same M1 bounds, to
+        # 1e-12 of the distance min(u, 1 - u) to the ends of the range
+        for data in itertools.islice(propimp_datasets(hssp, k), 12):
+            fit = fit_rem(data)
+            shipped = propimp_intervals(data, fit=fit)[0]["M1"]
+            for points in (10, 20):
+                monkeypatch.setattr(numerics, "_ZOOM_POINTS", points)
+                m1 = propimp_intervals(data, fit=fit)[0]["M1"]
+                for got, want in ((m1.lower, shipped.lower), (m1.upper, shipped.upper)):
+                    assert abs(got - want) <= 1e-12 * min(want, 1.0 - want), (points, got, want)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("k", ["hssp", 2, 9, 35, 60, "figure3_beta02"])
     def test_agrees_with_a_search_over_the_angle(self, hssp, k):

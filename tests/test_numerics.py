@@ -146,6 +146,23 @@ class TestOptimize1d:
         for t in rng.uniform(0.0, math.pi / 2, 200):
             assert val >= f(t) - 1e-9
 
+    def test_interior_optimum_takes_seven_calls(self):
+        # the grid leaves a bracket of two grid steps, 2/128, around an
+        # interior optimum, and each zoom narrows it (_ZOOM_POINTS + 1)/2-fold
+        # until it is no wider than tol: 6 zooms at 16.5-fold for 1e-9
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return (x - 0.3) ** 2
+
+        [(arg, _, n)] = optimize_1d(f, 0.0, 1.0, tol=1e-9)
+        zooms = math.ceil(math.log((2 / 128) / 1e-9, (_ZOOM_POINTS + 1) / 2))
+        assert len(calls) == 1 + zooms == 7
+        assert calls == [(1, 129)] + [(1, _ZOOM_POINTS)] * zooms
+        assert n == 129 + zooms * _ZOOM_POINTS
+        assert abs(arg - 0.3) <= 1e-9
+
 
 # Objective families for the lockstep property: each maps (param, t) to values.
 OBJECTIVES = {
