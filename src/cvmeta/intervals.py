@@ -246,7 +246,7 @@ def _qprofile_roots(y: np.ndarray, v: np.ndarray, targets) -> np.ndarray:
 
 
 def _residuals(y: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the weights w_i = 1/(v_i + t) and the residuals y_i - b, one row per entry of the 1-D ``t``.
+    """The weights w_i = 1/(v_i + t) and residuals y_i - b, a row for each entry of the 1-D ``t``.
 
     b is the mean of y at those weights.  ``y`` holds the effects
     anchored at the lowest-variance study, as :func:`_qprofile_roots`
@@ -261,7 +261,7 @@ def _residuals(y: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray,
 
 
 def _qgen(y: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q_gen = sum_i w_i (y_i - b)^2 at each entry of the 1-D ``t``, and the rows of w_i (y_i - b) for its slope."""
+    """Q_gen = sum_i w_i (y_i - b)^2 at each entry of the 1-D ``t``, and the rows w_i (y_i - b)."""
     w, r = _residuals(y, v, t)
     wr = w * r
     r *= r

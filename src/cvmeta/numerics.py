@@ -219,7 +219,7 @@ def optimize_1d(
 
     def best_of(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # each row's first point at its lowest non-NaN value, its first point when all are NaN
-        vals = np.multiply(signs, f(x), dtype=float)
+        vals = signs * np.asarray(f(x), dtype=float)
         i = np.argmax(vals == np.fmin.reduce(vals, axis=1, keepdims=True), axis=1)
         return x[rows, i], vals[rows, i]
 
@@ -228,30 +228,24 @@ def optimize_1d(
     s = np.full(m, (hi - lo) / (_GRID_POINTS - 1))
     width, active = np.full(m, hi - lo), np.ones(m, dtype=bool)
     fractions = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
-    a, b, ok = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
     while True:
-        # the bracket [a, a + b] around each best point, cut to [lo, hi]
-        np.maximum(np.subtract(best_x, s, out=a), lo, out=a)
-        np.minimum(np.add(best_x, s, out=b), hi, out=b)
-        b -= a
+        # each bracket [a, a + w] around its best point, cut to [lo, hi]
+        a = np.maximum(best_x - s, lo)
+        w = np.minimum(best_x + s, hi)
+        w -= a
         # a bracket at float spacing stops narrowing before it reaches a tiny tol
-        active &= np.greater(b, tol, out=ok)
-        active &= np.less(b, width, out=ok)
+        active &= (w > tol) & (w < width)
         if not active.any():
             break
-        width, b = b, width
-        np.divide(width, _ZOOM_POINTS + 1, out=s)
+        width = w
+        s = width / (_ZOOM_POINTS + 1)
         # a + width j/(Z + 1) can round past hi, never below lo
         x = np.multiply(width[:, None], fractions)
         x += a[:, None]
         x, v = best_of(np.minimum(x, hi, out=x))
-        # NaN never improves, -inf does (after the sign fold); a tie goes to the smaller x
-        won = np.greater_equal(v, best_v)
-        np.logical_not(won, out=won)
-        won &= v == v
-        tie = v == best_v
-        tie &= x < best_x
-        won |= tie
+        # v wins unless v >= best_v or v is NaN: NaN never improves, a NaN best
+        # loses to any number, -inf wins (after the sign fold); a tie goes to the smaller x
+        won = ~(v >= best_v) & (v == v) | (v == best_v) & (x < best_x)
         won &= active
         np.copyto(best_x, x, where=won)
         np.copyto(best_v, v, where=won)

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import cvmeta
-from cvmeta import MetaDataset, load_hssp
-from cvmeta import numerics
+from cvmeta import MetaDataset, load_hssp, numerics
 from cvmeta.core import PooledFit
 from cvmeta.intervals import _corners_m1
 from cvmeta.numerics import norm_cdf, norm_quantile
