@@ -67,10 +67,14 @@ def cohen_smd(n1, m1, sd1, n2, m2, sd2):
         raise DataFormatError(f"arm sizes must be at least 2, got {(n1, n2)}")
     if sd1 < 0 or sd2 < 0:
         raise DataFormatError(f"standard deviations must be nonnegative, got {(sd1, sd2)}")
+    # pooled at the scale of the larger SD, so squaring neither overflows nor
+    # underflows; scaling by a power of two is exact
+    e = math.frexp(max(sd1, sd2))[1]
+    sd1, sd2 = math.ldexp(sd1, -e), math.ldexp(sd2, -e)
     sp2 = ((n1 - 1) * sd1 * sd1 + (n2 - 1) * sd2 * sd2) / (n1 + n2 - 2)
     if sp2 <= 0:
         raise DataFormatError("pooled standard deviation is zero")
-    y = (m1 - m2) / math.sqrt(sp2)
+    y = (m1 - m2) / math.ldexp(math.sqrt(sp2), e)
     return y, _smd_variance(y, n1, n2)
 
 

@@ -42,14 +42,7 @@ import numpy as np
 from .core import MetaDataset, PooledFit, fit_rem
 from .errors import DomainError, NumericFailureError, UndefinedMomentsError
 from .measures import inv_logit, logit, logit_m1_moments
-from .numerics import (
-    chisq_cdf,
-    chisq_quantile,
-    chisq_sf,
-    norm_cdf,
-    norm_quantile,
-    optimize_1d,
-)
+from .numerics import chisq_quantile, norm_cdf, norm_quantile, optimize_1d
 
 __all__ = [
     "MEASURE_TAGS",
@@ -515,8 +508,14 @@ def _propimp_path(data: MetaDataset, fit: PooledFit, z: float):
     Returns a function mapping s, one row per corner, to
     (tau, c_tau, c_beta) of the same shape, each a new array.  It runs
     one residual pass, :func:`_residuals`, and forms no Q_gen sum, and
-    it leaves numpy's warnings to its caller.
+    it leaves numpy's warnings to its caller.  It calls scipy's
+    chi-square and normal ufuncs without the checks of
+    :mod:`cvmeta.numerics`, on arguments in range by construction:
+    q >= the smaller pivot > 0; tail clamped into [1 - Phi(z), 1/2].
     """
+    # here, not at module level: cvmeta table2 never loads scipy.special
+    from scipy.special import chdtr, chdtrc, ndtri
+
     y, v, df = data.effects, data.within_vars, data.k - 1
     p_end = norm_cdf(z)  # the lower corner's chi-square probability at theta = pi/2
     t_med, t_lo, t_up = _qprofile_roots(
@@ -541,11 +540,13 @@ def _propimp_path(data: MetaDataset, fit: PooledFit, z: float):
         q = np.add.reduce(wr, axis=2)
         q *= d
         np.subtract(q_end, q, out=q)
-        tail = np.empty(t.shape)
-        tail[0], tail[1] = chisq_sf(q[0], df), chisq_cdf(q[1], df)
+        c_tau = np.empty(t.shape)
+        chdtrc(df, q[0], out=c_tau[0])
+        chdtr(df, q[1], out=c_tau[1])
         # rounding can carry the tail a little outside the range's ends
-        np.maximum(tail, 1.0 - p_end, out=tail)
-        c_tau = norm_quantile(np.minimum(tail, 0.5, out=tail))
+        np.maximum(c_tau, 1.0 - p_end, out=c_tau)
+        np.minimum(c_tau, 0.5, out=c_tau)
+        ndtri(c_tau, out=c_tau)
         np.negative(c_tau, out=c_tau)
         np.minimum(c_tau, z, out=c_tau)
         c_beta = z - c_tau

@@ -1,12 +1,12 @@
 """Special functions, bounded 1-D optimization, and RNG streams.
 
-Everything downstream (pooling, interval construction, simulation) funnels
-its numeric needs through this module so precision and determinism are
-controlled in one place.  Quantile and CDF evaluations are backed by the
-scipy special-function library and accept arrays.  scipy.special is
-loaded on first use: the first time one of them runs, not with this
-module, so a program that never needs a quantile (such as
-``cvmeta table2``) does not pay for it.  The 1-D optimizer searches
+The quantile and CDF functions are backed by the scipy special-function
+library; the quantiles check the values they are given, which come from
+outside.  PROPIMP's corner pass in :mod:`cvmeta.intervals` calls scipy's
+chi-square and normal ufuncs itself: its arguments are in range by
+construction.  scipy.special is loaded on first use: the first time one
+of them runs, not with this module, so a program that never needs a
+quantile (such as ``cvmeta table2``) does not pay for it.  The 1-D optimizer searches
 several objectives in lockstep, each on a coarse grid evaluated in one
 array call, so short multi-modal objectives are handled without
 assuming unimodality.  It then zooms in on each objective's best point,
@@ -37,8 +37,6 @@ __all__ = [
     "norm_quantile",
     "norm_cdf",
     "chisq_quantile",
-    "chisq_cdf",
-    "chisq_sf",
     "optimize_1d",
 ]
 
@@ -46,33 +44,30 @@ _GRID_POINTS = 129  # coarse grid of optimize_1d, endpoints included
 _ZOOM_POINTS = 32  # points of optimize_1d per zoom call, inside the bracket
 
 
-def norm_quantile(p):
+def norm_quantile(p: float) -> float:
     """Standard normal quantile Phi^{-1}(p).
 
     Parameters
     ----------
-    p : float or ndarray
-        Probability strictly inside (0, 1); an array is inverted
-        elementwise in one call.
+    p : float
+        Probability strictly inside (0, 1).
 
     Returns
     -------
-    float or ndarray
-        The value x with Phi(x) = p, shaped like ``p``.  Absolute error
-        is well below 1e-9 across (1e-12, 1 - 1e-12).
+    float
+        The value x with Phi(x) = p.  Absolute error is well below 1e-9
+        across (1e-12, 1 - 1e-12).
 
     Raises
     ------
     DomainError
         If ``p`` is not strictly between 0 and 1.
     """
-    p_arr = np.asarray(p, dtype=float)
-    if not 0.0 < p_arr.min() <= p_arr.max() < 1.0:  # NaN fails both comparisons
+    if not 0.0 < p < 1.0:
         raise DomainError(f"norm_quantile requires 0 < p < 1, got {p!r}")
     from scipy.special import ndtri
 
-    out = ndtri(p_arr)
-    return out if out.ndim else float(out)
+    return float(ndtri(p))
 
 
 def norm_cdf(x):
@@ -108,43 +103,6 @@ def chisq_quantile(p, df: float):
     from scipy.special import gammaincinv
 
     out = 2.0 * gammaincinv(df / 2.0, p_arr)
-    return out if out.ndim else float(out)
-
-
-def chisq_cdf(x, df: float):
-    """Chi-square CDF P(X <= x), the inverse of :func:`chisq_quantile`.
-
-    Parameters
-    ----------
-    x : float or ndarray
-        Nonnegative; an array is evaluated elementwise in one call.
-    df : float
-        Degrees of freedom, positive.
-
-    Returns
-    -------
-    float or ndarray
-        Shaped like ``x``.
-    """
-    from scipy.special import chdtr
-
-    return _chisq_prob(chdtr, x, df, "chisq_cdf")
-
-
-def chisq_sf(x, df: float):
-    """Chi-square survival function P(X > x) = 1 - :func:`chisq_cdf`, without its cancellation."""
-    from scipy.special import chdtrc
-
-    return _chisq_prob(chdtrc, x, df, "chisq_sf")
-
-
-def _chisq_prob(func, x, df: float, name: str):
-    x_arr = np.asarray(x, dtype=float)
-    if not x_arr.min() >= 0.0:  # NaN fails it
-        raise DomainError(f"{name} requires x >= 0, got {x!r}")
-    if df <= 0:
-        raise DomainError(f"{name} requires df > 0, got {df!r}")
-    out = func(df, x_arr)
     return out if out.ndim else float(out)
 
 

@@ -93,6 +93,27 @@ class TestReadEffectsCsv:
         assert abs(d.effects[0] - y) < 1e-15
         assert abs(d.within_vars[0] - v) < 1e-15
 
+    def test_two_arm_columns_are_scale_free(self, tmp_path):
+        # means and SDs scaled by 2^k give the same SMDs, bit for bit, from
+        # 2^-1000 to 2^1000: squaring the SDs as given overflowed to an SMD of 0
+        # from k = 510 and underflowed to a zero pooled SD from k = -535
+        rows = ((10, 1.0, 1.0, 10, 0.0, 1.0), (3, 1.0, 2.0, 11, 0.0, 1.0),
+                (10, 0.5, 0.75, 10, -0.25, 1.0))
+        p = tmp_path / "d.csv"
+
+        def read(k):
+            lines = ["n1,m1,sd1,n2,m2,sd2"]
+            for n1, m1, sd1, n2, m2, sd2 in rows:
+                m1, sd1, m2, sd2 = (math.ldexp(x, k) for x in (m1, sd1, m2, sd2))
+                lines.append(f"{n1},{m1!r},{sd1!r},{n2},{m2!r},{sd2!r}")
+            p.write_text("\n".join(lines) + "\n")
+            d = read_effects_csv(p)
+            return d.effects.tolist(), d.within_vars.tolist()
+
+        unit = read(0)
+        for k in range(-1000, 1001):
+            assert read(k) == unit, k
+
     def test_unknown_header(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("effect,var\n0.5,0.2\n0.7,0.3\n")

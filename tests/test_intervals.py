@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, stats
@@ -780,6 +781,56 @@ class TestPropImp:
                 p = norm_cdf(c_tau)
                 m1 = _corners_m1(data, fit, c_tau, p, 1.0 - p, z * math.cos(theta))[row, 0]
                 assert abs(m1 - bound) <= 1e-12 * bound, (row, theta, m1, bound)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 60),
+        e=st.integers(-200, 200),
+        log10_ratio=st.floats(0.0, 12.0),
+        beta=st.sampled_from([0.0, 1e-8, 0.2]),
+        alpha=st.sampled_from([2.3e-16, 0.05, 0.5, 0.9999999999999998]),
+    )
+    def test_corner_pass_arguments_are_in_range(self, seed, k, e, log10_ratio, beta, alpha):
+        # the corner pass calls scipy's chdtr, chdtrc and ndtri without checks:
+        # every chi-square argument q is finite and >= 0, and every tail that
+        # reaches ndtri lies in [1 - Phi(z), 1/2].  Effects at 2^+-200 around a
+        # pooled effect near 0, variances at 2^+-400 with ratios up to 1e12;
+        # a dataset gets bounds, or propimp_intervals raises the fit's typed error
+        rng = np.random.default_rng(seed)
+        v = np.ldexp(10.0 ** rng.uniform(0.0, log10_ratio, k), 2 * e)
+        spread = 10.0 ** rng.uniform(-2.0, log10_ratio / 2.0 + 4.0)
+        y = np.ldexp(beta + spread * rng.standard_normal(k), e)
+        seen = {"chdtr": [], "chdtrc": [], "ndtri": []}
+
+        def recorder(name):
+            func = getattr(scipy.special, name)
+
+            def record(*args, **kwargs):
+                # the pass's calls; norm_quantile checks its own scalar ndtri argument
+                if np.ndim(args[-1]):
+                    seen[name].append(np.array(args[-1], dtype=float).ravel())
+                return func(*args, **kwargs)
+
+            return record
+
+        data = MetaDataset(y, v)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in seen:
+                mp.setattr(scipy.special, name, recorder(name))
+            try:
+                ivs, _ = propimp_intervals(data, alpha)
+            except CvMetaError as exc:
+                with pytest.raises(type(exc)):
+                    fit_rem(data)
+                return
+        if ivs["M1"].degenerate:
+            return
+        q = np.concatenate(seen["chdtr"] + seen["chdtrc"])
+        assert np.all(np.isfinite(q) & (q >= 0.0)), q.min()
+        tail = np.concatenate(seen["ndtri"])
+        floor = 1.0 - norm_cdf(norm_quantile(1.0 - alpha / 2.0))
+        assert np.all((floor <= tail) & (tail <= 0.5)), (tail.min(), tail.max(), floor)
 
     def test_widens_as_alpha_shrinks(self, hssp):
         at05, _ = propimp_intervals(hssp, alpha=0.05)
