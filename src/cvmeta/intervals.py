@@ -8,8 +8,10 @@ pooled effect, folded onto the |beta| scale.  The measure rises in tau
 and falls in |beta|, so the lower bound sits at (lower tau, upper
 |beta|) and the upper bound at the opposite corner.  The constructions
 differ only in how the overall critical value z is split between the
-two components, c_tau = z sin(theta) and c_beta = z cos(theta), and one
-private kernel computes the corners for all of them:
+two components, c_tau = z sin(theta) and c_beta = z cos(theta).  The
+boxes take tau from :func:`tau2_ci_qprofile` and the corners from the
+private ``_box_m1``; PROPIMP takes tau along its tau^2 search path and
+the corners from ``_box_m1`` too:
 
 * ``wald_logit_intervals``: symmetric on the logit scale via the
   delta-method variance, back-transformed (no box);
@@ -201,10 +203,10 @@ def _qprofile_roots(y: np.ndarray, v: np.ndarray, targets) -> np.ndarray:
     0; and D squares w_i r_i, not r_i, whose square can fall below the
     float range while w_i r_i is an ordinary number.
 
-    A target leaves the iteration at its own convergence, and only the
-    targets still live are stepped.  Each target's sums run along its
-    own contiguous row of K values, so every root is the one its target
-    reaches when solved alone, whatever else shares the call.
+    All targets step in lockstep, and a target holds its value from its
+    own convergence on.  Each target's sums run along its own contiguous
+    row of K values, so every root is the one its target reaches when
+    solved alone, whatever else shares the call.
 
     Raises
     ------
@@ -220,21 +222,15 @@ def _qprofile_roots(y: np.ndarray, v: np.ndarray, targets) -> np.ndarray:
         if s == 0.0:
             return np.zeros(targets.shape)
         y = y - y[np.argmin(v)]
-        roots = np.maximum(s / tg - np.maximum.reduce(v), 0.0)
-        live, t = np.arange(tg.size), roots
+        t = np.maximum(s / tg - np.maximum.reduce(v), 0.0)
         for _ in range(100):
             q, wr = _qgen(y, v, t)
             wr *= wr
             step = ((q - tg) / np.add.reduce(wr, axis=1)) * (q / tg)
             done = step <= 1e-13 * t
-            n_done = np.count_nonzero(done)
-            if n_done:
-                roots[live[done]] = t[done]
-                if n_done == done.size:
-                    return roots.reshape(targets.shape)
-                keep = ~done
-                live, t, tg, step = live[keep], t[keep], tg[keep], step[keep]
-            t = t + step
+            if done.all():
+                return t.reshape(targets.shape)
+            t = np.where(done, t, t + step)
     raise NumericFailureError("profile root iteration did not converge")
 
 
@@ -292,23 +288,7 @@ def tau2_ci_qprofile(data: MetaDataset, alpha: float = 0.05) -> IntervalEstimate
 # ---------------------------------------------------------------------------
 # the (tau, |beta|) box corners
 
-_UPPER = np.array([[False], [True]])  # row 0: lower corner, row 1: upper corner
 _SIGN = np.array([[1.0], [-1.0]])  # the sign of half in each corner's |beta| end
-
-
-def _corners_m1(data: MetaDataset, fit: PooledFit, c_tau, p_lo, p_up, c_beta) -> np.ndarray:
-    """m1 at the corners of the (tau, |beta|) box, the lower in row 0 and the upper in row 1.
-
-    tau spans the profile roots at chi-square probabilities ``p_lo``
-    (lower corner) and ``p_up`` (upper corner), and |beta| the folded
-    interval of :func:`_box_m1`.  A critical value of exactly 0 pins its
-    component at the point estimate.  Arguments broadcast, so an array
-    of n splits gives (2, n).
-    """
-    pivots = chisq_quantile(np.where(_UPPER, p_up, p_lo), data.k - 1)
-    roots = _qprofile_roots(data.effects, data.within_vars, pivots)
-    tau = np.where(c_tau == 0.0, math.sqrt(fit.tau2_hat), np.sqrt(roots))
-    return _box_m1(fit, tau, c_beta)
 
 
 def _box_m1(fit: PooledFit, tau, c_beta) -> np.ndarray:
@@ -358,8 +338,11 @@ def _linked_intervals(
 
     The cv and squared-scale bounds are exact transforms of the m1
     bounds, so link consistency across the three reported intervals
-    holds to the last bit.  The degenerate fallback is the whole m1
-    range (0, 1), which the links carry to (0, inf) and (0, 1).
+    holds to the last bit.  The one exception is the m2 link, which is
+    monotone only to the last bit: where it maps an m1 interval a few
+    ulps wide in reverse, the m2 bounds meet at the upper one.  The
+    degenerate fallback is the whole m1 range (0, 1), which the links
+    carry to (0, inf) and (0, 1).
     """
     out = {}
     for measure, lo, hi in (
@@ -367,7 +350,8 @@ def _linked_intervals(
         ("M1", m1_lo, m1_hi),
         ("M2", _m2_from_m1(m1_lo), _m2_from_m1(m1_hi)),
     ):
-        out[measure] = IntervalEstimate(lo, hi, measure, method, alpha_tau, alpha_beta, degenerate)
+        out[measure] = IntervalEstimate(
+            min(lo, hi), hi, measure, method, alpha_tau, alpha_beta, degenerate)
     return out
 
 
@@ -408,18 +392,23 @@ def _box_intervals(
 ) -> dict[str, IntervalEstimate]:
     """Measure intervals from the box of component intervals at miscoverage a_tau, a_beta.
 
-    A level of 0 pins that component at its point estimate.
+    tau spans the square roots of :func:`tau2_ci_qprofile`'s interval
+    and |beta| the folded Wald interval of :func:`_box_m1`.  A level of
+    0 pins that component at its point estimate.
     """
     if fit is None:
         fit = fit_rem(data)
     if fit.tau2_hat == 0.0:
         return _linked_intervals(0.0, 1.0, method, a_tau, a_beta, degenerate=True)
-    c_tau = norm_quantile(1.0 - a_tau / 2.0) if a_tau else 0.0
+    if a_tau:
+        iv = tau2_ci_qprofile(data, a_tau)
+        tau = np.sqrt([[iv.lower], [iv.upper]])
+    else:
+        tau = np.full((2, 1), math.sqrt(fit.tau2_hat))
     c_beta = norm_quantile(1.0 - a_beta / 2.0) if a_beta else 0.0
-    # a pinned tau ignores its roots, so any valid pivot probability serves
-    p_lo, p_up = (1.0 - a_tau / 2.0, a_tau / 2.0) if a_tau else (0.5, 0.5)
-    m1_lo, m1_hi = _corners_m1(data, fit, c_tau, p_lo, p_up, c_beta).ravel().tolist()
-    # near-zero critical values can cross the corners by an ulp, as in tau2_ci_qprofile
+    m1_lo, m1_hi = _box_m1(fit, tau, c_beta).ravel().tolist()
+    # tau / (tau + |beta|) is monotone only to the last bit: near alpha = 1 a
+    # tau bound one ulp larger can give a smaller m1
     return _linked_intervals(min(m1_lo, m1_hi), m1_hi, method, a_tau, a_beta)
 
 
@@ -492,8 +481,10 @@ def _propimp_path(data: MetaDataset, fit: PooledFit, z: float):
     CDF on K - 1 degrees of freedom, and c_beta = sqrt(z^2 - c_tau^2).
     Near theta = pi/2, c_beta grows like sqrt(t - t_end), so t is
     quadratic in s there to keep the objective smooth in s.  A larger s
-    is a larger angle.  s = 1 is the angle corner at theta = pi/2 from
-    the range-end roots, as :func:`_corners_m1` gives it.
+    is a larger angle.  s = 1 is the corner at theta = pi/2 from the
+    range-end roots, with the split c_tau = z sin(pi/2) and c_beta =
+    z cos(pi/2): the latter is not 0 but z 6.1e-17 (about 1.2e-16 at a
+    95% level), and is kept for its bits.
 
     There c_beta comes from the small difference z - c_tau, so c_tau is
     computed to keep it: Q_gen(t) is Q_gen(t_end) plus (t_end - t) times
@@ -525,7 +516,7 @@ def _propimp_path(data: MetaDataset, fit: PooledFit, z: float):
     y = y - y[np.argmin(v)]  # anchored as the solver anchors it
     q_end, wr_end = _qgen(y, v, t_end.reshape(-1))
     q_end, wr_end = q_end[:, None], wr_end[:, None, :]
-    c_end = z * math.sin(_HALF_PI), z * math.cos(_HALF_PI)  # as _corners_m1 takes theta = pi/2
+    c_end = z * math.sin(_HALF_PI), z * math.cos(_HALF_PI)  # theta = pi/2, cos(pi/2) not 0
 
     def path(s: np.ndarray):
         d = np.subtract(1.0, s)

@@ -10,8 +10,8 @@ import pytest
 import cvmeta
 from cvmeta import MetaDataset, load_hssp, numerics
 from cvmeta.core import PooledFit
-from cvmeta.intervals import _corners_m1
-from cvmeta.numerics import norm_cdf, norm_quantile
+from cvmeta.intervals import _box_m1, _qprofile_roots
+from cvmeta.numerics import chisq_quantile, norm_cdf, norm_quantile
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +91,24 @@ def scalar_search(f, lo, hi, mode, tol, used=None, grid_points=None, zoom_points
             if better(v, x, best_v, best_x):
                 best_x, best_v = x, v
             n += 1
+
+
+_UPPER = np.array([[False], [True]])  # row 0: lower corner, row 1: upper corner
+
+
+def _corners_m1(data: MetaDataset, fit: PooledFit, c_tau, p_lo, p_up, c_beta) -> np.ndarray:
+    """m1 at the corners of the (tau, |beta|) box, the lower in row 0 and the upper in row 1.
+
+    tau spans the profile roots at chi-square probabilities ``p_lo``
+    (lower corner) and ``p_up`` (upper corner), and |beta| the folded
+    interval of :func:`_box_m1`.  A critical value of exactly 0 pins its
+    component at the point estimate.  Arguments broadcast, so an array
+    of n splits gives (2, n).
+    """
+    pivots = chisq_quantile(np.where(_UPPER, p_up, p_lo), data.k - 1)
+    roots = _qprofile_roots(data.effects, data.within_vars, pivots)
+    tau = np.where(c_tau == 0.0, math.sqrt(fit.tau2_hat), np.sqrt(roots))
+    return _box_m1(fit, tau, c_beta)
 
 
 def angle_search(data: MetaDataset, fit: PooledFit, alpha: float = 0.05):

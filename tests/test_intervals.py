@@ -19,7 +19,7 @@ from cvmeta.intervals import (
     _S_TOL,
     IntervalEstimate,
     _box_m1,
-    _corners_m1,
+    _linked_intervals,
     _propimp_path,
     _qprofile_roots,
     alpha_adjusted_intervals,
@@ -33,7 +33,7 @@ from cvmeta.measures import inv_logit, logit
 from cvmeta.numerics import RngState, chisq_quantile, norm_cdf, norm_quantile
 from cvmeta.simulator import Scenario, generate_smd_dataset
 
-from conftest import angle_search, qgen_reference, random_dataset, scalar_search
+from conftest import _corners_m1, angle_search, qgen_reference, random_dataset, scalar_search
 
 Z975 = 1.9599639845400545
 
@@ -241,16 +241,18 @@ class TestTau2Qprofile:
 
     @pytest.mark.parametrize("k", [2, 35, 60])
     def test_grid_and_zero_roots_match_single_targets(self, k):
-        # converged targets leave the iteration while the others go on: a
-        # root must not move once found, whatever converges after it
+        # converged targets hold their value while the others go on: a root
+        # must not move once found, whatever converges after it
         rng = np.random.default_rng(k)
         d = random_dataset(rng, k=k)
         p = norm_cdf(Z975 * np.sin(np.linspace(0.0, math.pi / 2, 129)))
         grid = chisq_quantile(np.stack([p, 1.0 - p]), k - 1)  # a 129-angle grid of both corners
+        # PROPIMP's range ends: the median and the pivots at Phi(z) and 1 - Phi(z)
+        ends = chisq_quantile(np.array([0.5, norm_cdf(Z975), 1.0 - norm_cdf(Z975)]), k - 1)
         q0 = qgen_reference(d.effects, d.within_vars, 0.0)
         # targets above Q_gen(0) have root 0; the others are positive
         mixed = np.stack([q0 * rng.uniform(1.01, 3.0, 20), q0 * rng.uniform(0.05, 0.99, 20)])
-        for targets in (grid, mixed.T):
+        for targets in (grid, ends, mixed.T):
             roots = _qprofile_roots(d.effects, d.within_vars, targets)
             assert roots.shape == targets.shape
             for root, target in zip(roots.ravel(), targets.ravel()):
@@ -460,9 +462,17 @@ class TestWaldLogit:
 class TestCombineFixed:
     """The fixed-parameter and both-varying combinations of ``fixed_intervals``."""
 
-    def test_fix_tau_corners(self, hssp):
+    def test_fix_tau_corners(self, hssp, monkeypatch):
+        # a pinned tau solves no profile root: once it solved two at a dummy
+        # pivot and threw them away
+        def no_roots(*args):
+            raise AssertionError("FIXED_TAU solved a profile root")
+
         fit = fit_rem(hssp)
-        m1 = fixed_intervals(hssp, "FIXED_TAU", fit=fit)["M1"]
+        before = fixed_intervals(hssp, "FIXED_TAU", fit=fit)
+        monkeypatch.setattr("cvmeta.intervals._qprofile_roots", no_roots)
+        assert fixed_intervals(hssp, "FIXED_TAU", fit=fit) == before
+        m1 = before["M1"]
         t, b = math.sqrt(fit.tau2_hat), abs(fit.beta_hat)
         half = norm_quantile(0.975) * math.sqrt(fit.var_beta_hat)
         assert fit.beta_hat + half < 0.0  # the negative case of the fold
@@ -470,14 +480,25 @@ class TestCombineFixed:
         assert m1.method == "FIXED_TAU"
         assert m1.alpha_tau == 0.0 and m1.alpha_beta == 0.05
 
-    def test_fix_beta_corners(self, hssp):
-        fit = fit_rem(hssp)
-        m1 = fixed_intervals(hssp, "FIXED_BETA", fit=fit)["M1"]
-        iv = tau2_ci_qprofile(hssp)
-        t_lo, t_hi, b = math.sqrt(iv.lower), math.sqrt(iv.upper), abs(fit.beta_hat)
-        assert (m1.lower, m1.upper) == (t_lo / (t_lo + b), t_hi / (t_hi + b))
-        assert m1.method == "FIXED_BETA"
-        assert m1.alpha_tau == 0.05 and m1.alpha_beta == 0.0
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 2.3e-16, 0.9999999999999998])
+    def test_fix_beta_corners(self, hssp, alpha):
+        # FIXED_BETA's M1 interval is the m1 image of tau2_ci_qprofile's interval
+        # at |beta_hat|.  Near alpha = 1 the two profile roots cross on about one
+        # dataset in nine and the interval's bounds meet; t / (t + b) is not
+        # monotone in the last bit, so the image's lower end is the smaller one
+        rng = np.random.default_rng(0)
+        for d in [hssp] + [random_dataset(rng, k=int(rng.integers(2, 61))) for _ in range(150)]:
+            fit = fit_rem(d)
+            if fit.tau2_hat == 0.0:
+                continue
+            m1 = fixed_intervals(d, "FIXED_BETA", alpha, fit)["M1"]
+            iv = tau2_ci_qprofile(d, alpha)
+            b = abs(fit.beta_hat)
+            lo, hi = (0.0 if t == 0.0 else math.sqrt(t) / (math.sqrt(t) + b)
+                      for t in (iv.lower, iv.upper))
+            assert (m1.lower, m1.upper) == (min(lo, hi), hi)
+            assert m1.method == "FIXED_BETA"
+            assert m1.alpha_tau == alpha and m1.alpha_beta == 0.0
 
     def test_both_corners_and_links(self, hssp):
         fit = fit_rem(hssp)
@@ -495,6 +516,17 @@ class TestCombineFixed:
             assert getattr(out["M2"], bound) == inv_logit(2.0 * logit(u))
         assert m1.method == "BOTH95"
         assert m1.alpha_tau == 0.05 and m1.alpha_beta == 0.05
+
+    def test_m2_bounds_meet_where_the_link_reverses(self):
+        # m2's link is monotone only to the last bit: near alpha = 1 FIXED_BETA,
+        # BOTH95 and ALPHA_ADJ once raised "lower ... exceeds upper" on a K = 57
+        # dataset whose M1 interval was one ulp wide
+        m1_lo, m1_hi = 0.3739428886479294, 0.3739428886479295
+        assert inv_logit(2.0 * logit(m1_lo)) > inv_logit(2.0 * logit(m1_hi))
+        out = _linked_intervals(m1_lo, m1_hi, "FIXED_BETA", 0.9999999999999998, 0.0)
+        assert (out["M1"].lower, out["M1"].upper) == (m1_lo, m1_hi)
+        assert out["M2"].lower == out["M2"].upper == inv_logit(2.0 * logit(m1_hi))
+        assert out["CV_B"].lower == m1_lo / (1.0 - m1_lo)
 
     def test_zero_beta_bound_hits_ceiling(self, hssp):
         # beta_hat -/+ z se straddles 0, so the lower |beta| bound is 0
